@@ -10,6 +10,7 @@ from pathlib import Path
 from . import pipeline
 from .errors import ChartKitError, LengthMismatch
 from .extract import load_profile
+from .jsonl import encode_row
 
 
 def _config_from_args(args) -> pipeline.PipelineConfig:
@@ -39,9 +40,7 @@ def cmd_synthesize(args) -> int:
 
 def cmd_extract(args) -> int:
     profile = load_profile(args.profile) if args.profile else None
-    summary = pipeline.extract_corpus(
-        args.svg_dir, profile=profile, out_dir=args.out, strict=False
-    )
+    summary = pipeline.extract_corpus(args.svg_dir, profile=profile, out_dir=args.out)
     print(
         f"processed {summary['processed']}: "
         f"{summary['exact']} exact, {summary['recovered']} recovered, "
@@ -108,9 +107,8 @@ def cmd_eval(args) -> int:
     except LengthMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    payload = json.dumps(report.to_json_dict(), ensure_ascii=False, sort_keys=True)
     if args.out:
-        Path(args.out).write_text(payload + "\n", encoding="utf-8")
+        Path(args.out).write_text(encode_row(report.to_json_dict()), encoding="utf-8")
     print(json.dumps(report.aggregate, ensure_ascii=False, sort_keys=True))
     return 0
 

@@ -10,6 +10,7 @@ fallback summarizer keeps every downstream consumer testable offline.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import threading
@@ -21,6 +22,7 @@ from typing import Callable, Iterable, Optional
 
 from .errors import BackendTimeout, InvalidConfig, ParseFailure, RateLimited
 from .flatten import CELL_SEP, flatten_table, format_number, unflatten_table
+from .jsonl import Journal, encode_row
 from .tables import CATEGORICAL, DataTable
 
 
@@ -415,82 +417,44 @@ def summarize(bundle: PromptBundle, backend=None) -> str:
 # -- budgeted, resumable batch driver ---------------------------------------
 
 
-def _atomic_write(path, text: str):
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
-def load_checkpoint(path) -> dict[str, str]:
-    done: dict[str, str] = {}
-    if path and os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    row = json.loads(line)
-                    done[row["id"]] = row["summary"]
-    return done
-
-
 class BatchDriver:
     """Runs prompt bundles through a backend with budget and checkpointing.
 
-    Completed ids are skipped on resume; each completion rewrites the
-    checkpoint atomically (write-temp-then-rename), so a crash never loses
-    finished work. ``budget`` caps the number of new backend calls, making
-    API cost explicit. ``in_flight`` > 1 fans requests out over a thread
-    pool; the backend's rate limiter stays the single synchronization
-    point, and the final outputs are order-independent (sorted by id).
+    The checkpoint is an append journal (``jsonl.Journal``): each completion
+    appends one ``{"id", "summary"}`` row, so a crash never loses finished
+    work, and completed ids are skipped on resume (loaded last-wins). At
+    the end of a run the checkpoint is rewritten once, sorted by id.
+    ``budget`` caps the number of new backend calls, making API cost
+    explicit.
     """
 
     def __init__(self, backend=None, checkpoint_path=None,
-                 budget: Optional[int] = None, log_path=None,
-                 in_flight: int = 1):
+                 budget: Optional[int] = None, log_path=None):
         self.backend = backend or FallbackBackend()
         self.checkpoint_path = checkpoint_path
         self.budget = budget
         self.log_path = log_path
-        self.in_flight = max(1, in_flight)
-        self._lock = threading.Lock()
-
-    def _record(self, done, cid, bundle, summary, log_lines):
-        with self._lock:
-            done[cid] = summary
-            if self.checkpoint_path:
-                _atomic_write(self.checkpoint_path, "".join(
-                    json.dumps({"id": k, "summary": v}, ensure_ascii=False,
-                               sort_keys=True) + "\n"
-                    for k, v in sorted(done.items())
-                ))
-            if self.log_path:
-                log_lines.append(json.dumps({
-                    "id": cid,
-                    "prompt": bundle.user_text(),
-                    "response": summary,
-                }, ensure_ascii=False, sort_keys=True) + "\n")
 
     def run(self, items: Iterable[tuple[str, PromptBundle]]) -> dict[str, str]:
-        done = load_checkpoint(self.checkpoint_path)
-        todo = [(cid, bundle) for cid, bundle in items if cid not in done]
-        if self.budget is not None:
-            todo = todo[: self.budget]
-        log_lines: list[str] = []
-        if self.in_flight == 1:
+        done: dict[str, str] = {}
+        with contextlib.ExitStack() as stack:
+            journal = None
+            if self.checkpoint_path:
+                journal = stack.enter_context(Journal(self.checkpoint_path))
+                done = {cid: row["summary"] for cid, row in journal.rows.items()}
+            todo = [(cid, b) for cid, b in items if cid not in done][: self.budget]
+            log_rows = []
             for cid, bundle in todo:
-                self._record(done, cid, bundle, self.backend.complete(bundle),
-                             log_lines)
-        else:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=self.in_flight) as pool:
-                futures = {
-                    pool.submit(self.backend.complete, bundle): (cid, bundle)
-                    for cid, bundle in todo
-                }
-                for future, (cid, bundle) in futures.items():
-                    self._record(done, cid, bundle, future.result(), log_lines)
-        if self.log_path and log_lines:
+                summary = self.backend.complete(bundle)
+                done[cid] = summary
+                if journal:
+                    journal.append({"id": cid, "summary": summary})
+                if self.log_path:
+                    log_rows.append({"id": cid, "prompt": bundle.user_text(),
+                                     "response": summary})
+            if journal:
+                journal.compact(journal.rows.values())
+        if log_rows:
             with open(self.log_path, "a", encoding="utf-8") as fh:
-                fh.writelines(log_lines)
+                fh.writelines(map(encode_row, log_rows))
         return done

@@ -30,7 +30,7 @@ from .errors import (
     ScaleRequired,
 )
 from .palettes import rgb_distance
-from .synth import MarkRecord, Rect
+from .synth import MarkRecord, Rect, sector_bbox
 from .tables import CATEGORICAL, NUMERIC, Column, DataTable, parse_number
 
 _TRANSFORM_RE = re.compile(r"(\w+)\s*\(([^)]*)\)")
@@ -269,7 +269,7 @@ def _parse_slice_path(d: str, tx: float, ty: float):
         theta0 = math.atan2(y0 - cy, x0 - cx)
         theta1 = math.atan2(y1 - cy, x1 - cx)
         sweep = (theta1 - theta0) % (2 * math.pi)
-        return _sector_bbox(cx, cy, r, theta0, sweep, full=False), \
+        return sector_bbox(cx, cy, r, theta0, theta0 + sweep, full=False), \
             math.degrees(theta0), math.degrees(sweep)
     if names[:3] == ["M", "A", "A"]:
         x0, y0 = cmds[0][1][0] + tx, cmds[0][1][1] + ty
@@ -277,25 +277,9 @@ def _parse_slice_path(d: str, tx: float, ty: float):
         r, x1, y1 = arc[0], arc[5] + tx, arc[6] + ty
         cx, cy = (x0 + x1) / 2, (y0 + y1) / 2
         theta0 = math.atan2(y0 - cy, x0 - cx)
-        return _sector_bbox(cx, cy, r, theta0, 2 * math.pi, full=True), \
+        return sector_bbox(cx, cy, r, theta0, theta0 + 2 * math.pi, full=True), \
             math.degrees(theta0), 360.0
     return None
-
-
-def _sector_bbox(cx, cy, r, theta0, sweep, full):
-    pts = [] if full else [(cx, cy)]
-    for t in (theta0, theta0 + sweep):
-        pts.append((cx + r * math.cos(t), cy + r * math.sin(t)))
-    m = math.ceil(theta0 / (math.pi / 2))
-    while m * (math.pi / 2) <= theta0 + sweep + 1e-12:
-        a = m * (math.pi / 2)
-        pts.append((cx + r * math.cos(a), cy + r * math.sin(a)))
-        m += 1
-    min_x = min(p[0] for p in pts)
-    max_x = max(p[0] for p in pts)
-    min_y = min(p[1] for p in pts)
-    max_y = max(p[1] for p in pts)
-    return Rect(min_x, min_y, max_x - min_x, max_y - min_y)
 
 
 def parse_chart_svg(svg: str, profile: SelectorProfile = BUILTIN_PROFILE) -> ParsedChart:

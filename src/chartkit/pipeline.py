@@ -11,19 +11,22 @@ A corpus directory looks like:
 Determinism contract: (config, seed) fixes every output byte. Each chart's
 RNG derives from (seed, chart id), so worker pools and resumed runs produce
 the same corpus as a single fresh run; manifests carry no timestamps.
+
+All JSONL goes through ``chartkit.jsonl``. The manifest and the distill
+checkpoint are append journals: one row per completion, loaded last-wins
+on resume, and compacted (rewritten sorted by id) at the end of a run.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import random
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Optional
 
 from .distill import (
     DEFAULT_EXEMPLAR,
@@ -35,6 +38,8 @@ from .distill import (
 from .errors import AnswerNotInSummary, InvalidConfig, LengthMismatch
 from .extract import BUILTIN_PROFILE, SelectorProfile, extract_chart
 from .gen import chart_table_for, random_style
+from .jsonl import Journal, atomic_write_text, encode_row, load_by_id, write_jsonl
+from .jsonl import read_jsonl as _load_jsonl  # perfbench times reads by this name
 from .metrics import MetricReport, score_pairs
 from .synth import (
     DEFAULT_CANVAS,
@@ -57,6 +62,7 @@ from .tasks import (
     assemble_open_qa_records,
     assemble_summary_records,
     generate_qa,
+    records_to_jsonl,
     table_record,
     value_estimation_record,
 )
@@ -146,10 +152,7 @@ def _load_table_pool(tables_path: str, seed: int) -> tuple:
     if path.suffix == ".csv":
         tables.append(DataTable.from_csv(path.read_text(encoding="utf-8")))
     else:
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    tables.append(DataTable.from_json_dict(json.loads(line)))
+        tables.extend(map(DataTable.from_json_dict, _load_jsonl(path)))
     pool = []
     for i, table in enumerate(tables):
         pool.extend(decompose(table, rng_seed=seed + i))
@@ -220,69 +223,33 @@ def _synthesize_one(args) -> dict:
     return _write_chart_files(Path(out_dir), chart)
 
 
-def _atomic_write_text(path: Path, text: str):
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
 def load_manifest(corpus_dir) -> list[dict]:
-    path = Path(corpus_dir) / "manifest.jsonl"
-    if not path.exists():
-        return []
-    by_id = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                row = json.loads(line)
-                by_id[row["id"]] = row  # crash-resume runs may repeat ids
-    return list(by_id.values())
-
-
-def _write_manifest(out: Path, rows: Iterable[dict]):
-    ordered = sorted(rows, key=lambda r: r["id"])
-    text = "".join(
-        json.dumps(r, ensure_ascii=False, sort_keys=True) + "\n" for r in ordered
-    )
-    _atomic_write_text(out / "manifest.jsonl", text)
+    # Crash-resumed runs may repeat ids; the last row of an id wins.
+    return list(load_by_id(Path(corpus_dir) / "manifest.jsonl").values())
 
 
 def synthesize(config: PipelineConfig) -> list[dict]:
     """Emit SVG + sidecar + table per chart plus a sorted manifest.
 
-    Re-running over an existing manifest skips completed ids and converges
-    on the same final state as a single fresh run. Manifest rows are
-    appended through a single writer as charts complete (so an interrupted
-    run resumes where it stopped) and the file is rewritten sorted and
-    deduplicated at the end.
+    The manifest is a ``jsonl.Journal`` with a row per finished chart, so
+    an interrupted run resumes where it stopped, and a rerun skips finished
+    ids and converges on the bytes of a single fresh run.
     """
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    existing = {row["id"]: row for row in load_manifest(out)}
     wanted = [f"chart-{i:06d}" for i in range(config.count)]
-    todo = [cid for cid in wanted if cid not in existing]
-
-    rows = dict(existing)
-    with open(out / "manifest.jsonl", "a", encoding="utf-8") as manifest:
-
-        def record(row):
-            rows[row["id"]] = row
-            manifest.write(
-                json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n"
-            )
-            manifest.flush()
-
+    with Journal(out / "manifest.jsonl") as manifest:
+        todo = [cid for cid in wanted if cid not in manifest.rows]
         if config.workers > 1 and todo:
             jobs = [(config, str(out), cid) for cid in todo]
             with ProcessPoolExecutor(max_workers=config.workers) as pool:
                 for row in pool.map(_synthesize_one, jobs):
-                    record(row)
+                    manifest.append(row)
         else:
             for cid in todo:
-                record(_synthesize_one((config, str(out), cid)))
-
-    keep = [rows[cid] for cid in wanted if cid in rows]
-    _write_manifest(out, keep)
+                manifest.append(_synthesize_one((config, str(out), cid)))
+        keep = [manifest.rows[cid] for cid in wanted if cid in manifest.rows]
+        manifest.compact(keep)
     return keep
 
 
@@ -295,16 +262,12 @@ def load_chart(corpus_dir, row: dict, with_svg: bool = False) -> RenderedChart:
     return RenderedChart.from_sidecar_json(sidecar, svg=svg)
 
 
-def extract_corpus(
-    svg_dir,
-    profile: Optional[SelectorProfile] = None,
-    out_dir=None,
-    strict: bool = False,
-) -> dict:
+def extract_corpus(svg_dir, profile: Optional[SelectorProfile] = None,
+                   out_dir=None) -> dict:
     """Batch-extract every ``*.svg`` under a directory.
 
     Returns a summary dict with exact/recovered/failed counts; failures are
-    data (listed per file), not a process error, unless ``strict``.
+    data (listed per file), not a process error.
     """
     profile = profile or BUILTIN_PROFILE
     svg_dir = Path(svg_dir)
@@ -323,21 +286,9 @@ def extract_corpus(
             continue
         summary[result.confidence] += 1
         if out:
-            payload = json.dumps(result.to_json_dict(), ensure_ascii=False,
-                                 sort_keys=True) + "\n"
-            (out / f"{path.stem}.extracted.json").write_text(payload, "utf-8")
-    if strict and summary["failed"]:
-        raise RuntimeError(f"{summary['failed']} extraction failures (strict mode)")
+            (out / f"{path.stem}.extracted.json").write_text(
+                encode_row(result.to_json_dict()), "utf-8")
     return summary
-
-
-def _load_jsonl(path) -> list[dict]:
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                rows.append(json.loads(line))
-    return rows
 
 
 def gen_tasks(
@@ -441,13 +392,9 @@ def gen_tasks(
         emitted[kind] = len(records[kind])
         if not records[kind]:
             continue  # configured but empty (e.g. no summaries supplied)
-        text = "".join(
-            json.dumps(r.to_json_dict(), ensure_ascii=False, sort_keys=True) + "\n"
-            for r in records[kind]
-        )
-        _atomic_write_text(out / f"{kind}.jsonl", text)
+        atomic_write_text(out / f"{kind}.jsonl", records_to_jsonl(records[kind]))
     if counts["qa_reasoning"] > 0:
-        _atomic_write_text(
+        atomic_write_text(
             out / "template_catalog.json",
             json.dumps(template_catalog(), ensure_ascii=False, indent=2,
                        sort_keys=True) + "\n",
@@ -588,6 +535,8 @@ def distill_corpus(
 
     ``backend=None`` and ``backend_config=None`` selects the deterministic
     fallback; no network transport is ever constructed in that case.
+    ``checkpoint_path`` names the driver's append journal of finished
+    summaries (see ``BatchDriver``); a rerun resumes from it.
     """
     if backend is None and backend_config:
         with open(backend_config, encoding="utf-8") as fh:
@@ -602,10 +551,5 @@ def distill_corpus(
     driver = BatchDriver(backend=backend, checkpoint_path=checkpoint_path,
                          budget=budget, log_path=log_path)
     done = driver.run(items)
-    text = "".join(
-        json.dumps({"id": cid, "summary": done[cid]}, ensure_ascii=False,
-                   sort_keys=True) + "\n"
-        for cid in sorted(done)
-    )
-    _atomic_write_text(Path(out_path), text)
+    write_jsonl(out_path, ({"id": cid, "summary": done[cid]} for cid in sorted(done)))
     return done

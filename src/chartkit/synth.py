@@ -682,7 +682,8 @@ def _render_pie(svg, spec, series_colors, plot):
         sweep = 2 * math.pi * frac
         theta_end = theta + sweep
         color = series_colors[x]
-        if frac >= 1.0 - 1e-12:
+        full = frac >= 1.0 - 1e-12
+        if full:
             x0, y0 = point(theta)
             x1, y1 = point(theta + math.pi)
             d = (
@@ -702,7 +703,7 @@ def _render_pie(svg, spec, series_colors, plot):
             f'<path class="mark-slice" data-series={_attr(x)} data-x={_attr(x)} '
             f'd="{d}" fill="{color}" stroke="#ffffff"/>'
         )
-        bbox = _arc_bbox(cx, cy, radius, theta, theta_end, frac)
+        bbox = sector_bbox(cx, cy, radius, theta, theta_end, full)
         marks.append(MarkRecord(x, x, value, bbox, color))
         if style.show_data_labels and frac > 0:
             mid = (theta + theta_end) / 2
@@ -714,10 +715,11 @@ def _render_pie(svg, spec, series_colors, plot):
     return marks
 
 
-def _arc_bbox(cx, cy, r, theta0, theta1, frac):
-    pts = [(cx, cy)] if frac < 1.0 - 1e-12 else []
-    pts.append((cx + r * math.cos(theta0), cy + r * math.sin(theta0)))
-    pts.append((cx + r * math.cos(theta1), cy + r * math.sin(theta1)))
+def sector_bbox(cx, cy, r, theta0, theta1, full):
+    """Bounding box of a pie sector; a partial sector's box takes in the centre."""
+    pts = [] if full else [(cx, cy)]
+    for t in (theta0, theta1):
+        pts.append((cx + r * math.cos(t), cy + r * math.sin(t)))
     m = math.ceil(theta0 / (math.pi / 2))
     while m * (math.pi / 2) <= theta1 + 1e-12:
         a = m * (math.pi / 2)

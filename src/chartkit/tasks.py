@@ -8,13 +8,13 @@ Each prompt starts with exactly one registered task token.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import AnswerNotInSummary, MissingSummary, UnsupportedChartType
 from .flatten import CELL_SEP, ROW_SEP, flatten_table
+from .jsonl import encode_row
 from .synth import PIE, RenderedChart
 from .templates import REGISTRY, ChartView, SlotBinding
 
@@ -59,10 +59,7 @@ class TaskRecord:
 
 
 def records_to_jsonl(records: Iterable[TaskRecord]) -> str:
-    return "".join(
-        json.dumps(r.to_json_dict(), ensure_ascii=False, sort_keys=True) + "\n"
-        for r in records
-    )
+    return "".join(encode_row(r.to_json_dict()) for r in records)
 
 
 def _image_ref(chart: RenderedChart, override: Optional[str]) -> str:

@@ -13,11 +13,11 @@ from chartkit.distill import (
     build_rubric_eval_prompt,
     build_table_summary_prompt,
     fallback_summary,
-    load_checkpoint,
     parse_rating,
     summarize,
 )
 from chartkit.errors import InvalidConfig, ParseFailure, RateLimited
+from chartkit.jsonl import load_by_id
 from chartkit.metrics import extract_numbers
 from chartkit.tables import Column, DataTable, NUMERIC
 
@@ -182,7 +182,7 @@ def test_driver_checkpoint_resume_and_budget(tmp_path):
                          budget=2)
     done = driver.run(bundles)
     assert len(done) == 2
-    assert len(load_checkpoint(ckpt)) == 2
+    assert len(load_by_id(ckpt)) == 2
 
     # Resume finishes the rest without redoing completed ids.
     class Counting(FallbackBackend):

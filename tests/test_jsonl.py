@@ -1,0 +1,158 @@
+"""The corpus JSONL layer: encoding, reads, atomic writes and the journal.
+
+The manifest and the distill checkpoint are append journals: one row is
+appended per completion, the file is loaded last-wins on resume, and it is
+rewritten sorted at the end of a run. A resumed run, including one after a
+crash that cut an append short, must converge on the bytes of a fresh run.
+"""
+
+import json
+import os
+
+import pytest
+
+from chartkit.distill import (
+    DEFAULT_EXEMPLAR,
+    BatchDriver,
+    FallbackBackend,
+    build_table_summary_prompt,
+)
+from chartkit.jsonl import Journal, encode_row, load_by_id, read_jsonl, write_jsonl
+from chartkit.pipeline import PipelineConfig, distill_corpus, synthesize
+from chartkit.tables import Column, DataTable, NUMERIC
+from test_golden import tree_digest
+
+
+def _corpus(root, count=6):
+    config = PipelineConfig(seed=7, count=count, labels="mixed",
+                            out=str(root / "corpus"))
+    synthesize(config)
+    return config
+
+
+def _tear(path, keep_rows):
+    """Cut ``path`` to ``keep_rows`` whole lines plus half of the next one,
+    as a crash in the middle of an append leaves it."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    torn = lines[keep_rows][: len(lines[keep_rows]) // 2]
+    assert torn and not torn.endswith(b"\n")
+    path.write_bytes(b"".join(lines[:keep_rows]) + torn)
+
+
+class FailsOnFourthCall(FallbackBackend):
+    def __init__(self):
+        self.calls = 0
+
+    def complete(self, bundle):
+        self.calls += 1
+        if self.calls == 4:
+            raise ConnectionError("backend went away")
+        return super().complete(bundle)
+
+
+def _fresh_distill(root):
+    _corpus(root)
+    distill_corpus(root / "corpus", root / "summaries.jsonl",
+                   checkpoint_path=root / "checkpoint.jsonl")
+    return tree_digest(root)
+
+
+def test_interrupted_distill_resumes_to_fresh_bytes(tmp_path):
+    fresh = _fresh_distill(tmp_path / "fresh")
+    root = tmp_path / "resumed"
+    _corpus(root)
+    ckpt = root / "checkpoint.jsonl"
+    backend = FailsOnFourthCall()
+    with pytest.raises(ConnectionError):
+        distill_corpus(root / "corpus", root / "summaries.jsonl",
+                       backend=backend, checkpoint_path=ckpt)
+    assert len(ckpt.read_text(encoding="utf-8").splitlines()) == 3
+    distill_corpus(root / "corpus", root / "summaries.jsonl",
+                   checkpoint_path=ckpt)
+    assert tree_digest(root) == fresh
+
+
+def test_torn_checkpoint_line_resumes_to_fresh_bytes(tmp_path):
+    fresh = _fresh_distill(tmp_path / "fresh")
+    root = tmp_path / "resumed"
+    _fresh_distill(root)
+    _tear(root / "checkpoint.jsonl", keep_rows=3)
+    distill_corpus(root / "corpus", root / "summaries.jsonl",
+                   checkpoint_path=root / "checkpoint.jsonl")
+    assert tree_digest(root) == fresh
+
+
+def test_torn_manifest_line_resumes_to_fresh_bytes(tmp_path):
+    _corpus(tmp_path / "fresh")
+    config = _corpus(tmp_path / "resumed")
+    _tear(tmp_path / "resumed" / "corpus" / "manifest.jsonl", keep_rows=2)
+    synthesize(config)
+    assert tree_digest(tmp_path / "resumed") == tree_digest(tmp_path / "fresh")
+
+
+def test_driver_replaces_checkpoint_once(tmp_path, monkeypatch):
+    replaced = []
+    real_replace = os.replace
+
+    def counting_replace(src, dst):
+        replaced.append(str(dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", counting_replace)
+    table = DataTable([Column("x"), Column("v", NUMERIC)],
+                      [["a", 1.0], ["b", 2.0]])
+    items = [(f"c{i}", build_table_summary_prompt(table, DEFAULT_EXEMPLAR))
+             for i in reversed(range(8))]
+    ckpt = tmp_path / "checkpoint.jsonl"
+    done = BatchDriver(checkpoint_path=str(ckpt)).run(items)
+    assert done == BatchDriver().run(items)
+    assert replaced == [str(ckpt)]
+    rows = [json.loads(line)
+            for line in ckpt.read_text(encoding="utf-8").splitlines()]
+    assert [r["id"] for r in rows] == [f"c{i}" for i in range(8)]
+    assert {r["id"]: r["summary"] for r in rows} == done
+
+
+def test_encoding_and_reads(tmp_path):
+    row = {"id": "z", "b": "\u00e9\u2028", "a": [1, 2.5]}
+    assert encode_row(row) == '{"a": [1, 2.5], "b": "\u00e9\u2028", "id": "z"}\n'
+    path = tmp_path / "rows.jsonl"
+    write_jsonl(path, [{"id": "x", "v": 1}, row, {"id": "x", "v": 2}])
+    assert not (tmp_path / "rows.jsonl.tmp").exists()
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write('\n{"id": "y", "v": 3}')  # a blank line, no final newline
+    rows = read_jsonl(path)
+    assert rows[1] == row and rows[-1] == {"id": "y", "v": 3}
+    assert load_by_id(path) == {"x": {"id": "x", "v": 2}, "z": row,
+                                "y": {"id": "y", "v": 3}}
+    assert load_by_id(tmp_path / "missing.jsonl") == {}
+
+
+def test_read_drops_only_a_torn_last_line(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(b'{"id": "a"}\n' + '{"id": "é'.encode("utf-8")[:-1])
+    assert read_jsonl(path) == [{"id": "a"}]
+    path.write_bytes(b'{"id": "a"}\n{"id": \n{"id": "b"}\n')
+    with pytest.raises(ValueError):
+        read_jsonl(path)
+
+
+def test_journal_never_appends_onto_a_fragment(tmp_path):
+    path = tmp_path / "journal.jsonl"
+    path.write_bytes(b'{"id": "b", "v": 1}\n{"id": "a", "v": 1}\n{"id": "c", "v')
+    with Journal(path) as journal:
+        assert sorted(journal.rows) == ["a", "b"]
+        journal.append({"id": "a", "v": 2})
+        journal.append({"id": "d", "v": 1})
+        assert read_jsonl(path)[2:] == [{"id": "a", "v": 2}, {"id": "d", "v": 1}]
+        journal.compact(journal.rows.values())
+    assert path.read_text(encoding="utf-8") == "".join(map(encode_row, [
+        {"id": "a", "v": 2}, {"id": "b", "v": 1}, {"id": "d", "v": 1}]))
+
+    # A whole last row without its newline is kept, and the next append
+    # starts on a line of its own.
+    path.write_bytes(b'{"id": "a", "v": 1}')
+    with Journal(path) as journal:
+        journal.append({"id": "b", "v": 1})
+        assert set(journal.rows) == {"a", "b"}
+    assert read_jsonl(path) == [{"id": "b", "v": 1}]

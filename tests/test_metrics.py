@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chartkit.assignment import exhaustive_assignment, hungarian, pad_square
@@ -53,6 +53,9 @@ def test_ra_percent_and_separators():
     st.floats(min_value=-0.2, max_value=0.2),
     st.floats(min_value=0.001, max_value=1000),
 )
+@example(1.0, 0.05, 5.0)
+@example(1.0, 0.05, 65.0)
+@example(1.0, 0.05, 1.5)
 def test_ra_scale_consistent(gold, rel, factor):
     pred = gold * (1 + rel)
     base = relaxed_accuracy(repr(pred), repr(gold))

@@ -137,14 +137,12 @@ def test_extract_corpus_empty_dir(tmp_path):
     assert summary["failed"] == 0
 
 
-def test_extract_corpus_strict_raises_on_garbage(tmp_path):
+def test_extract_corpus_counts_garbage_as_failed(tmp_path):
     bad = tmp_path / "svgs"
     bad.mkdir()
     (bad / "broken.svg").write_text("<svg><oops", encoding="utf-8")
     summary = extract_corpus(bad)
     assert summary["failed"] == 1
-    with pytest.raises(RuntimeError):
-        extract_corpus(bad, strict=True)
 
 
 def test_gen_tasks_counts_and_files(tmp_path):
@@ -323,29 +321,6 @@ def test_shipped_profiles_load():
     for name in ("plotly_like", "chartblocks_like"):
         profile = load_profile(name)
         assert profile.bar and profile.y_tick
-
-
-def test_driver_in_flight_threads(tmp_path):
-    from chartkit.distill import (
-        DEFAULT_EXEMPLAR,
-        BatchDriver,
-        FallbackBackend,
-        build_table_summary_prompt,
-    )
-    from chartkit.tables import Column, DataTable, NUMERIC
-
-    table = DataTable([Column("x"), Column("v", NUMERIC)], [["a", 1.0], ["b", 2.0]])
-    items = [
-        (f"c{i}", build_table_summary_prompt(table, DEFAULT_EXEMPLAR))
-        for i in range(8)
-    ]
-    ckpt = tmp_path / "ck.jsonl"
-    serial = BatchDriver(backend=FallbackBackend()).run(items)
-    threaded = BatchDriver(backend=FallbackBackend(), in_flight=4,
-                           checkpoint_path=str(ckpt)).run(items)
-    assert serial == threaded
-    assert len(json.loads("[" + ",".join(
-        ckpt.read_text().strip().splitlines()) + "]")) == 8
 
 
 # -- CLI ----------------------------------------------------------------------
