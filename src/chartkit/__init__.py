@@ -40,11 +40,16 @@ from .tasks import (
     TaskRecord,
     assemble_open_qa_records,
     assemble_summary_records,
-    enumerate_applicable,
     generate_qa,
     value_estimation_target,
 )
-from .templates import REGISTRY, ChartView, QATemplate, template_catalog
+from .templates import (
+    REGISTRY,
+    ChartView,
+    QATemplate,
+    enumerate_applicable,
+    template_catalog,
+)
 
 __version__ = "0.1.0"
 

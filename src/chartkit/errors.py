@@ -29,6 +29,13 @@ class MalformedSvg(ChartKitError):
     pass
 
 
+class MalformedJsonl(ChartKitError, ValueError):
+    """A JSONL line that ends in a newline but does not parse.
+
+    Also a ``ValueError``, as the ``json.JSONDecodeError`` it replaces was.
+    """
+
+
 class NoMarksFound(ChartKitError):
     """No element in the document matched a mark selector."""
 

@@ -77,16 +77,6 @@ class SelectorProfile:
         with open(path, encoding="utf-8") as fh:
             return cls.from_json_dict(json.load(fh))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "bar": self.bar, "slice": self.slice, "point": self.point,
-            "line": self.line, "x_tick": self.x_tick, "y_tick": self.y_tick,
-            "legend_item": self.legend_item, "chart_title": self.chart_title,
-            "axis_title": self.axis_title, "mark_label": self.mark_label,
-            "series_attr": self.series_attr, "x_attr": self.x_attr,
-            "value_attr": self.value_attr,
-        }
-
 
 BUILTIN_PROFILE = SelectorProfile()
 

@@ -14,12 +14,11 @@ import random
 from typing import Optional
 
 from .synth import (
+    CHART_TYPES,
     DEFAULT_CANVAS,
     GROUPED_BAR,
     LINE_MULTI,
-    LINE_SINGLE,
     PIE,
-    SIMPLE_BAR,
     ChartSpec,
     RenderedChart,
     StyleParams,
@@ -145,9 +144,7 @@ def random_chart(
 ) -> RenderedChart:
     """Render one random chart; the workhorse behind pools and pipelines."""
     if chart_type is None:
-        chart_type = rng.choice(
-            (SIMPLE_BAR, GROUPED_BAR, PIE, LINE_SINGLE, LINE_MULTI)
-        )
+        chart_type = rng.choice(CHART_TYPES)
     table = chart_table_for(rng, chart_type, **table_kwargs)
     style = random_style(rng, labels=labels, overrides=style_overrides)
     return render(ChartSpec(chart_type, table, style, canvas))

@@ -14,6 +14,8 @@ import os
 from pathlib import Path
 from typing import Iterable
 
+from .errors import MalformedJsonl
+
 
 def encode_row(row: dict) -> str:
     """One JSONL line: the canonical encoding of ``row``, ended by ``\\n``."""
@@ -24,21 +26,23 @@ def _scan(path) -> tuple[list[dict], int]:
     """The rows of a JSONL file and the byte length of its ended lines.
 
     A last line with no ``\\n`` that does not parse is a torn append, left
-    by a crash in the middle of a write, and is dropped.
+    by a crash in the middle of a write, and is dropped. Any other line that
+    does not parse raises ``MalformedJsonl`` naming the file and line.
     """
     rows: list[dict] = []
     ended = 0
     with open(path, "rb") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             torn = not line.endswith(b"\n")
             if not torn:
                 ended += len(line)
             if line.strip():
                 try:
                     rows.append(json.loads(line))
-                except ValueError:
+                except ValueError as exc:
                     if not torn:
-                        raise
+                        raise MalformedJsonl(
+                            f"{path}, line {lineno}: invalid JSON: {exc}") from exc
     return rows, ended
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence, Union
 
 from .assignment import hungarian, pad_square
@@ -309,7 +309,7 @@ class MetricReport:
     aggregate: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {"per_example": self.per_example, "aggregate": self.aggregate}
+        return asdict(self)
 
 
 def score_pairs(

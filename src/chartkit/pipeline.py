@@ -23,7 +23,7 @@ import json
 import random
 import re
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
 from typing import Optional
@@ -44,12 +44,9 @@ from .metrics import MetricReport, score_pairs
 from .synth import (
     DEFAULT_CANVAS,
     DEFAULT_TYPE_WEIGHTS,
+    FAMILIES,
     FAMILY,
-    GROUPED_BAR,
-    LINE_MULTI,
-    LINE_SINGLE,
     PIE,
-    SIMPLE_BAR,
     ChartSpec,
     RenderedChart,
     choose_chart_type,
@@ -79,7 +76,14 @@ DEFAULT_TASK_COUNTS = {
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Knobs for the synthesis and task-generation pipelines."""
+    """Knobs for the synthesis and task-generation pipelines.
+
+    ``chart_type_weights`` keys the chart families "bar", "line" and "pie"
+    (a family left out weighs 0); ``grouped_fraction`` is the chance that a
+    generated bar or line chart is grouped. Charts drawn from ``tables_path``
+    keep only the families their table admits, and the table decides
+    grouped or simple (see ``synth.choose_chart_type``).
+    """
 
     seed: int = 0
     count: int = 100
@@ -98,6 +102,12 @@ class PipelineConfig:
 
     def __post_init__(self):
         weights = self.chart_type_weights
+        unknown = set(weights) - set(FAMILIES)
+        if unknown:
+            raise InvalidConfig(
+                f"chart type weights key the families {list(FAMILIES)}, "
+                f"not {sorted(unknown)}"
+            )
         if any(w < 0 for w in weights.values()) or sum(weights.values()) <= 0:
             raise InvalidConfig("chart type weights must be >= 0 and sum > 0")
         if any(c < 0 for c in self.counts.values()):
@@ -131,19 +141,6 @@ def _chart_rng(seed: int, chart_id: str) -> random.Random:
     return random.Random(f"{seed}:{chart_id}")
 
 
-def _family_weights(weights: dict) -> tuple[list[str], list[float]]:
-    families = ["bar", "line", "pie"]
-    totals = {f: 0.0 for f in families}
-    for key, value in weights.items():
-        if key in totals:
-            totals[key] += float(value)
-        elif key in FAMILY:
-            totals[FAMILY[key]] += float(value)
-        else:
-            raise InvalidConfig(f"unknown chart type weight key {key!r}")
-    return families, [totals[f] for f in families]
-
-
 @lru_cache(maxsize=4)
 def _load_table_pool(tables_path: str, seed: int) -> tuple:
     """Chart-ready tables decomposed from an external table file."""
@@ -164,25 +161,14 @@ def _load_table_pool(tables_path: str, seed: int) -> tuple:
 def make_chart(config: PipelineConfig, chart_id: str) -> RenderedChart:
     """Deterministically build one chart from (config, chart id)."""
     rng = _chart_rng(config.seed, chart_id)
+    weights = config.chart_type_weights
     if config.tables_path:
         pool = _load_table_pool(config.tables_path, config.seed)
         table = pool[rng.randrange(len(pool))]
-        chart_type = choose_chart_type(
-            table, rng.randrange(2**31), config.chart_type_weights
-        )
+        type_rng = random.Random(rng.randrange(2**31))
+        chart_type = choose_chart_type(type_rng, weights, table=table)
     else:
-        families, weights = _family_weights(config.chart_type_weights)
-        family = rng.choices(families, weights=weights, k=1)[0]
-        if family == "pie":
-            chart_type = PIE
-        elif family == "bar":
-            chart_type = (
-                GROUPED_BAR if rng.random() < config.grouped_fraction else SIMPLE_BAR
-            )
-        else:
-            chart_type = (
-                LINE_MULTI if rng.random() < config.grouped_fraction else LINE_SINGLE
-            )
+        chart_type = choose_chart_type(rng, weights, config.grouped_fraction)
         table = chart_table_for(rng, chart_type)
     labels = {"on": True, "off": False, "mixed": None}[config.labels]
     style = random_style(rng, labels=labels, overrides=config.style_overrides)
@@ -205,8 +191,6 @@ def _manifest_row(chart: RenderedChart) -> dict:
 
 
 def _write_chart_files(out: Path, chart: RenderedChart) -> dict:
-    (out / "charts").mkdir(parents=True, exist_ok=True)
-    (out / "tables").mkdir(parents=True, exist_ok=True)
     (out / "charts" / f"{chart.id}.svg").write_text(chart.svg, encoding="utf-8")
     (out / "charts" / f"{chart.id}.json").write_text(
         chart.to_sidecar_json() + "\n", encoding="utf-8"
@@ -236,7 +220,8 @@ def synthesize(config: PipelineConfig) -> list[dict]:
     ids and converges on the bytes of a single fresh run.
     """
     out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
+    (out / "charts").mkdir(parents=True, exist_ok=True)
+    (out / "tables").mkdir(exist_ok=True)
     wanted = [f"chart-{i:06d}" for i in range(config.count)]
     with Journal(out / "manifest.jsonl") as manifest:
         todo = [cid for cid in wanted if cid not in manifest.rows]
@@ -435,15 +420,7 @@ class CorpusStats:
     avg_sentences: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_charts": self.n_charts,
-            "type_counts": self.type_counts,
-            "family_percentages": self.family_percentages,
-            "n_vocab": self.n_vocab,
-            "avg_characters": self.avg_characters,
-            "avg_tokens": self.avg_tokens,
-            "avg_sentences": self.avg_sentences,
-        }
+        return asdict(self)
 
     def render_text(self) -> str:
         lines = [f"charts: {self.n_charts}"]

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 from xml.sax.saxutils import escape, quoteattr
 
@@ -40,6 +40,8 @@ FAMILY = {
     LINE_SINGLE: "line",
     LINE_MULTI: "line",
 }
+
+FAMILIES = ("bar", "line", "pie")
 
 # Corpus mix used as the default: bars dominate, pies are rare.
 DEFAULT_TYPE_WEIGHTS = {"bar": 58.51, "line": 32.94, "pie": 9.39}
@@ -83,50 +85,44 @@ class Rect:
         return [self.x, self.y, self.w, self.h]
 
 
+# The style space the corpus samples: each field's choices (a tuple) or
+# its [lo, hi] range (ints draw ``randint``, floats ``uniform``), in the
+# order ``diversify_style`` draws them. A boolean field is a coin flip.
+STYLE_SPACE = {
+    "palette": tuple(PALETTE_NAMES),
+    "bar_thickness": [0.4, 0.9],  # fraction of the x band a bar/cluster fills
+    "bar_gap": [0.05, 0.4],  # gap between grouped bars, fraction of bar width
+    "line_dash": ("solid", "dotted", "dashed"),
+    "legend_marker": ("rect", "circle"),
+    "grid": ("none", "horizontal", "both"),
+    "show_data_labels": (False, True),
+    "font_px": [9, 16],
+    "margin_jitter": [0.0, 1.0],  # shifts plot position/distances
+}
+
+
 @dataclass(frozen=True)
 class StyleParams:
-    """Visual style knobs the corpus varies to diversify charts."""
+    """Visual style knobs the corpus varies to diversify charts (``STYLE_SPACE``)."""
 
     palette: str = "tableau10"
-    bar_thickness: float = 0.7  # fraction of the x band a bar/cluster fills
-    bar_gap: float = 0.15  # gap between grouped bars, fraction of bar width
+    bar_thickness: float = 0.7
+    bar_gap: float = 0.15
     line_dash: str = "solid"
     legend_marker: str = "rect"
     grid: str = "horizontal"
     show_data_labels: bool = True
     font_px: int = 12
-    margin_jitter: float = 0.0  # shifts plot position/distances, 0..1
+    margin_jitter: float = 0.0
 
     def __post_init__(self):
-        if self.palette not in PALETTE_NAMES:
-            raise ValueError(f"unknown palette {self.palette!r}")
-        if not 0.4 <= self.bar_thickness <= 0.9:
-            raise ValueError("bar_thickness must be in [0.4, 0.9]")
-        if not 0.05 <= self.bar_gap <= 0.4:
-            raise ValueError("bar_gap must be in [0.05, 0.4]")
-        if self.line_dash not in ("solid", "dotted", "dashed"):
-            raise ValueError(f"unknown line_dash {self.line_dash!r}")
-        if self.legend_marker not in ("rect", "circle"):
-            raise ValueError(f"unknown legend_marker {self.legend_marker!r}")
-        if self.grid not in ("none", "horizontal", "both"):
-            raise ValueError(f"unknown grid {self.grid!r}")
-        if not 9 <= self.font_px <= 16:
-            raise ValueError("font_px must be in [9, 16]")
-        if not 0.0 <= self.margin_jitter <= 1.0:
-            raise ValueError("margin_jitter must be in [0, 1]")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "palette": self.palette,
-            "bar_thickness": self.bar_thickness,
-            "bar_gap": self.bar_gap,
-            "line_dash": self.line_dash,
-            "legend_marker": self.legend_marker,
-            "grid": self.grid,
-            "show_data_labels": self.show_data_labels,
-            "font_px": self.font_px,
-            "margin_jitter": self.margin_jitter,
-        }
+        for name, space in STYLE_SPACE.items():
+            value = getattr(self, name)
+            if isinstance(space, list):
+                if not space[0] <= value <= space[1]:
+                    raise ValueError(f"{name} must be in {space}")
+            elif value not in space:
+                raise ValueError(f"unknown {name} {value!r}")
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "StyleParams":
@@ -216,7 +212,7 @@ class RenderedChart:
             "axis_ticks": [[p, label, v] for p, label, v in self.axis_ticks],
             "legend": [[name, color] for name, color in self.legend],
             "table": self.table.to_json_dict(),
-            "style": self.style.to_json_dict(),
+            "style": asdict(self.style),
         }
 
     def to_sidecar_json(self) -> str:
@@ -243,81 +239,72 @@ class RenderedChart:
 
 
 def choose_chart_type(
-    table: ChartReadyTable, rng_seed: int, weights: Optional[dict] = None
+    rng: random.Random,
+    weights: Optional[dict] = None,
+    grouped_fraction: float = 0.5,
+    table: Optional[ChartReadyTable] = None,
 ) -> str:
-    """Pick an admissible chart type for a table, seed-deterministically.
+    """Draw a chart type: a family by ``weights``, then grouped or simple.
 
-    Grouped tables admit grouped bars or multi-series lines; ungrouped
-    tables admit simple bars, single lines, and (when all values are
-    non-negative and there are 2..8 rows) pies. ``weights`` may key either
-    families ("bar", "line", "pie") or concrete chart types.
+    ``weights`` keys the families "bar", "line" and "pie"; a family it
+    omits weighs 0, and None means ``DEFAULT_TYPE_WEIGHTS``. With no table,
+    a bar or line chart is grouped with probability ``grouped_fraction``.
+    With a table, only the families it admits count (a pie needs 2..8
+    non-negative values with a positive total), admitted families that all
+    weigh 0 weigh 1 each, and the table fixes grouped or simple.
     """
-    merged = dict(DEFAULT_TYPE_WEIGHTS)
-    if weights:
-        merged.update(weights)
-
-    def weight_of(chart_type: str) -> float:
-        if chart_type in merged:
-            return float(merged[chart_type])
-        return float(merged.get(FAMILY[chart_type], 0.0))
-
-    if table.grouped:
-        admissible = [GROUPED_BAR, LINE_MULTI]
-    else:
-        admissible = [SIMPLE_BAR, LINE_SINGLE]
+    if weights is None:
+        weights = DEFAULT_TYPE_WEIGHTS
+    families = list(FAMILIES)
+    if table is not None:
         values = [r[table.y_column] for r in table.base.rows]
-        if all(v >= 0 for v in values) and 2 <= len(values) <= 8 and sum(values) > 0:
-            admissible.append(PIE)
-    ws = [weight_of(t) for t in admissible]
+        pie_ok = 2 <= len(values) <= 8 and min(values) >= 0 and sum(values) > 0
+        if table.grouped or not pie_ok:
+            families.remove("pie")
+    ws = [float(weights.get(f, 0.0)) for f in families]
     if sum(ws) <= 0:
-        ws = [1.0] * len(admissible)
-    rng = random.Random(rng_seed)
-    return rng.choices(admissible, weights=ws, k=1)[0]
+        ws = [1.0] * len(families)
+    family = rng.choices(families, weights=ws, k=1)[0]
+    if family == "pie":
+        return PIE
+    grouped = table.grouped if table is not None else rng.random() < grouped_fraction
+    if family == "bar":
+        return GROUPED_BAR if grouped else SIMPLE_BAR
+    return LINE_MULTI if grouped else LINE_SINGLE
 
 
-_ENUM_FIELDS = {
-    "palette": PALETTE_NAMES,
-    "line_dash": ("solid", "dotted", "dashed"),
-    "legend_marker": ("rect", "circle"),
-    "grid": ("none", "horizontal", "both"),
-}
-_RANGE_FIELDS = {"bar_thickness", "bar_gap", "font_px", "margin_jitter"}
+def _draw(rng: random.Random, space):
+    """One value from a ``STYLE_SPACE`` entry."""
+    if isinstance(space, list):
+        lo, hi = space
+        return rng.randint(lo, hi) if isinstance(lo, int) else rng.uniform(lo, hi)
+    if space == (False, True):
+        return rng.random() < 0.5
+    return rng.choice(space)
 
 
 def diversify_style(rng_seed: int, overrides: Optional[dict] = None) -> StyleParams:
-    """Draw a full style seed-deterministically within the allowed ranges.
+    """Draw a full style seed-deterministically from ``STYLE_SPACE``.
 
     ``overrides`` pins fields (scalar), narrows numeric ranges ([lo, hi]),
-    or restricts enum choices (list).
+    or restricts choices (list); each narrowed field is drawn again, after
+    the full draw, in the order of ``overrides``.
     """
     rng = random.Random(rng_seed)
-    drawn = {
-        "palette": rng.choice(PALETTE_NAMES),
-        "bar_thickness": rng.uniform(0.4, 0.9),
-        "bar_gap": rng.uniform(0.05, 0.4),
-        "line_dash": rng.choice(("solid", "dotted", "dashed")),
-        "legend_marker": rng.choice(("rect", "circle")),
-        "grid": rng.choice(("none", "horizontal", "both")),
-        "show_data_labels": rng.random() < 0.5,
-        "font_px": rng.randint(9, 16),
-        "margin_jitter": rng.uniform(0.0, 1.0),
-    }
+    drawn = {name: _draw(rng, space) for name, space in STYLE_SPACE.items()}
     for key, value in (overrides or {}).items():
-        if key not in drawn:
+        if key not in STYLE_SPACE:
             raise ValueError(f"unknown style field {key!r}")
-        if isinstance(value, (list, tuple)):
-            if key in _RANGE_FIELDS and len(value) == 2:
-                lo, hi = value
-                if key == "font_px":
-                    drawn[key] = rng.randint(int(lo), int(hi))
-                else:
-                    drawn[key] = rng.uniform(float(lo), float(hi))
-            elif key in _ENUM_FIELDS:
-                drawn[key] = rng.choice(list(value))
-            else:
-                raise ValueError(f"cannot override {key!r} with {value!r}")
-        else:
+        space = STYLE_SPACE[key]
+        if not isinstance(value, (list, tuple)):
             drawn[key] = value
+        elif isinstance(space, list) and len(value) == 2:
+            kind = type(space[0])
+            drawn[key] = _draw(rng, [kind(value[0]), kind(value[1])])
+        elif isinstance(space, tuple):
+            drawn[key] = rng.choice(value)
+        else:
+            raise ValueError(f"cannot override {key!r} with {value!r}")
     return StyleParams(**drawn)
 
 

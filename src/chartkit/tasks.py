@@ -117,12 +117,6 @@ def value_estimation_record(
     )
 
 
-def enumerate_applicable(chart: RenderedChart) -> list[str]:
-    """Template ids instantiable on this chart (delegates to the registry)."""
-    view = ChartView(chart)
-    return [tid for tid in sorted(REGISTRY) if REGISTRY[tid].bindings(view)]
-
-
 def generate_qa(
     chart: RenderedChart,
     count: int,

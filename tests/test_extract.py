@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -206,7 +207,7 @@ def test_ambiguous_color_match_diagnostic():
 
 def test_profile_json_round_trip(tmp_path):
     path = tmp_path / "profile.json"
-    path.write_text(json.dumps(BUILTIN_PROFILE.to_json_dict()), encoding="utf-8")
+    path.write_text(json.dumps(asdict(BUILTIN_PROFILE)), encoding="utf-8")
     assert SelectorProfile.from_json_file(path) == BUILTIN_PROFILE
 
 

@@ -11,12 +11,14 @@ import os
 
 import pytest
 
+from chartkit.cli import main
 from chartkit.distill import (
     DEFAULT_EXEMPLAR,
     BatchDriver,
     FallbackBackend,
     build_table_summary_prompt,
 )
+from chartkit.errors import ChartKitError
 from chartkit.jsonl import Journal, encode_row, load_by_id, read_jsonl, write_jsonl
 from chartkit.pipeline import PipelineConfig, distill_corpus, synthesize
 from chartkit.tables import Column, DataTable, NUMERIC
@@ -135,6 +137,25 @@ def test_read_drops_only_a_torn_last_line(tmp_path):
     path.write_bytes(b'{"id": "a"}\n{"id": \n{"id": "b"}\n')
     with pytest.raises(ValueError):
         read_jsonl(path)
+
+
+def _bad_second_line(path):
+    path.write_bytes(b'{"id": "a", "output": "1"}\n{"id": "b", "output": \n')
+
+
+def test_malformed_line_names_file_and_line(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    _bad_second_line(path)
+    with pytest.raises(ChartKitError, match=f"{path}, line 2: "):
+        read_jsonl(path)
+
+
+def test_cli_eval_reports_malformed_line(tmp_path, capsys):
+    pred, gold = tmp_path / "pred.jsonl", tmp_path / "gold.jsonl"
+    _bad_second_line(pred)
+    write_jsonl(gold, [{"id": "a", "output": "1"}, {"id": "b", "output": "2"}])
+    assert main(["eval", "--pred", str(pred), "--gold", str(gold)]) == 2
+    assert f"{pred}, line 2: " in capsys.readouterr().err
 
 
 def test_journal_never_appends_onto_a_fragment(tmp_path):

@@ -118,6 +118,48 @@ def test_synthesize_from_external_tables(tmp_path):
     assert len(manifest) == 6
 
 
+PIE_TABLES = [
+    {"columns": ["City", "Pop"], "rows": [["a", "10"], ["b", "20"], ["c", "15"]]},
+    {"columns": ["Team", "Score"], "rows": [["x", "5"], ["y", "9"]]},
+]
+MIXED_TABLES = PIE_TABLES + [
+    {"columns": ["Region", "Year", "Sales"],
+     "rows": [[r, y, str(v)] for v, (r, y) in enumerate(
+         [(r, y) for r in ("N", "S", "E") for y in ("2021", "2022")], 1)]},
+    {"columns": ["Shop", "Channel", "Units"],
+     "rows": [["p", "web", "4"], ["p", "store", "-2"],
+              ["q", "web", "7"], ["q", "store", "3"]]},
+]
+
+
+@pytest.mark.parametrize("weights, tables, types", [
+    ({"bar": 1}, MIXED_TABLES, {"simple_bar", "grouped_bar"}),
+    ({"line": 1}, MIXED_TABLES, {"line_single", "line_multi"}),
+    ({"pie": 1}, PIE_TABLES, {"pie"}),
+])
+def test_family_weights_mean_the_same_with_external_tables(
+        tmp_path, weights, tables, types):
+    path = tmp_path / "tables.jsonl"
+    path.write_text("".join(json.dumps(t) + "\n" for t in tables), encoding="utf-8")
+    generated = synthesize(_config(tmp_path, count=30, chart_type_weights=weights,
+                                   out=str(tmp_path / "generated")))
+    external = synthesize(_config(tmp_path, count=30, chart_type_weights=weights,
+                                  out=str(tmp_path / "external"),
+                                  tables_path=str(path)))
+    assert {row["chart_type"] for row in generated} == types
+    assert {row["chart_type"] for row in external} == types
+
+
+def test_type_keyed_weights_rejected(tmp_path):
+    with pytest.raises(InvalidConfig):
+        PipelineConfig(chart_type_weights={"simple_bar": 1})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"chart_type_weights": {"bar": 1, "pie_chart": 1}}),
+                    encoding="utf-8")
+    with pytest.raises(InvalidConfig):
+        PipelineConfig.from_file(path)
+
+
 def test_extract_corpus_counts(tmp_path):
     config = _config(tmp_path, count=8, labels="on")
     synthesize(config)

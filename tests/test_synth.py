@@ -42,21 +42,24 @@ def _grouped_table(groups):
 def test_choose_pie_requires_nonnegative():
     table = _bar_table([5, -1, 3])
     for seed in range(50):
-        assert choose_chart_type(table, seed) != PIE
+        assert choose_chart_type(random.Random(seed), table=table) != PIE
 
 
 def test_choose_grouped_admissible_set():
     table = _grouped_table({"a": {"g1": 1, "g2": 2}, "b": {"g1": 3, "g2": 4}})
     for seed in range(30):
-        assert choose_chart_type(table, seed) in (GROUPED_BAR, LINE_MULTI)
+        assert choose_chart_type(random.Random(seed), table=table) in (
+            GROUPED_BAR, LINE_MULTI)
 
 
 def test_choose_deterministic_and_weighted():
     table = _bar_table([5, 1, 3])
-    assert choose_chart_type(table, 7) == choose_chart_type(table, 7)
+    assert choose_chart_type(random.Random(7), table=table) == choose_chart_type(
+        random.Random(7), table=table)
     only_pie = {"bar": 0, "line": 0, "pie": 1}
     assert all(
-        choose_chart_type(table, s, only_pie) == PIE for s in range(20)
+        choose_chart_type(random.Random(s), only_pie, table=table) == PIE
+        for s in range(20)
     )
 
 
