@@ -13,11 +13,10 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import threading
 import time
 import urllib.error
 import urllib.request
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from .errors import BackendTimeout, InvalidConfig, ParseFailure, RateLimited
@@ -47,7 +46,6 @@ class PromptBundle:
     system_preamble: str
     target_payload: str
     demonstration: Optional[Exemplar] = None
-    decoding: dict = field(default_factory=lambda: {"max_tokens": 512, "temperature": 0.0})
 
     def __post_init__(self):
         if not self.target_payload.strip():
@@ -297,23 +295,20 @@ def default_transport(url: str, headers: dict, body: bytes, timeout: float):
 
 
 class RateLimiter:
-    """Serializes request starts to respect a requests-per-minute cap."""
+    """Spaces one caller's request starts to respect a requests-per-minute
+    cap. Distill sends its requests one at a time, so nothing is locked."""
 
-    def __init__(self, rpm: float, clock=time.monotonic, sleep=time.sleep):
+    def __init__(self, rpm: float, sleep=time.sleep):
         self.interval = 60.0 / rpm if rpm > 0 else 0.0
-        self._clock = clock
         self._sleep = sleep
-        self._lock = threading.Lock()
         self._next_at = 0.0
 
     def acquire(self):
         if self.interval <= 0:
             return
-        with self._lock:
-            now = self._clock()
-            wait = self._next_at - now
-            start = max(now, self._next_at)
-            self._next_at = start + self.interval
+        now = time.monotonic()
+        wait = self._next_at - now
+        self._next_at = max(now, self._next_at) + self.interval
         if wait > 0:
             self._sleep(wait)
 
@@ -328,7 +323,7 @@ class BackendClient:
     def __init__(self, endpoint: str, model: str, auth_env: str = "",
                  rpm: float = 60.0, timeout_s: float = 30.0,
                  max_retries: int = 3, transport: Optional[Transport] = None,
-                 sleep=time.sleep, clock=time.monotonic):
+                 sleep=time.sleep):
         self.endpoint = endpoint
         self.model = model
         self.auth_env = auth_env
@@ -336,7 +331,7 @@ class BackendClient:
         self.max_retries = max_retries
         self.transport = transport or default_transport
         self._sleep = sleep
-        self.limiter = RateLimiter(rpm, clock=clock, sleep=sleep)
+        self.limiter = RateLimiter(rpm, sleep=sleep)
         self.name = model
 
     @classmethod
@@ -371,8 +366,8 @@ class BackendClient:
         body = json.dumps({
             "model": self.model,
             "messages": bundle.messages(),
-            "max_tokens": bundle.decoding.get("max_tokens", 512),
-            "temperature": bundle.decoding.get("temperature", 0.0),
+            "max_tokens": 512,
+            "temperature": 0.0,
         }).encode("utf-8")
         headers = self._headers()
         last_error: Optional[Exception] = None

@@ -7,10 +7,11 @@ linear pixel-to-value map is least-squares fitted from the numeric y-tick
 labels and inverted over the mark geometry (bar tops, point centers). Pie
 slices without labels can only yield proportions of the whole.
 
-Selectors support the tiny grammar ``[tag].class`` (e.g. ``rect.mark-bar``
-or just ``.mark-bar``). Only ``translate`` transforms are honored on the
-path to measured geometry; ``scale``/``matrix``/``rotate`` there raise
-MalformedSvg rather than silently mis-measuring.
+Selectors are ``tag.class``, ``.class`` or a bare ``tag`` (e.g.
+``rect.mark-bar``, ``.mark-bar`` or ``rect``); an element is the first kind
+in ``KINDS`` whose selector it matches. Only ``translate`` transforms are
+honored on the path to measured kinds; ``scale``/``matrix``/``rotate``
+there raise MalformedSvg rather than silently mis-measuring.
 """
 
 from __future__ import annotations
@@ -35,8 +36,15 @@ from .tables import CATEGORICAL, NUMERIC, Column, DataTable, parse_number
 
 _TRANSFORM_RE = re.compile(r"(\w+)\s*\(([^)]*)\)")
 _NUM_RE = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+_PATH_ARITY = {"M": 2, "L": 2, "A": 7}  # numbers each slice-path command needs
 
 AMBIGUOUS_COLOR_DISTANCE = 900  # squared RGB distance; beyond this, guesswork
+
+# Selector kinds in priority order: an element is the first kind it matches.
+KINDS = ("bar", "slice", "point", "line", "mark_label", "x_tick", "y_tick",
+         "legend_item", "chart_title", "axis_title")
+# Kinds whose geometry is measured, so only translates may sit on their path.
+MEASURED = frozenset({"bar", "slice", "point", "mark_label", "x_tick", "y_tick"})
 
 
 @dataclass(frozen=True)
@@ -63,10 +71,22 @@ class SelectorProfile:
     value_attr: Optional[str] = None
 
     def __post_init__(self):
-        for name in ("bar", "slice", "point", "line", "x_tick", "y_tick",
-                     "legend_item", "chart_title", "axis_title", "mark_label"):
-            if not getattr(self, name):
-                raise ValueError(f"selector {name!r} must be non-empty")
+        selectors = []
+        for kind in KINDS:
+            tag, _, cls = (getattr(self, kind) or "").partition(".")
+            if not tag and not cls:
+                raise ValueError(f"selector {kind!r} must name a tag or a class")
+            selectors.append((kind, tag, cls))
+        object.__setattr__(self, "_selectors", tuple(selectors))
+
+    def kind_of(self, elem) -> Optional[str]:
+        """The first kind in ``KINDS`` whose selector matches ``elem``."""
+        tag = _local_name(elem.tag)
+        classes = (elem.get("class") or "").split()
+        for kind, want_tag, cls in self._selectors:
+            if (not want_tag or want_tag == tag) and (not cls or cls in classes):
+                return kind
+        return None
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SelectorProfile":
@@ -165,16 +185,6 @@ def _local_name(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
 
-def _selector_matches(selector: str, elem) -> bool:
-    tag, _, cls = selector.partition(".")
-    if tag and _local_name(elem.tag) != tag:
-        return False
-    if cls:
-        classes = (elem.get("class") or "").split()
-        return cls in classes
-    return bool(tag)
-
-
 def _parse_transform(text: str) -> tuple[float, float, bool]:
     """Returns (dx, dy, clean); clean is False when non-translate funcs occur."""
     dx = dy = 0.0
@@ -190,31 +200,39 @@ def _parse_transform(text: str) -> tuple[float, float, bool]:
     return dx, dy, clean
 
 
-def _walk(elem, tx, ty, tainted, visit):
-    dx, dy, clean = _parse_transform(elem.get("transform"))
-    tx, ty = tx + dx, ty + dy
-    tainted = tainted or not clean
-    visit(elem, tx, ty, tainted)
-    for child in elem:
-        _walk(child, tx, ty, tainted, visit)
+def _placed(elem, tx=0.0, ty=0.0):
+    """``elem`` and every element under it, in document order.
+
+    Yields ``(element, tx, ty, tainted)``: the translate offset composed
+    from ``(tx, ty)`` down to the element, its own transform included, and
+    whether a non-translate transform sits on that path.
+    """
+    stack = [(elem, tx, ty, False)]
+    while stack:
+        elem, tx, ty, tainted = stack.pop()
+        dx, dy, clean = _parse_transform(elem.get("transform"))
+        tx, ty, tainted = tx + dx, ty + dy, tainted or not clean
+        yield elem, tx, ty, tainted
+        stack.extend((child, tx, ty, tainted) for child in reversed(elem))
 
 
-def _float_attr(elem, name, default=0.0) -> float:
+def _float_attr(elem, name) -> float:
     raw = elem.get(name)
     if raw is None:
-        return default
-    return float(raw)
+        return 0.0
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise MalformedSvg(
+            f"<{_local_name(elem.tag)}> attribute {name}={raw!r} is not a finite number"
+        )
+    return value
 
 
 def _text_content(elem) -> str:
     return "".join(elem.itertext()).strip()
-
-
-def _require_clean(tainted: bool, what: str):
-    if tainted:
-        raise MalformedSvg(
-            f"{what} sits under a non-translate transform; refusing to measure"
-        )
 
 
 def _shape_bbox(elem, tx, ty) -> Optional[Rect]:
@@ -250,7 +268,8 @@ def _parse_slice_path(d: str, tx: float, ty: float):
             cmds.append((cmd, nums))
         else:  # pragma: no cover - malformed path
             i += 1
-    names = [c for c, _ in cmds]
+    # A command short of the numbers it needs matches neither shape.
+    names = [c if len(nums) >= _PATH_ARITY.get(c, 0) else "?" for c, nums in cmds]
     if names[:3] == ["M", "L", "A"]:
         cx, cy = cmds[0][1][0] + tx, cmds[0][1][1] + ty
         x0, y0 = cmds[1][1][0] + tx, cmds[1][1][1] + ty
@@ -275,9 +294,9 @@ def _parse_slice_path(d: str, tx: float, ty: float):
 def parse_chart_svg(svg: str, profile: SelectorProfile = BUILTIN_PROFILE) -> ParsedChart:
     """Pull marks, ticks, legend and titles out of an SVG document.
 
-    Raises MalformedSvg for unparseable XML (or measured geometry under a
-    non-translate transform) and NoMarksFound when nothing matches a mark
-    selector.
+    Raises MalformedSvg for unparseable XML, a geometry attribute that is
+    not a finite number, or measured geometry under a non-translate
+    transform, and NoMarksFound when nothing matches a mark selector.
     """
     try:
         root = ET.fromstring(svg)
@@ -285,20 +304,18 @@ def parse_chart_svg(svg: str, profile: SelectorProfile = BUILTIN_PROFILE) -> Par
         raise MalformedSvg(f"not well-formed XML: {exc}") from exc
 
     parsed = ParsedChart()
-    mark_selectors = (("bar", profile.bar), ("slice", profile.slice),
-                      ("point", profile.point))
-
-    def visit(elem, tx, ty, tainted):
-        for kind, selector in mark_selectors:
-            if _selector_matches(selector, elem):
-                _require_clean(tainted, f"{kind} mark")
-                _collect_mark(parsed, profile, elem, kind, tx, ty)
-                return
-        if _selector_matches(profile.line, elem):
+    for elem, tx, ty, tainted in _placed(root):
+        kind = profile.kind_of(elem)
+        if kind is None:
+            continue
+        if tainted and kind in MEASURED:
+            raise MalformedSvg(f"{kind.replace('_', ' ')} sits under a "
+                               "non-translate transform; refusing to measure")
+        if kind in ("bar", "slice", "point"):
+            _collect_mark(parsed, profile, elem, kind, tx, ty)
+        elif kind == "line":
             parsed.lines.append({"series": elem.get(profile.series_attr)})
-            return
-        if _selector_matches(profile.mark_label, elem):
-            _require_clean(tainted, "mark label")
+        elif kind == "mark_label":
             parsed.labels.append(ValueLabel(
                 _text_content(elem),
                 elem.get(profile.series_attr),
@@ -306,37 +323,24 @@ def parse_chart_svg(svg: str, profile: SelectorProfile = BUILTIN_PROFILE) -> Par
                 _float_attr(elem, "x") + tx,
                 _float_attr(elem, "y") + ty,
             ))
-            return
-        if _selector_matches(profile.x_tick, elem):
-            _require_clean(tainted, "x tick")
-            pos = _tick_pixel(elem, tx, ty, axis="x")
+        elif kind in ("x_tick", "y_tick"):
+            pos = _tick_pixel(elem, tx, ty, axis=kind[0])
             if pos is not None:
-                parsed.x_ticks.append(pos)
-            return
-        if _selector_matches(profile.y_tick, elem):
-            _require_clean(tainted, "y tick")
-            pos = _tick_pixel(elem, tx, ty, axis="y")
-            if pos is not None:
-                parsed.y_ticks.append(pos)
-            return
-        if _selector_matches(profile.legend_item, elem):
+                (parsed.x_ticks if kind == "x_tick" else parsed.y_ticks).append(pos)
+        elif kind == "legend_item":
             _collect_legend(parsed, profile, elem)
-            return
-        if _selector_matches(profile.chart_title, elem):
+        elif kind == "chart_title":
             parsed.titles["chart"] = _text_content(elem)
             for key in ("data-x-field", "data-y-field", "data-y-unit",
                         "data-group-field"):
                 if elem.get(key) is not None:
                     parsed.chart_meta[key] = elem.get(key)
-            return
-        if _selector_matches(profile.axis_title, elem):
+        else:  # axis_title
             axis = elem.get("data-axis") or ""
             name = elem.get("data-field") or _text_content(elem)
             unit = elem.get("data-unit")
             if axis in ("x", "y"):
                 parsed.axis_fields[axis] = (name, unit)
-
-    _walk(root, 0.0, 0.0, False, visit)
 
     if not parsed.marks:
         raise NoMarksFound("no element matched a mark selector")
@@ -370,27 +374,22 @@ def _collect_mark(parsed, profile, elem, kind, tx, ty):
 
 
 def _tick_pixel(elem, tx, ty, axis):
-    """(pixel, label) for a tick element: the text node's composed position."""
+    """(pixel, label) for a tick: the composed position of its text node,
+    the tick itself or else the first text under it in document order."""
     if _local_name(elem.tag) == "text":
-        target = (elem, tx, ty)
+        placed = [(elem, tx, ty, False)]
     else:
-        hits = []
-
-        def visit(e, ex, ey, tainted):
-            if not hits and _local_name(e.tag) == "text":
-                _require_clean(tainted, "tick text")
-                hits.append((e, ex, ey))
-
-        for child in elem:
-            _walk(child, tx, ty, False, visit)
-        if not hits:
-            return None
-        target = hits[0]
-    text, dtx, dty = target
-    label = _text_content(text)
-    if axis == "x":
-        return _float_attr(text, "x") + dtx, label
-    return _float_attr(text, "y") + dty, label
+        placed = (p for child in elem for p in _placed(child, tx, ty))
+    for text, tx, ty, tainted in placed:
+        if _local_name(text.tag) == "text":
+            if tainted:
+                raise MalformedSvg("tick text sits under a non-translate "
+                                   "transform; refusing to measure")
+            label = _text_content(text)
+            if axis == "x":
+                return _float_attr(text, "x") + tx, label
+            return _float_attr(text, "y") + ty, label
+    return None
 
 
 def _collect_legend(parsed, profile, elem):
@@ -420,7 +419,7 @@ def fit_axis_scale(ticks: list[tuple[float, str]]) -> AxisScale:
 
     Raises InsufficientTicks with fewer than two numeric labels and
     NonLinearAxis when the best fit leaves a residual above 2% of the tick
-    value range (log axes, garbled labels).
+    value range (log axes, garbled labels) or cannot be computed in floats.
     """
     points = []
     decimals = 0
@@ -435,15 +434,18 @@ def fit_axis_scale(ticks: list[tuple[float, str]]) -> AxisScale:
             f"need >=2 numeric ticks at distinct pixels, got {len(points)}"
         )
     n = len(points)
-    mean_p = sum(p for p, _ in points) / n
-    mean_v = sum(v for _, v in points) / n
-    var_p = sum((p - mean_p) ** 2 for p, _ in points)
-    cov = sum((p - mean_p) * (v - mean_v) for p, v in points)
-    a = cov / var_p
+    try:
+        mean_p = sum(p for p, _ in points) / n
+        mean_v = sum(v for _, v in points) / n
+        var_p = sum((p - mean_p) ** 2 for p, _ in points)
+        cov = sum((p - mean_p) * (v - mean_v) for p, v in points)
+        a = cov / var_p
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise NonLinearAxis(f"tick pixels out of numeric range: {exc}") from exc
     b = mean_v - a * mean_p
     max_residual = max(abs(a * p + b - v) for p, v in points)
     value_range = max(v for _, v in points) - min(v for _, v in points)
-    if max_residual > 0.02 * value_range:
+    if not max_residual <= 0.02 * value_range:  # a NaN fit is rejected too
         raise NonLinearAxis(
             f"max residual {max_residual:.4g} exceeds 2% of range {value_range:.4g}"
         )
@@ -494,16 +496,24 @@ def _label_lookup(parsed: ParsedChart):
 
 
 def _nearest_loose_label(mark: RawMark, loose) -> Optional[float]:
-    if not loose:
-        return None
-    cx = mark.bbox.x + mark.bbox.w / 2
-    cy = mark.bbox.y
+    cx, cy = mark.bbox.cx, mark.bbox.y
     best, best_d = None, float("inf")
     for lab, value in loose:
         d = (lab.cx - cx) ** 2 + (lab.cy - cy) ** 2
         if d < best_d:
             best, best_d = value, d
     return best
+
+
+def _labeled_value(mark: RawMark, keyed, loose) -> Optional[float]:
+    """A mark's value as the chart states it: its keyed label, else its value
+    attribute, else (when no label is keyed) the nearest loose label."""
+    value = keyed.get((mark.series, mark.x))
+    if value is None:
+        value = mark.value
+    if value is None and not keyed:
+        value = _nearest_loose_label(mark, loose)
+    return value
 
 
 def _series_for_mark(mark: RawMark, legend: list[tuple[str, str]], diagnostics) -> Optional[str]:
@@ -531,8 +541,7 @@ def _x_label_for_mark(mark: RawMark, x_ticks, fallback: str) -> str:
     if mark.x is not None:
         return mark.x
     if x_ticks:
-        cx = mark.bbox.x + mark.bbox.w / 2
-        return min(x_ticks, key=lambda t: abs(t[0] - cx))[1]
+        return min(x_ticks, key=lambda t: abs(t[0] - mark.bbox.cx))[1]
     return fallback
 
 
@@ -552,23 +561,11 @@ def _column_names(parsed: ParsedChart):
     return x_name or "label", y_name or "value", y_unit
 
 
-def _mark_value(mark, keyed, loose, scale, kind, needs_scale_out):
-    key = (mark.series, mark.x)
-    if key in keyed:
-        return keyed[key], True
-    if mark.value is not None:
-        return mark.value, True
-    loose_v = _nearest_loose_label(mark, loose) if not keyed else None
-    if loose_v is not None:
-        return loose_v, True
-    needs_scale_out.append(mark)
-    if scale is None:
-        return None, False
-    if kind == "bar":
-        pixel = mark.bbox.y
-    else:
-        pixel = mark.bbox.y + mark.bbox.h / 2
-    return round(scale.value(pixel), scale.label_decimals + 2), False
+def _table(columns, rows) -> DataTable:
+    try:
+        return DataTable(columns, rows)
+    except ValueError as exc:  # a non-finite value or a repeated column name
+        raise MalformedSvg(f"chart does not form a table: {exc}") from exc
 
 
 def _reconstruct_xy(parsed: ParsedChart, scale) -> ExtractionResult:
@@ -585,12 +582,15 @@ def _reconstruct_xy(parsed: ParsedChart, scale) -> ExtractionResult:
     x_name, y_name, y_unit = _column_names(parsed)
 
     resolved = []
-    needs_scale: list[RawMark] = []
     for i, mark in enumerate(marks):
         series = _series_for_mark(mark, parsed.legend, diagnostics)
         x = _x_label_for_mark(mark, parsed.x_ticks, f"x{i}")
         mark.series, mark.x = series, x
-        value, exact = _mark_value(mark, keyed, loose, scale, kind, needs_scale)
+        value = _labeled_value(mark, keyed, loose)
+        exact = value is not None
+        if value is None and scale is not None:
+            pixel = mark.bbox.y if kind == "bar" else mark.bbox.cy
+            value = round(scale.value(pixel), scale.label_decimals + 2)
         if value is None:
             raise ScaleRequired(
                 "marks carry no value labels and no axis scale is available"
@@ -608,7 +608,7 @@ def _reconstruct_xy(parsed: ParsedChart, scale) -> ExtractionResult:
     for mark, series, x, value, _exact in resolved:
         series = series if series is not None else y_name
         series_order.setdefault(series, None)
-        px = mark.bbox.x + mark.bbox.w / 2
+        px = mark.bbox.cx
         x_first_pixel[x] = min(x_first_pixel.get(x, px), px)
         cell[(x, series)] = value
 
@@ -630,7 +630,7 @@ def _reconstruct_xy(parsed: ParsedChart, scale) -> ExtractionResult:
         columns = [Column(x_name, CATEGORICAL)] + [
             Column(s, NUMERIC, y_unit) for s in names
         ]
-    table = DataTable(columns, rows)
+    table = _table(columns, rows)
     out_marks = [
         MarkRecord(series or y_name, x, value, mark.bbox, mark.fill or "#000000")
         for mark, series, x, value, _exact in resolved
@@ -661,11 +661,7 @@ def _reconstruct_pie(parsed: ParsedChart) -> ExtractionResult:
             x = color_names[mark.fill.lower()]
         if x is None:
             x = f"slice{i}"
-        value = keyed.get((mark.series, mark.x))
-        if value is None:
-            value = mark.value
-        if value is None and not keyed:
-            value = _nearest_loose_label(mark, loose)
+        value = _labeled_value(mark, keyed, loose)
         share = None if mark.sweep_deg is None else mark.sweep_deg / 360.0
         if value is None and share is None:
             raise ScaleRequired(f"slice {x!r} has neither label nor geometry")
@@ -700,6 +696,6 @@ def _reconstruct_pie(parsed: ParsedChart) -> ExtractionResult:
     columns = [Column(x_name, CATEGORICAL),
                Column("proportion" if proportions_only else y_name, NUMERIC,
                       None if proportions_only else y_unit)]
-    table = DataTable(columns, rows)
+    table = _table(columns, rows)
     confidence = "exact" if all_exact else "recovered"
     return ExtractionResult(table, out_marks, confidence, diagnostics)

@@ -27,7 +27,8 @@ def _scan(path) -> tuple[list[dict], int]:
 
     A last line with no ``\\n`` that does not parse is a torn append, left
     by a crash in the middle of a write, and is dropped. Any other line that
-    does not parse raises ``MalformedJsonl`` naming the file and line.
+    does not parse, or parses to something other than an object, raises
+    ``MalformedJsonl`` naming the file and line.
     """
     rows: list[dict] = []
     ended = 0
@@ -38,17 +39,29 @@ def _scan(path) -> tuple[list[dict], int]:
                 ended += len(line)
             if line.strip():
                 try:
-                    rows.append(json.loads(line))
+                    row = json.loads(line)
                 except ValueError as exc:
-                    if not torn:
-                        raise MalformedJsonl(
-                            f"{path}, line {lineno}: invalid JSON: {exc}") from exc
+                    if torn:
+                        continue
+                    raise MalformedJsonl(
+                        f"{path}, line {lineno}: invalid JSON: {exc}") from exc
+                if not isinstance(row, dict):
+                    raise MalformedJsonl(
+                        f"{path}, line {lineno}: a row must be a JSON object")
+                rows.append(row)
     return rows, ended
 
 
 def read_jsonl(path) -> list[dict]:
     """Every row of a JSONL file, in file order, less a torn last line."""
     return _scan(path)[0]
+
+
+def row_error(path, index: int, message: str) -> MalformedJsonl:
+    """``MalformedJsonl`` naming the file line of row ``index`` of ``path``."""
+    with open(path, "rb") as fh:
+        lines = [n for n, line in enumerate(fh, 1) if line.strip()]
+    return MalformedJsonl(f"{path}, line {lines[index]}: {message}")
 
 
 def load_by_id(path) -> dict:

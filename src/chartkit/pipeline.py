@@ -38,7 +38,14 @@ from .distill import (
 from .errors import AnswerNotInSummary, InvalidConfig, LengthMismatch
 from .extract import BUILTIN_PROFILE, SelectorProfile, extract_chart
 from .gen import chart_table_for, random_style
-from .jsonl import Journal, atomic_write_text, encode_row, load_by_id, write_jsonl
+from .jsonl import (
+    Journal,
+    atomic_write_text,
+    encode_row,
+    load_by_id,
+    row_error,
+    write_jsonl,
+)
 from .jsonl import read_jsonl as _load_jsonl  # perfbench times reads by this name
 from .metrics import MetricReport, score_pairs
 from .synth import (
@@ -238,13 +245,10 @@ def synthesize(config: PipelineConfig) -> list[dict]:
     return keep
 
 
-def load_chart(corpus_dir, row: dict, with_svg: bool = False) -> RenderedChart:
-    corpus = Path(corpus_dir)
-    svg = ""
-    if with_svg:
-        svg = (corpus / row["svg"]).read_text(encoding="utf-8")
-    sidecar = (corpus / row["sidecar"]).read_text(encoding="utf-8")
-    return RenderedChart.from_sidecar_json(sidecar, svg=svg)
+def load_chart(corpus_dir, row: dict) -> RenderedChart:
+    """A manifest row's chart from its sidecar; the SVG text is not read."""
+    sidecar = (Path(corpus_dir) / row["sidecar"]).read_text(encoding="utf-8")
+    return RenderedChart.from_sidecar_json(sidecar)
 
 
 def extract_corpus(svg_dir, profile: Optional[SelectorProfile] = None,
@@ -483,10 +487,20 @@ def _gold_groups(rows: list[dict]) -> dict[str, list[str]]:
     return groups
 
 
+def _eval_rows(path) -> list[dict]:
+    """The rows of a pred or gold file, each with an ``id`` and an ``output``."""
+    rows = _load_jsonl(path)
+    for i, row in enumerate(rows):
+        for key in ("id", "output"):
+            if key not in row:
+                raise row_error(path, i, f"row has no {key!r}")
+    return rows
+
+
 def evaluate(pred_path, gold_path, metrics=("ra", "rnss", "rms", "bleu")) -> MetricReport:
     """Score a predictions JSONL against a gold JSONL, aligned by id."""
-    preds = {row["id"]: str(row["output"]) for row in _load_jsonl(pred_path)}
-    golds = _gold_groups(_load_jsonl(gold_path))
+    preds = {row["id"]: str(row["output"]) for row in _eval_rows(pred_path)}
+    golds = _gold_groups(_eval_rows(gold_path))
     missing_gold = sorted(set(preds) - set(golds))
     missing_pred = sorted(set(golds) - set(preds))
     if missing_gold or missing_pred:

@@ -1,10 +1,15 @@
 import json
 import random
+import re
 from dataclasses import asdict
+from xml.sax.saxutils import quoteattr
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chartkit.errors import (
+    ChartKitError,
     InsufficientTicks,
     MalformedSvg,
     NoMarksFound,
@@ -16,6 +21,7 @@ from chartkit.extract import (
     SelectorProfile,
     extract_chart,
     fit_axis_scale,
+    load_profile,
     parse_chart_svg,
     reconstruct_table,
 )
@@ -237,3 +243,111 @@ def test_extraction_result_serialization():
     payload = result.to_json_dict()
     assert payload["confidence"] == "exact"
     assert DataTable.from_json_dict(payload["table"]) == chart.table
+
+
+# Selector semantics: the grammar is ``tag.class``, ``.class`` or a bare
+# ``tag``, and the first kind in priority order wins.
+
+_CHARTBLOCKS_CLASSES = {
+    "mark-bar": "series", "mark-slice": "pie-segment", "mark-point": "datapoint",
+    "mark-line": "series-line", "axis-x-tick": "x-tick", "axis-y-tick": "y-tick",
+    "legend-item": "legend-entry", "chart-title": "title",
+    "axis-title": "axis-label", "mark-label": "value-label",
+}
+
+
+def _to_chartblocks(svg: str) -> str:
+    def rename(m):
+        classes = [_CHARTBLOCKS_CLASSES.get(c, c) for c in m.group(1).split()]
+        return f'class="{" ".join(classes)}"'
+
+    svg = re.sub(r'class="([^"]*)"', rename, svg)
+    return svg.replace(' data-x="', ' data-label="')
+
+
+def test_chartblocks_profile_extracts_renamed_charts():
+    profile = load_profile("chartblocks_like")
+    rng = random.Random(11)
+    for chart_type in (SIMPLE_BAR, GROUPED_BAR, PIE, LINE_SINGLE, LINE_MULTI):
+        for labels in (True, False):
+            chart = random_chart(rng, chart_type=chart_type, labels=labels)
+            renamed = _to_chartblocks(chart.svg)
+            assert "mark-" not in renamed and "data-x=" not in renamed
+            want = extract_chart(chart.svg)
+            got = extract_chart(renamed, profile)
+            assert got.table == want.table
+            assert got.confidence == want.confidence
+
+
+def test_tag_only_selector_matches_by_tag():
+    svg = _wrap('<rect x="1" y="2" width="5" height="6"/>')
+    parsed = parse_chart_svg(svg, SelectorProfile(bar="rect"))
+    assert [(m.kind, m.bbox.x, m.bbox.h) for m in parsed.marks] == [("bar", 1, 6)]
+
+
+def test_tagged_selector_needs_the_tag():
+    svg = _wrap('<circle class="series" cx="5" cy="5" r="2"/>')
+    with pytest.raises(NoMarksFound):
+        parse_chart_svg(svg, SelectorProfile(bar="rect.series"))
+
+
+def test_first_matching_kind_wins():
+    svg = _wrap('<rect class="mark-bar mark-label" x="1" y="2" width="5" height="6"/>')
+    parsed = parse_chart_svg(svg)
+    assert [m.kind for m in parsed.marks] == ["bar"]
+    assert parsed.labels == []
+
+
+# Error contract: hostile SVG raises only ChartKitError subclasses.
+
+_GEOMETRY_ATTR_RE = re.compile(r' (x|y|width|height|cx|cy|r|d)="[^"]*"')
+
+_hostile_values = st.one_of(
+    st.sampled_from(["", "abc", "nan", "-inf", "1e999", "1e308", "-1e308",
+                     "0", "-7", "M", "M 1 L A Z", "M 1 2 L 3 A 4 5"]),
+    st.floats().map(repr),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**16),
+       chart_type=st.sampled_from([SIMPLE_BAR, GROUPED_BAR, PIE, LINE_SINGLE, LINE_MULTI]),
+       labels=st.booleans(), pick=st.integers(0, 10**6), value=_hostile_values)
+def test_one_geometry_mutation_raises_only_chartkit_errors(seed, chart_type, labels,
+                                                           pick, value):
+    svg = random_chart(random.Random(seed), chart_type=chart_type, labels=labels).svg
+    sites = list(_GEOMETRY_ATTR_RE.finditer(svg))
+    site = sites[pick % len(sites)]
+    mutated = (svg[:site.start()] + f" {site.group(1)}={quoteattr(value)}"
+               + svg[site.end():])
+    try:
+        extract_chart(mutated)
+    except ChartKitError:
+        pass
+
+
+def test_deep_nesting_is_walked_without_recursion():
+    depth = 3000
+    svg = _wrap('<g transform="translate(1,0)">' * depth
+                + '<rect class="mark-bar" x="10" y="20" width="5" height="6"/>'
+                + "</g>" * depth)
+    assert parse_chart_svg(svg).marks[0].bbox.x == 10 + depth
+    with pytest.raises(ScaleRequired):
+        extract_chart(svg)
+
+
+@pytest.mark.parametrize("raw", ["", "abc", "nan", "1e999"])
+def test_unparseable_geometry_names_the_attribute(raw):
+    svg = _wrap(f'<rect class="mark-bar" x="1" y="2" width="{raw}" height="6"/>')
+    with pytest.raises(MalformedSvg, match="width"):
+        parse_chart_svg(svg)
+
+
+def test_slice_path_without_numbers_is_a_diagnostic():
+    good = ('<path class="mark-slice" data-x="a" '
+            'd="M 100 100 L 100 50 A 50 50 0 0 1 150 100 Z"/>')
+    svg = _wrap(good + '<path class="mark-slice" data-x="b" d="M L A Z"/>')
+    parsed = parse_chart_svg(svg)
+    assert len(parsed.marks) == 1
+    assert parsed.diagnostics == ["unrecognized slice path geometry"]

@@ -158,6 +158,23 @@ def test_cli_eval_reports_malformed_line(tmp_path, capsys):
     assert f"{pred}, line 2: " in capsys.readouterr().err
 
 
+def test_cli_eval_reports_a_row_that_is_not_an_object(tmp_path, capsys):
+    pred, gold = tmp_path / "pred.jsonl", tmp_path / "gold.jsonl"
+    pred.write_bytes(b'{"id": "a", "output": "1"}\n[1, 2]\n')
+    write_jsonl(gold, [{"id": "a", "output": "1"}])
+    assert main(["eval", "--pred", str(pred), "--gold", str(gold)]) == 2
+    assert f"{pred}, line 2: " in capsys.readouterr().err
+
+
+def test_cli_eval_reports_a_row_without_output(tmp_path, capsys):
+    pred, gold = tmp_path / "pred.jsonl", tmp_path / "gold.jsonl"
+    write_jsonl(pred, [{"id": "a", "output": "1"}, {"id": "b", "output": "2"}])
+    gold.write_bytes(b'{"id": "a", "output": "1"}\n\n{"id": "b"}\n')
+    assert main(["eval", "--pred", str(pred), "--gold", str(gold)]) == 2
+    err = capsys.readouterr().err
+    assert f"{gold}, line 3: " in err and "output" in err
+
+
 def test_journal_never_appends_onto_a_fragment(tmp_path):
     path = tmp_path / "journal.jsonl"
     path.write_bytes(b'{"id": "b", "v": 1}\n{"id": "a", "v": 1}\n{"id": "c", "v')
