@@ -20,11 +20,12 @@ import json
 import math
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .errors import (
     InsufficientTicks,
+    InvalidConfig,
     MalformedSvg,
     NoMarksFound,
     NonLinearAxis,
@@ -39,6 +40,7 @@ _NUM_RE = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 _PATH_ARITY = {"M": 2, "L": 2, "A": 7}  # numbers each slice-path command needs
 
 AMBIGUOUS_COLOR_DISTANCE = 900  # squared RGB distance; beyond this, guesswork
+_HEX_COLOR_RE = re.compile(r"#(?:[0-9a-fA-F]{3}){1,2}")  # the colors rgb_distance reads
 
 # Selector kinds in priority order: an element is the first kind it matches.
 KINDS = ("bar", "slice", "point", "line", "mark_label", "x_tick", "y_tick",
@@ -90,7 +92,19 @@ class SelectorProfile:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SelectorProfile":
-        return cls(**data)
+        """A profile from parsed JSON; ``InvalidConfig`` names what is wrong."""
+        if not isinstance(data, dict):
+            raise InvalidConfig(
+                f"a selector profile is a JSON object, not {type(data).__name__}")
+        names = {f.name for f in fields(cls)}
+        bad = sorted(k for k, v in data.items() if k not in names
+                     or (v is not None and not isinstance(v, str)))
+        if bad:
+            raise InvalidConfig(f"unknown or non-string selector profile keys: {bad}")
+        try:
+            return cls(**data)
+        except ValueError as exc:
+            raise InvalidConfig(str(exc)) from exc
 
     @classmethod
     def from_json_file(cls, path) -> "SelectorProfile":
@@ -527,6 +541,9 @@ def _series_for_mark(mark: RawMark, legend: list[tuple[str, str]], diagnostics) 
     for name, color in legend:
         if color.lower() == mark.fill.lower():
             return name
+    for color in (mark.fill, *(color for _, color in legend)):
+        if not _HEX_COLOR_RE.fullmatch(color):
+            raise MalformedSvg(f"fill {color!r} is not a #rgb or #rrggbb color")
     scored = sorted(
         (rgb_distance(color, mark.fill), name) for name, color in legend
     )

@@ -113,21 +113,40 @@ def rnss(pred: TableLike, gold: TableLike) -> float:
 
 
 def levenshtein(a: str, b: str) -> int:
+    """Exact unit-cost edit distance between two strings, over code points.
+
+    Bit-parallel: the global form (Hyyrö 2003) of Myers' algorithm (JACM
+    1999). Column ``j`` of the DP matrix is held as two bit-vectors of its
+    vertical +1 and -1 deltas, one bit per character of ``a``, and is
+    advanced one character of ``b`` at a time. Python ints make the vectors
+    as long as ``a``, so any length is exact.
+    """
     if not a:
         return len(b)
-    if not b:
-        return len(a)
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i] + [0] * len(b)
-        for j, cb in enumerate(b, start=1):
-            cur[j] = min(
-                prev[j] + 1,
-                cur[j - 1] + 1,
-                prev[j - 1] + (ca != cb),
-            )
-        prev = cur
-    return prev[-1]
+    peq: dict[str, int] = {}  # peq[c]: bit i set where a[i] == c
+    bit = 1
+    for c in a:
+        peq[c] = peq.get(c, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    last = bit >> 1
+    pv, mv, score = mask, 0, len(a)
+    for c in b:
+        eq = peq.get(c, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            score += 1
+        elif mh & last:
+            score -= 1
+        # Row 0 of the global matrix rises by 1 per column: shift in a +1.
+        ph = (ph << 1) | 1
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv
+    return score
 
 
 def normalized_levenshtein(a: str, b: str) -> float:
@@ -169,12 +188,18 @@ def table_entries(table: DataTable) -> list[TableEntry]:
 
 
 def _entry_score(p: TableEntry, g: TableEntry) -> float:
-    k = 1.0 - normalized_levenshtein(p.key, g.key)
+    """Key similarity times value similarity.
+
+    The value term comes first: when it is 0 the product is 0 whatever the
+    key similarity in [0, 1] is, so the key distance is skipped.
+    """
     if isinstance(p.value, float) and isinstance(g.value, float):
         v = 1.0 - min(1.0, abs(p.value - g.value) / max(abs(g.value), EPS))
     else:
         v = 1.0 if p.value == g.value else 0.0
-    return k * v
+    if v == 0.0:
+        return 0.0
+    return (1.0 - normalized_levenshtein(p.key, g.key)) * v
 
 
 def _transposed(table: DataTable) -> Optional[DataTable]:

@@ -488,12 +488,14 @@ def _gold_groups(rows: list[dict]) -> dict[str, list[str]]:
 
 
 def _eval_rows(path) -> list[dict]:
-    """The rows of a pred or gold file, each with an ``id`` and an ``output``."""
+    """The rows of a pred or gold file, each with a string ``id`` and an ``output``."""
     rows = _load_jsonl(path)
     for i, row in enumerate(rows):
         for key in ("id", "output"):
             if key not in row:
                 raise row_error(path, i, f"row has no {key!r}")
+        if not isinstance(row["id"], str):
+            raise row_error(path, i, f"id {row['id']!r} is not a string")
     return rows
 
 

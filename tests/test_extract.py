@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chartkit.cli import main
 from chartkit.errors import (
     ChartKitError,
     InsufficientTicks,
+    InvalidConfig,
     MalformedSvg,
     NoMarksFound,
     NonLinearAxis,
@@ -185,6 +187,30 @@ def test_scale_required_without_ticks_or_labels():
         reconstruct_table(parsed, scale=None)
 
 
+@pytest.mark.parametrize("mark_fill, legend_fill, outcome", [
+    ("red", "red", "hot"),  # an exact string match still wins first
+    ("RED", "red", "hot"),
+    ("#e41a1d", "#e41a1c", "hot"),  # nearest hex color
+    ("#f00", "#e41a1c", "hot"),
+    ("red", "#e41a1c", "'red'"),
+    ("#e41a1c", "tomato", "'tomato'"),
+    ("#e41a1c", "#e41a1cff", "'#e41a1cff'"),
+])
+def test_named_fill_matched_or_rejected_by_name(mark_fill, legend_fill, outcome):
+    svg = _wrap(
+        f'<g class="legend-item"><rect fill="{legend_fill}"/><text>hot</text></g>'
+        '<g class="axis-y-tick"><text x="20" y="250">0</text></g>'
+        '<g class="axis-y-tick"><text x="20" y="50">100</text></g>'
+        '<rect class="mark-bar" data-x="a" x="40" y="150" width="20" height="100" '
+        f'fill="{mark_fill}"/>'
+    )
+    if outcome.startswith("'"):
+        with pytest.raises(MalformedSvg, match=re.escape(f"fill {outcome} ")):
+            extract_chart(svg)
+    else:
+        assert extract_chart(svg).marks[0].series == outcome
+
+
 def test_series_matched_by_color_when_attr_missing():
     svg = _wrap(
         '<g class="legend-item"><rect fill="#e41a1c"/><text>hot</text></g>'
@@ -220,6 +246,27 @@ def test_profile_json_round_trip(tmp_path):
 def test_profile_selector_validation():
     with pytest.raises(ValueError):
         SelectorProfile(bar="")
+
+
+@pytest.mark.parametrize("data, named", [
+    ({"bar": ".bar", "colour": "red", "shape": "x"}, "['colour', 'shape']"),
+    (["bar"], "not list"),
+    ({"bar": 5}, "['bar']"),
+    ({"bar": ""}, "'bar'"),
+])
+def test_profile_json_errors_are_invalid_config(data, named):
+    with pytest.raises(InvalidConfig, match=re.escape(named)):
+        SelectorProfile.from_json_dict(data)
+
+
+def test_cli_extract_reports_an_unknown_profile_key(tmp_path, capsys):
+    profile = tmp_path / "bad.json"
+    profile.write_text(json.dumps({"bar": ".bar", "colour": "red"}), encoding="utf-8")
+    (tmp_path / "svgs").mkdir()
+    rc = main(["extract", "--svg-dir", str(tmp_path / "svgs"),
+               "--profile", str(profile)])
+    assert rc == 2
+    assert "colour" in capsys.readouterr().err
 
 
 def test_third_party_profile_targets_other_classes():

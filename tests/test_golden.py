@@ -1,4 +1,4 @@
-"""Golden digest of the seed-7 corpus factory output.
+"""Golden digests of the seed-7 corpus factory output and of eval scores.
 
 (config, seed) fixes every output byte. This test runs every corpus stage
 on a small fixed config and compares one SHA-256 over all the files they
@@ -10,8 +10,12 @@ distill checkpoint fails here.
 
 import hashlib
 import json
+import random
 
+from chartkit.flatten import flatten_table
+from chartkit.gen import random_chart_table
 from chartkit.jsonl import read_jsonl
+from chartkit.metrics import score_pairs
 from chartkit.pipeline import (
     PipelineConfig,
     distill_corpus,
@@ -19,6 +23,7 @@ from chartkit.pipeline import (
     gen_tasks,
     synthesize,
 )
+from chartkit.tables import CATEGORICAL, NUMERIC, Column, DataTable
 
 GOLDEN_SHA256 = "ab12688a7c053b625b4f19db61a54967d7b9c0a6e68ae09164fbd929359656a8"
 
@@ -105,3 +110,86 @@ def test_golden_space_digest(tmp_path):
              for row in read_jsonl(tmp_path / "tables" / "manifest.jsonl")}
     assert {"grouped_bar", "pie", "simple_bar"} <= types
     assert tree_digest(tmp_path) == SPACE_SHA256
+
+
+# Every eval score, bit for bit: a SHA-256 over the JSON of score_pairs on
+# seeded pred/gold pairs. The predictions are perturbed gold tables (exact
+# copy, noise inside and outside 5%, a key typo, a dropped row, an added
+# row, a transposed table, malformed text) plus wide tables whose keys run
+# past 64 characters and hold non-ASCII and astral (non-BMP) characters.
+EVAL_SHA256 = "4bb87ef9723ab14652c9ee7b8b2670d9ea3410a51bfa2752e3e5c49444ebc75d"
+
+EVAL_KINDS = ("exact", "noise_in", "noise_out", "typo", "drop_row",
+              "add_row", "transpose", "malformed")
+
+LONG_LABELS = [
+    "Gross domestic expenditure on research and development per capita, constant prices",
+    "Gross domestic expenditure on research and development per capita, current prices",
+    "Überseeische Gebiete und Départements — Bevölkerung im erwerbsfähigen Alter",
+    "Überseeische Gebiete und Départements — Bevölkerung im Rentenalter insgesamt",
+    "東京都・大阪府・名古屋市を含む三大都市圏の就業者数（季節調整済み、千人単位）の推移",
+    "📈 Exports of goods 🚢 and services 🛫 as a share of gross domestic product 📊",
+    "📉 Imports of goods 🚢 and services 🛫 as a share of gross domestic product 📊",
+    "𝐓𝐨𝐭𝐚𝐥 𝐟𝐢𝐧𝐚𝐥 𝐞𝐧𝐞𝐫𝐠𝐲 𝐜𝐨𝐧𝐬𝐮𝐦𝐩𝐭𝐢𝐨𝐧 by sector and fuel, thousand tonnes of oil",
+]
+
+
+def _perturbed(rng, kind, table):
+    """(pred, gold) texts: ``table`` as gold, perturbed by ``kind`` as pred."""
+    gold = flatten_table(table)
+    columns = list(table.columns)
+    rows = [list(r) for r in table.rows]
+    numeric = [j for j, c in enumerate(columns) if c.kind == NUMERIC]
+    if kind in ("noise_in", "noise_out"):
+        for row in rows:
+            for j in numeric:
+                rel = (rng.uniform(-0.04, 0.04) if kind == "noise_in"
+                       else rng.choice((-1, 1)) * rng.uniform(0.06, 0.5))
+                row[j] = round(row[j] * (1 + rel), 2)
+    elif kind == "typo":
+        row = rows[rng.randrange(len(rows))]
+        pos = rng.randrange(len(row[0]))
+        row[0] = row[0][:pos] + rng.choice("xqzé𝔷") + row[0][pos + 1:]
+    elif kind == "drop_row" and len(rows) > 1:
+        del rows[rng.randrange(len(rows))]
+    elif kind == "add_row":
+        rows.append(["Unlisted"] + [round(rng.uniform(1, 100), 2) for _ in numeric])
+    elif kind == "transpose":
+        swapped = DataTable(
+            [columns[0]] + [Column(str(row[0]), NUMERIC) for row in rows],
+            [[columns[j].name] + [row[j] for row in rows] for j in numeric])
+        return flatten_table(swapped), gold
+    elif kind == "malformed":
+        bad = (f"{gold} | {rows[0][numeric[0]]}" if rng.random() < 0.5
+               else f"The chart peaks at {rows[0][numeric[0]]}.")
+        return bad, gold
+    return flatten_table(DataTable(columns, rows)), gold
+
+
+def eval_pairs():
+    """Seeded (id, pred, [gold]) triples covering every perturbation."""
+    rng = random.Random(11)
+    pairs = []
+    for i in range(48):
+        kind = EVAL_KINDS[i % len(EVAL_KINDS)]
+        table = random_chart_table(rng, grouped=i % 3 == 0).to_wide_table()
+        pred, gold = _perturbed(rng, kind, table)
+        pairs.append((f"chart-{i:02d}-{kind}", pred, [gold]))
+    for i, kind in enumerate(EVAL_KINDS):
+        n_rows = rng.randint(3, len(LONG_LABELS))
+        columns = [Column("Indicator", CATEGORICAL)] + [
+            Column(f"{2015 + c} — Zeitraum ✓", NUMERIC) for c in range(3)]
+        rows = [[label] + [round(rng.uniform(1, 1000), 2) for _ in range(3)]
+                for label in rng.sample(LONG_LABELS, n_rows)]
+        pred, gold = _perturbed(rng, kind, DataTable(columns, rows))
+        pairs.append((f"wide-{i:02d}-{kind}", pred, [gold]))
+    return pairs
+
+
+def test_golden_eval_digest():
+    report = score_pairs(eval_pairs())
+    rows = {row["id"]: row for row in report.per_example}
+    assert rows["chart-00-exact"]["rms_f1"] == 1.0
+    assert any(len(key) > 64 for key in LONG_LABELS)
+    text = json.dumps(report.to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == EVAL_SHA256

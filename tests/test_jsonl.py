@@ -175,6 +175,20 @@ def test_cli_eval_reports_a_row_without_output(tmp_path, capsys):
     assert f"{gold}, line 3: " in err and "output" in err
 
 
+def test_cli_eval_reports_an_id_that_is_not_a_string(tmp_path, capsys):
+    pred, gold = tmp_path / "pred.jsonl", tmp_path / "gold.jsonl"
+    write_jsonl(pred, [{"id": "a", "output": "1"}, {"id": 1, "output": "2"}])
+    write_jsonl(gold, [{"id": "a", "output": "1"}, {"id": "1", "output": "2"}])
+    assert main(["eval", "--pred", str(pred), "--gold", str(gold)]) == 2
+    err = capsys.readouterr().err
+    assert f"{pred}, line 2: " in err and "id 1 " in err
+
+    write_jsonl(pred, [{"id": "a", "output": "1"}, {"id": "1", "output": "2"}])
+    gold.write_bytes(b'{"id": "a", "output": "1"}\n{"id": ["1"], "output": "2"}\n')
+    assert main(["eval", "--pred", str(pred), "--gold", str(gold)]) == 2
+    assert f"{gold}, line 2: " in capsys.readouterr().err
+
+
 def test_journal_never_appends_onto_a_fragment(tmp_path):
     path = tmp_path / "journal.jsonl"
     path.write_bytes(b'{"id": "b", "v": 1}\n{"id": "a", "v": 1}\n{"id": "c", "v')

@@ -12,6 +12,7 @@ from chartkit.gen import random_plain_table
 from chartkit.metrics import (
     corpus_bleu,
     extract_numbers,
+    levenshtein,
     relaxed_accuracy,
     rms_f1,
     rnss,
@@ -103,6 +104,37 @@ def test_rnss_monotone_under_perturbation():
     drifted = rnss(_num_table([10, 20, 33]), gold)
     worse = rnss(_num_table([10, 20, 45]), gold)
     assert base >= drifted >= worse
+
+
+# -- edit distance ------------------------------------------------------------
+
+def dp_levenshtein(a: str, b: str) -> int:
+    """The textbook O(len(a) * len(b)) DP: the oracle for ``levenshtein``."""
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        cur = [i] + [0] * len(b)
+        for j, cb in enumerate(b, start=1):
+            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb))
+        prev = cur
+    return prev[-1]
+
+
+# Few letters, so that runs and repeats are common; two astral (non-BMP)
+# characters, which are one code point each.
+_EDIT_TEXT = st.text(alphabet="ab é\U0001F4C8\U00010348", max_size=150)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_EDIT_TEXT, _EDIT_TEXT)
+@example("", "")
+@example("", "abc")
+@example("abc", "")
+@example("a" * 70, "a" * 65)
+@example("ab" * 40, "ba" * 40)
+@example("x" * 64 + "y", "y" + "x" * 64)
+@example("\U0001F4C8" * 3 + "a", "a\U0001F4C8")
+def test_levenshtein_matches_dp(a, b):
+    assert levenshtein(a, b) == dp_levenshtein(a, b)
 
 
 # -- rms --------------------------------------------------------------------
