@@ -36,6 +36,13 @@ class MalformedJsonl(ChartKitError, ValueError):
     """
 
 
+class MalformedTable(ChartKitError, ValueError):
+    """A flattened table whose cells do not form a ``DataTable``.
+
+    Also a ``ValueError``, as the error ``DataTable`` raised in its place was.
+    """
+
+
 class NoMarksFound(ChartKitError):
     """No element in the document matched a mark selector."""
 

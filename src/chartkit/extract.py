@@ -16,7 +16,6 @@ there raise MalformedSvg rather than silently mis-measuring.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 import xml.etree.ElementTree as ET
@@ -31,6 +30,7 @@ from .errors import (
     NonLinearAxis,
     ScaleRequired,
 )
+from .jsonl import read_json_object
 from .palettes import rgb_distance
 from .synth import MarkRecord, Rect, sector_bbox
 from .tables import CATEGORICAL, NUMERIC, Column, DataTable, parse_number
@@ -108,8 +108,7 @@ class SelectorProfile:
 
     @classmethod
     def from_json_file(cls, path) -> "SelectorProfile":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+        return cls.from_json_dict(read_json_object(path))
 
 
 BUILTIN_PROFILE = SelectorProfile()

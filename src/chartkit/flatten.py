@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import RaggedInput
+from .errors import MalformedTable, RaggedInput
 from .tables import CATEGORICAL, NUMERIC, Column, DataTable
 
 CELL_SEP = " | "
@@ -94,6 +94,8 @@ def unflatten_table(text: str) -> DataTable:
 
     A column is numeric when every one of its cells is a plain number; a
     numeric header of the form "name (unit)" has its unit split out.
+    Raises ``RaggedInput`` for rows of unequal width and ``MalformedTable``
+    for an empty or repeated column name or a number too large for a float.
     """
     rows = _split_flat(text)
     header, data = rows[0], rows[1:]
@@ -112,12 +114,15 @@ def unflatten_table(text: str) -> DataTable:
             m = _UNIT_SUFFIX.match(name)
             if m:
                 name, unit = m.group(1), m.group(2)
-            columns.append(Column(name, NUMERIC, unit))
+            columns.append((name, NUMERIC, unit))
         else:
-            columns.append(Column(name, CATEGORICAL))
+            columns.append((name, CATEGORICAL, None))
         parsed_cols.append(values if numeric else [row[j] for row in data])
 
     table_rows = [
         [parsed_cols[j][k] for j in range(width)] for k in range(len(data))
     ]
-    return DataTable(columns, table_rows)
+    try:
+        return DataTable([Column(*c) for c in columns], table_rows)
+    except ValueError as exc:
+        raise MalformedTable(f"flattened table: {exc}") from exc

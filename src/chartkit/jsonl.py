@@ -4,7 +4,8 @@ A row is one JSON object on one UTF-8 line, keys sorted, non-ASCII kept
 as is, ended by ``\\n``. Files are replaced atomically (temp file, then
 ``os.replace``). The manifest and the distill checkpoint are a ``Journal``:
 one row appended per completion, loaded last-wins on resume, and rewritten
-sorted at the end of a run.
+sorted at the end of a run. ``read_json_object`` reads the JSON config files
+(pipeline config, selector profile, backend config).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import os
 from pathlib import Path
 from typing import Iterable
 
-from .errors import MalformedJsonl
+from .errors import InvalidConfig, MalformedJsonl
 
 
 def encode_row(row: dict) -> str:
@@ -55,6 +56,21 @@ def _scan(path) -> tuple[list[dict], int]:
 def read_jsonl(path) -> list[dict]:
     """Every row of a JSONL file, in file order, less a torn last line."""
     return _scan(path)[0]
+
+
+def read_json_object(path) -> dict:
+    """The JSON object of a config file; ``InvalidConfig`` names the path when
+    the file cannot be read or does not hold one JSON object."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise InvalidConfig(f"{path}: cannot read: {exc.strerror}") from exc
+    except ValueError as exc:  # invalid JSON or invalid UTF-8
+        raise InvalidConfig(f"{path}: not a JSON file: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InvalidConfig(f"{path}: holds a JSON {type(data).__name__}, not an object")
+    return data
 
 
 def row_error(path, index: int, message: str) -> MalformedJsonl:

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence, Union
 
 from .assignment import hungarian, pad_square
-from .errors import LengthMismatch
+from .errors import ChartKitError, LengthMismatch
 from .flatten import unflatten_table
 from .tables import CATEGORICAL, DataTable
 
@@ -86,7 +86,7 @@ def _numbers_of(value: TableLike) -> list[float]:
     if " | " in value or " & " in value:
         try:
             return _table_numbers(unflatten_table(value))
-        except Exception:
+        except ChartKitError:
             pass
     return extract_numbers(value)
 
@@ -94,9 +94,17 @@ def _numbers_of(value: TableLike) -> list[float]:
 def rnss(pred: TableLike, gold: TableLike) -> float:
     """Relative number-set similarity between two tables (or table texts).
 
-    Each pairing costs min(1, |p-g| / max(|g|, eps)); the smaller set is
-    padded at sentinel cost 1, and an optimal assignment is normalized by
-    the larger set size. Two empty sets are perfectly similar.
+    RNSS of ChartQA (Masry et al. 2022). With P and G the numbers of the
+    prediction and the gold and D(p, g) = min(1, |p - g| / max(|g|, eps)),
+
+        RNSS = 1 - min over 1:1 matchings X of sum X_pg D(p, g) / max(|P|, |G|)
+
+    where every number of the larger set left unmatched costs 1 (the
+    smaller set is padded at sentinel cost 1). Two empty sets score 1, one
+    empty set 0. Where this may differ from ChartQA's definition: the cost
+    of an unmatched number, the eps floor that defines D for a gold 0, and
+    the numbers read out of text cells (and out of plain text, when a side
+    is not a flattened table), which all count.
     """
     p = _numbers_of(pred)
     g = _numbers_of(gold)
@@ -112,47 +120,66 @@ def rnss(pred: TableLike, gold: TableLike) -> float:
     return 1.0 - total / n
 
 
-def levenshtein(a: str, b: str) -> int:
-    """Exact unit-cost edit distance between two strings, over code points.
+def _pack_keys(keys: Sequence[str]) -> tuple[dict[str, int], int, int, list[int]]:
+    """Lay ``keys`` out in one bit-vector, one bit per character.
+
+    Each key is followed by one guard bit that belongs to no key. Returns
+    ``(peq, mask, firsts, segs)``: ``peq[c]`` has a bit set wherever a key
+    holds ``c``, ``mask`` covers every key bit (guards excluded),
+    ``firsts`` holds the first bit of each non-empty key and ``segs[k]``
+    covers the bits of ``keys[k]`` (0 for an empty key).
+    """
+    peq: dict[str, int] = {}
+    segs = []
+    bit = 1
+    for key in keys:
+        start = bit
+        for c in key:
+            peq[c] = peq.get(c, 0) | bit
+            bit <<= 1
+        segs.append(bit - start)
+        bit <<= 1  # the guard
+    mask = sum(segs)
+    return peq, mask, mask & ~(mask << 1), segs
+
+
+def _levenshtein_many(packed, b: str) -> list[int]:
+    """Exact unit-cost edit distance from every packed key to ``b``.
 
     Bit-parallel: the global form (Hyyrö 2003) of Myers' algorithm (JACM
-    1999). Column ``j`` of the DP matrix is held as two bit-vectors of its
-    vertical +1 and -1 deltas, one bit per character of ``a``, and is
-    advanced one character of ``b`` at a time. Python ints make the vectors
-    as long as ``a``, so any length is exact.
+    1999), run on all keys at once as in Hyyrö, Fredriksson and Navarro,
+    "Increased bit-parallelism for approximate and multiple string
+    matching" (ACM JEA 2005). Column ``j`` of every key's DP matrix is held
+    as two bit-vectors of its vertical +1 and -1 deltas and is advanced one
+    character of ``b`` at a time. No carry of the addition crosses a guard,
+    since both addends are 0 there. Python ints make the vectors as long as
+    the keys, so any length is exact.
     """
-    if not a:
-        return len(b)
-    peq: dict[str, int] = {}  # peq[c]: bit i set where a[i] == c
-    bit = 1
-    for c in a:
-        peq[c] = peq.get(c, 0) | bit
-        bit <<= 1
-    mask = bit - 1
-    last = bit >> 1
-    pv, mv, score = mask, 0, len(a)
+    peq, mask, firsts, segs = packed
+    pv, mv = mask, 0
     for c in b:
         eq = peq.get(c, 0)
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
         ph = mv | ~(xh | pv)
         mh = pv & xh
-        if ph & last:
-            score += 1
-        elif mh & last:
-            score -= 1
-        # Row 0 of the global matrix rises by 1 per column: shift in a +1.
-        ph = (ph << 1) | 1
+        # Row 0 of each key's matrix rises by 1 per column: shift in a +1
+        # at each key's first bit. A key's last bit shifts onto its guard,
+        # where ``& mask`` and ``xv`` (0 on guards) drop it; a guard's bit
+        # shifts onto the next key's first bit, which the +1 sets anyway.
+        ph = (ph << 1) | firsts
         mh <<= 1
         pv = (mh | ~(xv | ph)) & mask
         mv = ph & xv
-    return score
+    # The last column: row 0 holds len(b), plus each key's vertical deltas.
+    n = len(b)
+    return [n + (pv & seg).bit_count() - (mv & seg).bit_count() for seg in segs]
 
 
-def normalized_levenshtein(a: str, b: str) -> float:
-    if not a and not b:
-        return 0.0
-    return levenshtein(a, b) / max(len(a), len(b))
+def levenshtein(a: str, b: str) -> int:
+    """Exact unit-cost edit distance between two strings, over code points:
+    the one-key case of ``_levenshtein_many``."""
+    return _levenshtein_many(_pack_keys([a]), b)[0]
 
 
 def _normalize_key(text: str) -> str:
@@ -187,19 +214,10 @@ def table_entries(table: DataTable) -> list[TableEntry]:
     return entries
 
 
-def _entry_score(p: TableEntry, g: TableEntry) -> float:
-    """Key similarity times value similarity.
-
-    The value term comes first: when it is 0 the product is 0 whatever the
-    key similarity in [0, 1] is, so the key distance is skipped.
-    """
-    if isinstance(p.value, float) and isinstance(g.value, float):
-        v = 1.0 - min(1.0, abs(p.value - g.value) / max(abs(g.value), EPS))
-    else:
-        v = 1.0 if p.value == g.value else 0.0
-    if v == 0.0:
-        return 0.0
-    return (1.0 - normalized_levenshtein(p.key, g.key)) * v
+def _value_similarity(p, g) -> float:
+    if isinstance(p, float) and isinstance(g, float):
+        return 1.0 - min(1.0, abs(p - g) / max(abs(g), EPS))
+    return 1.0 if p == g else 0.0
 
 
 def _transposed(table: DataTable) -> Optional[DataTable]:
@@ -224,14 +242,29 @@ def _transposed(table: DataTable) -> Optional[DataTable]:
         return None
 
 
-def _rms_once(pred_entries, gold_entries) -> tuple[float, float, float]:
+def _rms_once(pred_entries, gold_entries, gold_keys) -> tuple[float, float, float]:
+    """RMS of one orientation; ``gold_keys`` is ``_pack_keys`` of the gold keys."""
     if not pred_entries and not gold_entries:
         return 1.0, 1.0, 1.0
     if not pred_entries or not gold_entries:
         return 0.0, 0.0, 0.0
-    scores = [
-        [_entry_score(p, g) for g in gold_entries] for p in pred_entries
-    ]
+    gold_lens = [len(g.key) for g in gold_entries]
+    scores = []
+    for p in pred_entries:
+        values = [_value_similarity(p.value, g.value) for g in gold_entries]
+        # A value similarity of 0 zeroes the product whatever the key
+        # similarity in [0, 1] is, so an all-zero row needs no key pass.
+        # Two empty keys are at distance 0: max(..., 1) gives them a key
+        # similarity of 1.
+        if any(values):
+            lp = len(p.key)
+            values = [
+                (1.0 - d / max(lp, lg, 1)) * v
+                for d, lg, v in zip(
+                    _levenshtein_many(gold_keys, p.key), gold_lens, values
+                )
+            ]
+        scores.append(values)
     cost = [[1.0 - s for s in row] for row in scores]
     n_p, n_g = len(pred_entries), len(gold_entries)
     assign, _ = hungarian(pad_square(cost, n_p, n_g, 1.0))
@@ -247,16 +280,31 @@ def _rms_once(pred_entries, gold_entries) -> tuple[float, float, float]:
 def rms_f1(pred: DataTable, gold: DataTable) -> tuple[float, float, float]:
     """Relative mapping similarity (precision, recall, F1) between tables.
 
-    Entry pairs score key-similarity times value-similarity and are matched
-    1:1 by an optimal assignment. The transposed prediction is also tried
-    (when its shape allows) and the better F1 wins, so a table transcribed
-    sideways is not punished.
+    RMS of DePlot (Liu et al. 2023). A table is the set of its entries
+    (``table_entries``): key = row key + column key, lowercased with
+    whitespace collapsed, and a value. Two entries score
+
+        s(p, g) = (1 - NL(p.key, g.key))
+                  * (1 - min(1, |p.v - g.v| / max(|g.v|, eps)))
+
+    with NL the edit distance over the longer key's length (0 for two
+    empty keys); a text value scores 1 when equal and 0 otherwise. With S
+    the sum of s over an optimal 1:1 matching, precision = S / |pred|,
+    recall = S / |gold| and F1 their harmonic mean. The transposed
+    prediction is also tried (when its shape allows) and the better F1
+    wins, so a table transcribed sideways is not punished.
+
+    Where this may differ from DePlot's definition: no threshold is
+    applied to either distance (a key or value distance is never rounded
+    up to 1), text values are compared by equality, keys are normalized as
+    above, and the transposed retry is this implementation's.
     """
     gold_entries = table_entries(gold)
-    best = _rms_once(table_entries(pred), gold_entries)
+    gold_keys = _pack_keys([g.key for g in gold_entries])
+    best = _rms_once(table_entries(pred), gold_entries, gold_keys)
     flipped = _transposed(pred)
     if flipped is not None:
-        alt = _rms_once(table_entries(flipped), gold_entries)
+        alt = _rms_once(table_entries(flipped), gold_entries, gold_keys)
         if alt[2] > best[2]:
             best = alt
     return best
@@ -360,10 +408,11 @@ def score_pairs(
             try:
                 p_table = unflatten_table(pred)
                 g_table = unflatten_table(gold)
-                p, r, f1 = rms_f1(p_table, g_table)
-            except Exception:
+            except ChartKitError:
                 p = r = f1 = 0.0
                 row["rms_error"] = "unparseable table"
+            else:
+                p, r, f1 = rms_f1(p_table, g_table)
             row["rms_precision"], row["rms_recall"], row["rms_f1"] = p, r, f1
         report.per_example.append(row)
         for key, value in row.items():

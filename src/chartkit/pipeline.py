@@ -43,6 +43,7 @@ from .jsonl import (
     atomic_write_text,
     encode_row,
     load_by_id,
+    read_json_object,
     row_error,
     write_jsonl,
 )
@@ -129,8 +130,7 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path, **overrides) -> "PipelineConfig":
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = read_json_object(path)
         data.update({k: v for k, v in overrides.items() if v is not None})
         known = {f.name for f in cls.__dataclass_fields__.values()}
         unknown = set(data) - known
@@ -532,8 +532,8 @@ def distill_corpus(
     summaries (see ``BatchDriver``); a rerun resumes from it.
     """
     if backend is None and backend_config:
-        with open(backend_config, encoding="utf-8") as fh:
-            backend = BackendClient.from_config(json.load(fh), transport=transport)
+        backend = BackendClient.from_config(read_json_object(backend_config),
+                                            transport=transport)
     manifest = load_manifest(corpus_dir)
     demo = exemplar or DEFAULT_EXEMPLAR
     items = []

@@ -1,8 +1,10 @@
 import random
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chartkit.errors import ChartKitError
 from chartkit.flatten import (
     escape_cell,
     flatten_table,
@@ -72,3 +74,31 @@ def test_round_trip_hostile_cells(cells, seed):
     rows = [[c, round(rng.uniform(-100, 100), 2)] for c in cells]
     t = DataTable([Column("label"), Column("v", NUMERIC)], rows)
     assert unflatten_table(flatten_table(t)) == t
+
+
+# Separators, escapes, digits and the float spellings that are not plain
+# numbers: the pieces a malformed model output is made of.
+_FLAT_PIECES = st.sampled_from(
+    [" | ", " & ", "|", "&", "\\", " ", "(", ")", ".", "-", "0", "7",
+     "9" * 400, "nan", "1e999", "x", "x (u)"]
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_FLAT_PIECES, max_size=16).map("".join))
+@example("")
+@example("nan | nan & 1 | 2")
+@example("a (u) | a & 1 | 2")
+@example("a & " + "9" * 400)
+def test_unflatten_raises_only_chartkit_errors(text):
+    try:
+        unflatten_table(text)
+    except ChartKitError:
+        pass
+
+
+def test_unflatten_names_a_bad_header():
+    with pytest.raises(ChartKitError, match="non-empty"):
+        unflatten_table(" | a & x | 1")
+    with pytest.raises(ChartKitError, match="duplicate"):
+        unflatten_table("nan | nan & 1 | 2")

@@ -10,6 +10,9 @@ from chartkit.errors import LengthMismatch
 from chartkit.flatten import flatten_table
 from chartkit.gen import random_plain_table
 from chartkit.metrics import (
+    _levenshtein_many,
+    _pack_keys,
+    _transposed,
     corpus_bleu,
     extract_numbers,
     levenshtein,
@@ -19,7 +22,7 @@ from chartkit.metrics import (
     score_pairs,
     table_entries,
 )
-from chartkit.tables import Column, DataTable, NUMERIC
+from chartkit.tables import CATEGORICAL, Column, DataTable, NUMERIC
 
 
 # -- relaxed accuracy -------------------------------------------------------
@@ -121,7 +124,8 @@ def dp_levenshtein(a: str, b: str) -> int:
 
 # Few letters, so that runs and repeats are common; two astral (non-BMP)
 # characters, which are one code point each.
-_EDIT_TEXT = st.text(alphabet="ab é\U0001F4C8\U00010348", max_size=150)
+_EDIT_ALPHABET = "ab é\U0001F4C8\U00010348"
+_EDIT_TEXT = st.text(alphabet=_EDIT_ALPHABET, max_size=150)
 
 
 @settings(max_examples=400, deadline=None)
@@ -135,6 +139,21 @@ _EDIT_TEXT = st.text(alphabet="ab é\U0001F4C8\U00010348", max_size=150)
 @example("\U0001F4C8" * 3 + "a", "a\U0001F4C8")
 def test_levenshtein_matches_dp(a, b):
     assert levenshtein(a, b) == dp_levenshtein(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(alphabet=_EDIT_ALPHABET, max_size=80), max_size=8),
+       st.text(alphabet=_EDIT_ALPHABET, max_size=80))
+@example([], "ab")
+@example(["ab", "", "ba"], "abab")
+@example(["", "", "a"], "a")
+@example(["a" * 70, "b" * 65 + "a", "x" * 66], "a" * 66 + "x")
+@example(["ab é"] * 5, "ba é")
+@example(["abc", "", "\U0001F4C8"], "")
+def test_levenshtein_many_matches_dp(keys, b):
+    assert _levenshtein_many(_pack_keys(keys), b) == [
+        dp_levenshtein(k, b) for k in keys
+    ]
 
 
 # -- rms --------------------------------------------------------------------
@@ -180,6 +199,76 @@ def test_rms_empty_prediction():
     gold = _num_table([1])
     pred = DataTable([Column("x"), Column("v", NUMERIC)], [])
     assert rms_f1(pred, gold) == (0.0, 0.0, 0.0)
+
+
+def _oracle_rms(pred, gold):
+    """RMS from its definition: the DP edit distance for the key term, every
+    permutation for the assignment, the transposed retry."""
+
+    def entry_score(p, g):
+        if isinstance(p.value, float) and isinstance(g.value, float):
+            v = 1.0 - min(1.0, abs(p.value - g.value) / max(abs(g.value), 1e-9))
+        else:
+            v = 1.0 if p.value == g.value else 0.0
+        if v == 0.0:
+            return 0.0
+        longest = max(len(p.key), len(g.key))
+        d = dp_levenshtein(p.key, g.key) / longest if longest else 0.0
+        return (1.0 - d) * v
+
+    def once(pe, ge):
+        if not pe and not ge:
+            return 1.0, 1.0, 1.0
+        if not pe or not ge:
+            return 0.0, 0.0, 0.0
+        scores = [[entry_score(p, g) for g in ge] for p in pe]
+        cost = [[1.0 - x for x in row] for row in scores]
+        assign, _ = exhaustive_assignment(pad_square(cost, len(pe), len(ge), 1.0))
+        total = sum(scores[i][assign[i]] for i in range(len(pe)) if assign[i] < len(ge))
+        precision, recall = total / len(pe), total / len(ge)
+        if precision + recall == 0:
+            return precision, recall, 0.0
+        return precision, recall, 2 * precision * recall / (precision + recall)
+
+    gold_entries = table_entries(gold)
+    best = once(table_entries(pred), gold_entries)
+    flipped = _transposed(pred)
+    if flipped is not None:
+        alt = once(table_entries(flipped), gold_entries)
+        if alt[2] > best[2]:
+            best = alt
+    return best
+
+
+def _small_table(rng, labels, names):
+    """1-3 rows keyed by ``labels``, 1-2 numeric columns and, sometimes, a
+    categorical one: at most 6 entries, so every permutation can be tried."""
+    n_rows = rng.randint(0, 3)
+    columns = [Column("x")] + [
+        Column(name, NUMERIC) for name in rng.sample(names, rng.randint(1, 2))
+    ]
+    if rng.random() < 0.3:
+        columns = columns[:2] + [Column("kind", CATEGORICAL)]
+    rows = []
+    for label in rng.sample(labels, n_rows):
+        rows.append([label] + [
+            rng.choice(["a", "b"]) if c.kind == CATEGORICAL
+            else round(rng.uniform(-50, 50), rng.choice([0, 2]))
+            for c in columns[1:]
+        ])
+    return DataTable(columns, rows)
+
+
+def test_rms_matches_definition():
+    rng = random.Random(17)
+    labels = ["north", "nort", "south", "", "north east", "\U0001F4C8 up"]
+    names = ["sales", "sale", "cost", " "]
+    for _ in range(300):
+        gold = _small_table(rng, labels, names)
+        pred = _small_table(rng, labels, names) if rng.random() < 0.5 else gold
+        if rng.random() < 0.3 and _transposed(gold) is not None:
+            pred = _transposed(gold)
+        assert rms_f1(pred, gold) == _oracle_rms(pred, gold)
 
 
 def test_table_entries_keys_normalized():

@@ -421,3 +421,20 @@ def test_cli_strict_extract_fails_on_garbage(tmp_path, capsys):
     (bad / "junk.svg").write_text("<svg", encoding="utf-8")
     rc = main(["extract", "--svg-dir", str(bad), "--strict"])
     assert rc == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["synthesize", "--out", "{tmp}/corpus", "--config", "{path}"],
+    ["extract", "--svg-dir", "{tmp}", "--profile", "{path}"],
+    ["distill", "--corpus", "{tmp}", "--out", "{tmp}/s.jsonl", "--config", "{path}"],
+    ["distill", "--corpus", "{tmp}", "--out", "{tmp}/s.jsonl", "--backend", "{path}"],
+], ids=["synthesize-config", "extract-profile", "distill-config", "distill-backend"])
+@pytest.mark.parametrize("content", [None, '{"bar": ', "\xff", "[1]"],
+                         ids=["missing", "truncated", "not-utf8", "not-an-object"])
+def test_cli_config_file_missing_or_not_a_json_object(tmp_path, capsys, argv, content):
+    path = tmp_path / "config.json"
+    if content is not None:
+        path.write_bytes(content.encode("latin-1"))
+    rc = main([a.format(tmp=tmp_path, path=path) for a in argv])
+    assert rc == 2
+    assert str(path) in capsys.readouterr().err
