@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from . import pipeline
-from .errors import ChartKitError, LengthMismatch
+from .errors import ChartKitError, InvalidConfig, LengthMismatch
 from .extract import load_profile
 from .jsonl import encode_row
 
@@ -56,7 +56,11 @@ def cmd_extract(args) -> int:
 def cmd_gen_tasks(args) -> int:
     config = _config_from_args(args)
     if args.counts:
-        config = config.derived(counts=json.loads(args.counts))
+        try:
+            counts = json.loads(args.counts)
+        except json.JSONDecodeError as exc:
+            raise InvalidConfig(f"--counts is not JSON: {exc}") from exc
+        config = config.derived(counts=counts)
     if args.qa_per_chart is not None:
         counts = dict(config.counts)
         counts["qa_reasoning"] = args.qa_per_chart

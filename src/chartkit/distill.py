@@ -1,11 +1,10 @@
-"""Prompt builders and a pluggable LLM backend for summary distillation.
+"""The summary-distillation prompt and a pluggable LLM backend.
 
-Three prompt shapes: 1-shot table-to-summary, layout-preserved OCR text to
-summary, and a two-stage rubric evaluation (criterion -> grading steps,
-then steps + table + summary -> a 1..5 rating whose reply must start with
-the integer). The backend speaks the common HTTP JSON chat-completions
-shape and is configured by file, never by code; a deterministic rule-based
-fallback summarizer keeps every downstream consumer testable offline.
+One prompt shape: 1-shot table-to-summary, with the module's one exemplar
+as the demonstration and the chart's column units above its flattened
+table. The backend speaks the common HTTP JSON chat-completions shape and
+is configured by file, never by code; a deterministic rule-based fallback
+summarizer keeps every downstream consumer testable offline.
 """
 
 from __future__ import annotations
@@ -19,8 +18,14 @@ import urllib.request
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .errors import BackendTimeout, InvalidConfig, ParseFailure, RateLimited
-from .flatten import CELL_SEP, flatten_table, format_number, unflatten_table
+from .errors import (
+    BackendTimeout,
+    ChartKitError,
+    InvalidConfig,
+    ParseFailure,
+    RateLimited,
+)
+from .flatten import flatten_table, format_number, unflatten_table
 from .jsonl import Journal, encode_row
 from .tables import CATEGORICAL, DataTable
 
@@ -41,46 +46,34 @@ class Exemplar:
 
 @dataclass(frozen=True)
 class PromptBundle:
-    """A fully assembled prompt: preamble, optional 1-shot demo, payload."""
+    """A fully assembled prompt: preamble, 1-shot demo, payload."""
 
     system_preamble: str
     target_payload: str
-    demonstration: Optional[Exemplar] = None
+    demonstration: Exemplar
 
     def __post_init__(self):
         if not self.target_payload.strip():
             raise ValueError("target payload must be non-empty")
 
     def user_text(self) -> str:
-        parts = []
-        if self.demonstration is not None:
-            parts.append(
-                f"Table:\n{self.demonstration.table_text}\n"
-                f"Summary:\n{self.demonstration.summary}"
-            )
-        parts.append(self.target_payload)
-        return "\n\n".join(parts)
+        return (
+            f"Table:\n{self.demonstration.table_text}\n"
+            f"Summary:\n{self.demonstration.summary}\n\n"
+            f"{self.target_payload}"
+        )
 
     def messages(self) -> list[dict]:
-        msgs = []
-        if self.system_preamble:
-            msgs.append({"role": "system", "content": self.system_preamble})
-        msgs.append({"role": "user", "content": self.user_text()})
-        return msgs
+        return [
+            {"role": "system", "content": self.system_preamble},
+            {"role": "user", "content": self.user_text()},
+        ]
 
 
 SUMMARY_PREAMBLE = (
     "You write short, factual summaries of data tables behind charts. "
     "Mention notable highs, lows and overall patterns. Do not invent numbers."
 )
-
-OCR_PREAMBLE = (
-    "The following is text extracted from a chart image with its layout "
-    "preserved as whitespace. Summarize what the chart shows. "
-    "Do not invent numbers."
-)
-
-RUBRIC_PREAMBLE = "You evaluate chart summaries against a stated criterion."
 
 DEFAULT_EXEMPLAR = Exemplar(
     "Quarter | Revenue & Q1 | 12 & Q2 | 18 & Q3 | 9",
@@ -89,110 +82,16 @@ DEFAULT_EXEMPLAR = Exemplar(
 )
 
 
-def build_table_summary_prompt(
-    table: DataTable,
-    demo: Exemplar,
-    title: Optional[str] = None,
-) -> PromptBundle:
+def build_table_summary_prompt(table: DataTable) -> PromptBundle:
     """1-shot prompt asking for a summary of a table.
 
-    The payload repeats the optional chart title and any column units above
-    the flattened table, so the model sees the same context a reader would.
+    The payload repeats any column units above the flattened table, so the
+    model sees the same context a reader would.
     """
-    if demo is None:
-        raise ValueError("table-summary prompts are 1-shot; a demonstration is required")
-    lines = []
-    if title:
-        lines.append(f"Title: {title}")
-    units = [
-        f"Unit of {c.name}: {c.unit}" for c in table.columns if c.unit
-    ]
-    lines.extend(units)
+    lines = [f"Unit of {c.name}: {c.unit}" for c in table.columns if c.unit]
     lines.append(f"Table:\n{flatten_table(table)}")
     lines.append("Summary:")
-    return PromptBundle(SUMMARY_PREAMBLE, "\n".join(lines), demonstration=demo)
-
-
-def build_ocr_layout_prompt(
-    ocr_lines: list[tuple[str, tuple[float, float, float, float]]],
-    char_width: float = 8.0,
-    row_tolerance: float = 10.0,
-) -> PromptBundle:
-    """Prompt from OCR fragments, preserving spatial layout as whitespace.
-
-    Fragments are bucketed into rows by vertical position (within
-    ``row_tolerance`` pixels of the row's running mean) and placed at a
-    column proportional to their x coordinate, so the grid keeps the
-    relative reading order of the original chart.
-    """
-    if not ocr_lines:
-        raise ValueError("need at least one OCR line")
-    frags = sorted(ocr_lines, key=lambda t: (t[1][1], t[1][0]))
-    rows: list[dict] = []
-    for text, (x, y, _w, _h) in frags:
-        if rows and abs(y - rows[-1]["y"]) <= row_tolerance:
-            rows[-1]["items"].append((x, text))
-        else:
-            rows.append({"y": y, "items": [(x, text)]})
-    grid_lines = []
-    for row in rows:
-        line = ""
-        for x, text in sorted(row["items"]):
-            col = int(round(x / char_width))
-            if col > len(line):
-                line += " " * (col - len(line))
-            elif line:
-                line += " "
-            line += text
-        grid_lines.append(line.rstrip())
-    payload = "Chart text:\n" + "\n".join(grid_lines) + "\nSummary:"
-    return PromptBundle(OCR_PREAMBLE, payload)
-
-
-def build_rubric_eval_prompt(
-    table: DataTable,
-    summary: str,
-    criterion: str,
-    grading_steps: Optional[str] = None,
-) -> PromptBundle:
-    """Two-stage rubric evaluation prompt material.
-
-    Without ``grading_steps`` this builds stage (a): ask for concise
-    numbered grading steps for the criterion. With steps it builds stage
-    (b): steps + table + summary, demanding a 1-5 rating whose reply starts
-    with the bare integer (see parse_rating).
-    """
-    if not summary.strip():
-        raise ValueError("summary must be non-empty")
-    if not criterion.strip():
-        raise ValueError("criterion must be non-empty")
-    if grading_steps is None:
-        payload = (
-            "Task: rate a chart summary against the criterion below.\n"
-            f"Criterion: {criterion}\n"
-            "Write concise numbered grading steps for applying this criterion."
-        )
-        return PromptBundle(RUBRIC_PREAMBLE, payload)
-    payload = (
-        f"Grading steps:\n{grading_steps}\n\n"
-        f"Table:\n{flatten_table(table)}\n\n"
-        f"Summary:\n{summary}\n\n"
-        "Rate the summary from 1 to 5 against the steps. "
-        "Reply with the integer rating first, then any justification."
-    )
-    return PromptBundle(RUBRIC_PREAMBLE, payload)
-
-
-def parse_rating(reply: str) -> int:
-    """Leading-integer rating parse; the first token must be 1..5."""
-    token = reply.strip().split()[0] if reply.strip() else ""
-    token = token.rstrip(".,:;-)")
-    if not token.isdigit():
-        raise ParseFailure(f"reply does not start with an integer: {reply[:40]!r}")
-    rating = int(token)
-    if not 1 <= rating <= 5:
-        raise ParseFailure(f"rating {rating} outside 1..5")
-    return rating
+    return PromptBundle(SUMMARY_PREAMBLE, "\n".join(lines), DEFAULT_EXEMPLAR)
 
 
 # -- deterministic offline fallback ---------------------------------------
@@ -254,22 +153,13 @@ class FallbackBackend:
     it. Only understands payloads produced by build_table_summary_prompt.
     """
 
-    name = "fallback"
-
     def complete(self, bundle: PromptBundle) -> str:
         lines = bundle.target_payload.split("\n")
-        table_text = None
-        if "Table:" in lines:
-            at = lines.index("Table:")
-            if at + 1 < len(lines):
-                table_text = lines[at + 1]
-        if table_text is None:
-            table_text = next((ln for ln in lines if CELL_SEP in ln), None)
-        if table_text is None:
+        if "Table:" not in lines[:-1]:
             raise ParseFailure("fallback cannot find a flattened table in the payload")
         try:
-            table = unflatten_table(table_text)
-        except Exception as exc:
+            table = unflatten_table(lines[lines.index("Table:") + 1])
+        except ChartKitError as exc:
             raise ParseFailure(f"fallback cannot recover a table: {exc}") from exc
         return fallback_summary(table)
 
@@ -332,7 +222,6 @@ class BackendClient:
         self.transport = transport or default_transport
         self._sleep = sleep
         self.limiter = RateLimiter(rpm, sleep=sleep)
-        self.name = model
 
     @classmethod
     def from_config(cls, config: dict, transport: Optional[Transport] = None,
@@ -342,9 +231,9 @@ class BackendClient:
                 endpoint=config["endpoint"],
                 model=config["model"],
                 auth_env=config.get("auth_env", ""),
-                rpm=float(config.get("rpm", 60)),
-                timeout_s=float(config.get("timeout_s", 30)),
-                max_retries=int(config.get("max_retries", 3)),
+                rpm=_config_number(config, "rpm", 60, float),
+                timeout_s=_config_number(config, "timeout_s", 30, float),
+                max_retries=_config_number(config, "max_retries", 3, int),
                 transport=transport,
                 sleep=sleep,
             )
@@ -394,19 +283,22 @@ class BackendClient:
         raise last_error if last_error else ParseFailure("no attempts made")
 
 
+def _config_number(config: dict, key: str, default, kind):
+    value = config.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidConfig(
+            f"backend config {key!r} must be a number, not {value!r}"
+        ) from exc
+
+
 def _parse_completion(text: str) -> str:
     try:
         data = json.loads(text)
         return data["choices"][0]["message"]["content"]
     except (json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
         raise ParseFailure(f"unexpected completion shape: {text[:200]!r}") from exc
-
-
-def summarize(bundle: PromptBundle, backend=None) -> str:
-    """Run one bundle through a backend; None selects the offline fallback."""
-    if backend is None:
-        backend = FallbackBackend()
-    return backend.complete(bundle)
 
 
 # -- budgeted, resumable batch driver ---------------------------------------

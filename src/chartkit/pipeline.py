@@ -28,14 +28,14 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
-from .distill import (
-    DEFAULT_EXEMPLAR,
-    BackendClient,
-    BatchDriver,
-    Exemplar,
-    build_table_summary_prompt,
+from .distill import BackendClient, BatchDriver, build_table_summary_prompt
+from .errors import (
+    AnswerNotInSummary,
+    ChartKitError,
+    InvalidConfig,
+    LengthMismatch,
+    MalformedSvg,
 )
-from .errors import AnswerNotInSummary, InvalidConfig, LengthMismatch
 from .extract import BUILTIN_PROFILE, SelectorProfile, extract_chart
 from .gen import chart_table_for, random_style
 from .jsonl import (
@@ -109,6 +109,16 @@ class PipelineConfig:
     canvas: tuple[int, int] = DEFAULT_CANVAS
 
     def __post_init__(self):
+        for name, kinds, what in (("chart_type_weights", (int, float), "numbers"),
+                                  ("counts", int, "integers")):
+            value = getattr(self, name)
+            if not isinstance(value, dict) or not all(
+                isinstance(v, kinds) and not isinstance(v, bool)
+                for v in value.values()
+            ):
+                raise InvalidConfig(f"{name} must be an object of {what}, not {value!r}")
+        if isinstance(self.count, bool) or not isinstance(self.count, int):
+            raise InvalidConfig(f"count must be an integer, not {self.count!r}")
         weights = self.chart_type_weights
         unknown = set(weights) - set(FAMILIES)
         if unknown:
@@ -251,6 +261,14 @@ def load_chart(corpus_dir, row: dict) -> RenderedChart:
     return RenderedChart.from_sidecar_json(sidecar)
 
 
+def _read_svg(path: Path) -> str:
+    """A file's text; a file that cannot be read as UTF-8 is ``MalformedSvg``."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MalformedSvg(str(exc)) from exc
+
+
 def extract_corpus(svg_dir, profile: Optional[SelectorProfile] = None,
                    out_dir=None) -> dict:
     """Batch-extract every ``*.svg`` under a directory.
@@ -268,8 +286,8 @@ def extract_corpus(svg_dir, profile: Optional[SelectorProfile] = None,
     for path in sorted(svg_dir.rglob("*.svg")):
         summary["processed"] += 1
         try:
-            result = extract_chart(path.read_text(encoding="utf-8"), profile)
-        except Exception as exc:
+            result = extract_chart(_read_svg(path), profile)
+        except ChartKitError as exc:
             summary["failed"] += 1
             summary["failures"].append({"file": path.name, "error": str(exc)})
             continue
@@ -522,7 +540,6 @@ def distill_corpus(
     budget: Optional[int] = None,
     checkpoint_path=None,
     log_path=None,
-    exemplar: Optional[Exemplar] = None,
 ) -> dict[str, str]:
     """Generate a summary per chart through a backend or the offline fallback.
 
@@ -535,12 +552,11 @@ def distill_corpus(
         backend = BackendClient.from_config(read_json_object(backend_config),
                                             transport=transport)
     manifest = load_manifest(corpus_dir)
-    demo = exemplar or DEFAULT_EXEMPLAR
     items = []
     for row in manifest:
         table_text = (Path(corpus_dir) / row["table"]).read_text(encoding="utf-8")
         table = DataTable.from_json(table_text)
-        items.append((row["id"], build_table_summary_prompt(table, demo)))
+        items.append((row["id"], build_table_summary_prompt(table)))
     driver = BatchDriver(backend=backend, checkpoint_path=checkpoint_path,
                          budget=budget, log_path=log_path)
     done = driver.run(items)

@@ -125,15 +125,6 @@ class DataTable:
     def n_cols(self) -> int:
         return len(self.columns)
 
-    def column_index(self, name: str) -> int:
-        for i, c in enumerate(self.columns):
-            if c.name == name:
-                return i
-        raise KeyError(name)
-
-    def column_values(self, index: int) -> list[Cell]:
-        return [row[index] for row in self.rows]
-
     def indices_of_kind(self, kind: str) -> list[int]:
         return [i for i, c in enumerate(self.columns) if c.kind == kind]
 

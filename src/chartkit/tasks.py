@@ -16,7 +16,7 @@ from .errors import AnswerNotInSummary, MissingSummary, UnsupportedChartType
 from .flatten import CELL_SEP, ROW_SEP, flatten_table
 from .jsonl import encode_row
 from .synth import PIE, RenderedChart
-from .templates import REGISTRY, ChartView, SlotBinding
+from .templates import REGISTRY, ChartView
 
 TASK_KINDS = ("table", "value_estimation", "qa_reasoning", "qa_open", "summary")
 
@@ -156,18 +156,6 @@ def generate_qa(
             )
         )
     return records
-
-
-def sample_binding(
-    chart: RenderedChart, template_id: str, rng_seed: int
-) -> Optional[SlotBinding]:
-    """One seed-deterministic binding for a specific template, if applicable."""
-    view = ChartView(chart)
-    bindings = REGISTRY[template_id].bindings(view)
-    if not bindings:
-        return None
-    rng = random.Random(rng_seed)
-    return SlotBinding(template_id, rng.choice(bindings), rng_seed)
 
 
 def assemble_summary_records(

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from .flatten import format_number as fmt
 from .palettes import color_name
@@ -148,15 +148,6 @@ class ChartView:
         return [m.x_label for m in self._by_series[s1]] == [
             m.x_label for m in self._by_series[s2]
         ]
-
-
-@dataclass(frozen=True)
-class SlotBinding:
-    """One concrete instantiation of a template on one chart."""
-
-    template_id: str
-    slots: dict
-    rng_seed: Optional[int] = None
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,8 @@ from chartkit.distill import (
     Exemplar,
     FallbackBackend,
     PromptBundle,
-    build_ocr_layout_prompt,
-    build_rubric_eval_prompt,
     build_table_summary_prompt,
     fallback_summary,
-    parse_rating,
-    summarize,
 )
 from chartkit.errors import InvalidConfig, ParseFailure, RateLimited
 from chartkit.jsonl import load_by_id
@@ -31,53 +27,51 @@ def _table():
 
 def test_bundle_validation():
     with pytest.raises(ValueError):
-        PromptBundle("sys", "  ")
+        PromptBundle("sys", "  ", DEFAULT_EXEMPLAR)
     with pytest.raises(ValueError):
         Exemplar("t", "   ")  # empty demo summary
 
 
+PINNED_SYSTEM_TEXT = (
+    "You write short, factual summaries of data tables behind charts. "
+    "Mention notable highs, lows and overall patterns. Do not invent numbers."
+)
+
+PINNED_USER_TEXT = (
+    "Table:\nQuarter | Revenue & Q1 | 12 & Q2 | 18 & Q3 | 9\n"
+    "Summary:\nRevenue peaked at 18 in Q2 before falling to a low of 9 in Q3, "
+    "ending below the 12 recorded in Q1.\n\n"
+    "Unit of Sales: %\n"
+    "Table:\nYear | Sales (%) & 2001 | 5 & 2002 | 9 & 2003 | 7\n"
+    "Summary:"
+)
+
+
+def test_table_summary_prompt_bytes():
+    bundle = build_table_summary_prompt(_table())
+    assert bundle.user_text() == PINNED_USER_TEXT
+    assert bundle.messages() == [
+        {"role": "system", "content": PINNED_SYSTEM_TEXT},
+        {"role": "user", "content": PINNED_USER_TEXT},
+    ]
+    transport = _ScriptedTransport([(200, _ok_body())])
+    _client(transport).complete(bundle)
+    assert json.loads(transport.last_body) == {
+        "model": "test-model",
+        "messages": bundle.messages(),
+        "max_tokens": 512,
+        "temperature": 0.0,
+    }
+
+
 def test_table_summary_prompt_deterministic_and_complete():
-    a = build_table_summary_prompt(_table(), DEFAULT_EXEMPLAR, title="Sales by Year")
-    b = build_table_summary_prompt(_table(), DEFAULT_EXEMPLAR, title="Sales by Year")
+    a = build_table_summary_prompt(_table())
+    b = build_table_summary_prompt(_table())
     assert a == b
     for name in ("Year", "Sales"):
         assert name in a.target_payload
-    assert "Title: Sales by Year" in a.target_payload
     assert "Unit of Sales: %" in a.target_payload
     assert a.demonstration == DEFAULT_EXEMPLAR
-    with pytest.raises(ValueError):
-        build_table_summary_prompt(_table(), None)
-
-
-def test_ocr_layout_rows_and_padding():
-    lines = [
-        ("left", (0, 10, 20, 10)),
-        ("right", (160, 11, 20, 10)),
-        ("below", (0, 60, 20, 10)),
-    ]
-    bundle = build_ocr_layout_prompt(lines)
-    grid = bundle.target_payload.splitlines()
-    row = next(line for line in grid if "left" in line)
-    assert "right" in row  # same y bucket -> same output row
-    assert row.index("right") > row.index("left") + len("left")
-    assert any("below" in line for line in grid if "left" not in line)
-    assert bundle == build_ocr_layout_prompt(lines)
-
-
-def test_rubric_two_stages_and_rating_parse():
-    stage_a = build_rubric_eval_prompt(_table(), "A summary.", "informativeness")
-    assert "grading steps" in stage_a.target_payload.lower()
-    stage_b = build_rubric_eval_prompt(
-        _table(), "A summary.", "informativeness", grading_steps="1. read"
-    )
-    assert "1. read" in stage_b.target_payload
-    assert "A summary." in stage_b.target_payload
-    assert parse_rating("4 - because reasons") == 4
-    assert parse_rating("5") == 5
-    with pytest.raises(ParseFailure):
-        parse_rating("great!")
-    with pytest.raises(ParseFailure):
-        parse_rating("9 out of 10")
 
 
 def test_fallback_summary_rules():
@@ -92,12 +86,6 @@ def test_fallback_summary_rules():
     assert text == fallback_summary(_table())
 
 
-def test_summarize_fallback_round_trip():
-    bundle = build_table_summary_prompt(_table(), DEFAULT_EXEMPLAR)
-    text = summarize(bundle)  # no backend -> offline fallback
-    assert "2002" in text
-
-
 class _ScriptedTransport:
     """Returns queued (status, body) responses; records call count."""
 
@@ -105,10 +93,12 @@ class _ScriptedTransport:
         self.script = list(script)
         self.calls = 0
         self.last_headers = None
+        self.last_body = None
 
     def __call__(self, url, headers, body, timeout):
         self.calls += 1
         self.last_headers = headers
+        self.last_body = body
         status, payload = self.script.pop(0)
         if status == "timeout":
             raise TimeoutError("scripted timeout")
@@ -136,14 +126,14 @@ def test_backend_success_and_auth_header(monkeypatch):
     transport = _ScriptedTransport([(200, _ok_body())])
     monkeypatch.setenv("TEST_TOKEN", "sekret")
     client = _client(transport, auth_env="TEST_TOKEN")
-    bundle = build_table_summary_prompt(_table(), DEFAULT_EXEMPLAR)
+    bundle = build_table_summary_prompt(_table())
     assert client.complete(bundle) == "A fine summary."
     assert transport.last_headers["Authorization"] == "Bearer sekret"
 
 
 def test_backend_missing_auth_env():
     client = _client(_ScriptedTransport([]), auth_env="NOT_SET_ANYWHERE_123")
-    bundle = build_table_summary_prompt(_table(), DEFAULT_EXEMPLAR)
+    bundle = build_table_summary_prompt(_table())
     with pytest.raises(InvalidConfig):
         client.complete(bundle)
 
@@ -151,7 +141,7 @@ def test_backend_missing_auth_env():
 def test_backend_rate_limited_after_retry_budget():
     transport = _ScriptedTransport([(429, ""), (429, ""), (429, "")])
     client = _client(transport, retries=2)
-    bundle = build_table_summary_prompt(_table(), DEFAULT_EXEMPLAR)
+    bundle = build_table_summary_prompt(_table())
     with pytest.raises(RateLimited):
         client.complete(bundle)
     assert transport.calls == 3  # initial + 2 retries
@@ -160,14 +150,14 @@ def test_backend_rate_limited_after_retry_budget():
 def test_backend_retries_then_succeeds():
     transport = _ScriptedTransport([(429, ""), ("timeout", ""), (200, _ok_body())])
     client = _client(transport, retries=3)
-    bundle = build_table_summary_prompt(_table(), DEFAULT_EXEMPLAR)
+    bundle = build_table_summary_prompt(_table())
     assert client.complete(bundle) == "A fine summary."
 
 
 def test_backend_bad_shape_raises_parse_failure():
     transport = _ScriptedTransport([(200, '{"nope": 1}')])
     client = _client(transport)
-    bundle = build_table_summary_prompt(_table(), DEFAULT_EXEMPLAR)
+    bundle = build_table_summary_prompt(_table())
     with pytest.raises(ParseFailure):
         client.complete(bundle)
 
@@ -175,7 +165,7 @@ def test_backend_bad_shape_raises_parse_failure():
 def test_driver_checkpoint_resume_and_budget(tmp_path):
     ckpt = tmp_path / "ckpt.jsonl"
     bundles = [
-        (f"c{i}", build_table_summary_prompt(_table(), DEFAULT_EXEMPLAR))
+        (f"c{i}", build_table_summary_prompt(_table()))
         for i in range(5)
     ]
     driver = BatchDriver(backend=FallbackBackend(), checkpoint_path=str(ckpt),
@@ -201,7 +191,7 @@ def test_driver_checkpoint_resume_and_budget(tmp_path):
 def test_driver_logs_prompts_without_secrets(tmp_path):
     log = tmp_path / "audit.jsonl"
     driver = BatchDriver(backend=FallbackBackend(), log_path=str(log))
-    driver.run([("c0", build_table_summary_prompt(_table(), DEFAULT_EXEMPLAR))])
+    driver.run([("c0", build_table_summary_prompt(_table()))])
     content = log.read_text(encoding="utf-8")
     assert "Authorization" not in content
     assert "prompt" in content
@@ -212,7 +202,7 @@ def test_fallback_makes_no_network_calls():
     # The transport would raise IndexError if ever invoked.
     driver = BatchDriver(backend=FallbackBackend())
     done = driver.run([
-        ("c0", build_table_summary_prompt(_table(), DEFAULT_EXEMPLAR)),
+        ("c0", build_table_summary_prompt(_table())),
     ])
     assert transport.calls == 0
     assert "2002" in done["c0"]

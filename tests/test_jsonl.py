@@ -13,7 +13,6 @@ import pytest
 
 from chartkit.cli import main
 from chartkit.distill import (
-    DEFAULT_EXEMPLAR,
     BatchDriver,
     FallbackBackend,
     build_table_summary_prompt,
@@ -103,7 +102,7 @@ def test_driver_replaces_checkpoint_once(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "replace", counting_replace)
     table = DataTable([Column("x"), Column("v", NUMERIC)],
                       [["a", 1.0], ["b", 2.0]])
-    items = [(f"c{i}", build_table_summary_prompt(table, DEFAULT_EXEMPLAR))
+    items = [(f"c{i}", build_table_summary_prompt(table))
              for i in reversed(range(8))]
     ckpt = tmp_path / "checkpoint.jsonl"
     done = BatchDriver(checkpoint_path=str(ckpt)).run(items)

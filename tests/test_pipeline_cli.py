@@ -438,3 +438,55 @@ def test_cli_config_file_missing_or_not_a_json_object(tmp_path, capsys, argv, co
     rc = main([a.format(tmp=tmp_path, path=path) for a in argv])
     assert rc == 2
     assert str(path) in capsys.readouterr().err
+
+
+def test_extract_unreadable_svg_is_a_recorded_failure(tmp_path, capsys):
+    bad = tmp_path / "svgs"
+    bad.mkdir()
+    (bad / "latin1.svg").write_bytes(b"\xff<svg/>")
+    summary = extract_corpus(bad)
+    assert summary["failed"] == 1
+    assert summary["failures"][0]["file"] == "latin1.svg"
+    assert main(["extract", "--svg-dir", str(bad)]) == 0
+    assert "1 failed" in capsys.readouterr().out
+    assert main(["extract", "--svg-dir", str(bad), "--strict"]) == 1
+
+
+@pytest.mark.parametrize("key, value", [
+    ("rpm", "fast"), ("rpm", None), ("max_retries", [1]),
+])
+def test_cli_distill_backend_value_of_the_wrong_type(tmp_path, capsys, key, value):
+    cfg = tmp_path / "backend.json"
+    cfg.write_text(json.dumps({
+        "endpoint": "https://example.invalid/v1/chat", "model": "toy", key: value,
+    }), encoding="utf-8")
+    rc = main(["distill", "--corpus", str(tmp_path), "--out",
+               str(tmp_path / "s.jsonl"), "--backend", str(cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert key in err
+
+
+_SYNTHESIZE = ["synthesize", "--out", "{tmp}/corpus", "--config", "{path}"]
+_GEN_TASKS = ["gen-tasks", "--corpus", "{tmp}", "--out", "{tmp}/t", "--counts"]
+
+
+@pytest.mark.parametrize("argv, content", [
+    (_SYNTHESIZE, '{"counts": {"qa_reasoning": "x"}}'),
+    (_SYNTHESIZE, '{"chart_type_weights": {"bar": "1"}}'),
+    (_SYNTHESIZE, '{"count": "5"}'),
+    (_SYNTHESIZE, '{"counts": [1]}'),
+    (_GEN_TASKS + ["{bad"], None),
+    (_GEN_TASKS + ["[1]"], None),
+    (_GEN_TASKS + ['{"qa_reasoning": "x"}'], None),
+], ids=["config-counts-value-str", "config-weights-value-str", "config-count-str",
+        "config-counts-list", "counts-not-json", "counts-list", "counts-value-str"])
+def test_cli_pipeline_config_of_the_wrong_type(tmp_path, capsys, argv, content):
+    path = tmp_path / "config.json"
+    if content is not None:
+        path.write_text(content, encoding="utf-8")
+    rc = main([a.replace("{tmp}", str(tmp_path)).replace("{path}", str(path))
+               for a in argv])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")

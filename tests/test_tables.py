@@ -35,23 +35,24 @@ def test_parse_number_strips_units():
 
 def test_infer_separator_stripping():
     t = infer_column_kinds([["year", "pop"], ["2001", "1,200"], ["2002", "1,350"]])
-    pop = t.column_index("pop")
-    assert t.columns[pop].kind == NUMERIC
-    assert t.column_values(pop) == [1200.0, 1350.0]
+    assert t.columns[1].name == "pop"
+    assert t.columns[1].kind == NUMERIC
+    assert [r[1] for r in t.rows] == [1200.0, 1350.0]
 
 
 def test_infer_single_categorical_column():
     t = infer_column_kinds([["name"], ["a"], ["b"]])
     assert t.columns[0].kind == CATEGORICAL
-    assert t.column_values(0) == ["a", "b"]
+    assert [r[0] for r in t.rows] == ["a", "b"]
 
 
 def test_infer_percent_unit():
     t = infer_column_kinds([["x", "share"], ["a", "5%"], ["b", "7%"], ["c", "9%"]])
-    col = t.columns[t.column_index("share")]
+    col = t.columns[1]
+    assert col.name == "share"
     assert col.kind == NUMERIC
     assert col.unit == "%"
-    assert t.column_values(1) == [5.0, 7.0, 9.0]
+    assert [r[1] for r in t.rows] == [5.0, 7.0, 9.0]
 
 
 def test_infer_drops_rows_with_unparseable_numeric_cells():
@@ -59,7 +60,7 @@ def test_infer_drops_rows_with_unparseable_numeric_cells():
     rows = [["x", "v"]] + [[f"r{i}", str(i)] for i in range(9)] + [["gap", ""]]
     t = infer_column_kinds(rows)
     assert t.columns[1].kind == NUMERIC
-    assert "gap" not in t.column_values(0)
+    assert "gap" not in [r[0] for r in t.rows]
     assert t.n_rows == 9
 
 
@@ -120,8 +121,8 @@ def test_infer_is_idempotent_on_rendered_output():
         assert [c.kind for c in again.columns] == [c.kind for c in t.columns]
         for j, col in enumerate(t.columns):
             if col.kind == NUMERIC:
-                assert again.column_values(j) == [
-                    round(v, 2) for v in t.column_values(j)
+                assert [r[j] for r in again.rows] == [
+                    round(r[j], 2) for r in t.rows
                 ]
 
 
@@ -146,8 +147,8 @@ def test_json_import_with_bare_column_names_infers_kinds():
 
 def test_csv_import():
     t = DataTable.from_csv('x,v\n"a,with comma",10\nb,20\n')
-    assert t.column_values(0) == ["a,with comma", "b"]
-    assert t.column_values(1) == [10.0, 20.0]
+    assert [r[0] for r in t.rows] == ["a,with comma", "b"]
+    assert [r[1] for r in t.rows] == [10.0, 20.0]
 
 
 def _table(cat_cols, num_cols, n_rows, rng):

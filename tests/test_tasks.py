@@ -113,17 +113,6 @@ def test_generate_qa_exhausts_gracefully():
     assert 0 < len(records) < 10_000
 
 
-def test_sample_binding_deterministic():
-    from chartkit.tasks import sample_binding
-
-    chart = bar_chart([10, 20, 30, 40])
-    binding = sample_binding(chart, "T20", rng_seed=5)
-    assert binding.template_id == "T20"
-    assert binding.slots["n"] in (2, 3, 4)
-    assert binding == sample_binding(chart, "T20", rng_seed=5)
-    assert sample_binding(chart, "T44", rng_seed=5) is None  # not a pie
-
-
 def test_records_jsonl_shape():
     chart = bar_chart([3, 4])
     text = records_to_jsonl([
