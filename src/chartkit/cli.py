@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from . import pipeline
-from .errors import ChartKitError, InvalidConfig, LengthMismatch
+from .errors import ChartKitError, InvalidConfig
 from .extract import load_profile
 from .jsonl import encode_row
 
@@ -83,7 +83,7 @@ def cmd_distill(args) -> int:
     backend_config = args.backend
     if backend_config is None and args.config and not args.fallback:
         backend_config = pipeline.PipelineConfig.from_file(args.config).backend_config
-    done = pipeline.distill_corpus(
+    done, failures = pipeline.distill_corpus(
         args.corpus,
         args.out,
         backend_config=None if args.fallback else backend_config,
@@ -92,7 +92,9 @@ def cmd_distill(args) -> int:
         log_path=args.log,
     )
     print(f"wrote {len(done)} summaries to {args.out}")
-    return 0
+    for failure in failures:
+        print(f"  failed {failure['id']}: {failure['error']}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def cmd_stats(args) -> int:
@@ -106,11 +108,7 @@ def cmd_stats(args) -> int:
 
 def cmd_eval(args) -> int:
     metrics = tuple(m.strip() for m in args.metrics.split(",") if m.strip())
-    try:
-        report = pipeline.evaluate(args.pred, args.gold, metrics)
-    except LengthMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = pipeline.evaluate(args.pred, args.gold, metrics)
     if args.out:
         Path(args.out).write_text(encode_row(report.to_json_dict()), encoding="utf-8")
     print(json.dumps(report.aggregate, ensure_ascii=False, sort_keys=True))

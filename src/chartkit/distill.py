@@ -227,18 +227,34 @@ class BackendClient:
     def from_config(cls, config: dict, transport: Optional[Transport] = None,
                     sleep=time.sleep) -> "BackendClient":
         try:
-            return cls(
-                endpoint=config["endpoint"],
-                model=config["model"],
-                auth_env=config.get("auth_env", ""),
-                rpm=_config_number(config, "rpm", 60, float),
-                timeout_s=_config_number(config, "timeout_s", 30, float),
-                max_retries=_config_number(config, "max_retries", 3, int),
-                transport=transport,
-                sleep=sleep,
-            )
+            endpoint, model = config["endpoint"], config["model"]
         except KeyError as exc:
             raise InvalidConfig(f"backend config missing {exc}") from exc
+        if not (isinstance(endpoint, str)
+                and endpoint.startswith(("http://", "https://"))):
+            raise InvalidConfig(
+                f"backend config 'endpoint' must be an http:// or https:// URL, "
+                f"not {endpoint!r}"
+            )
+        if not (isinstance(model, str) and model):
+            raise InvalidConfig(
+                f"backend config 'model' must be a non-empty string, not {model!r}"
+            )
+        auth_env = config.get("auth_env", "")
+        if not isinstance(auth_env, str):
+            raise InvalidConfig(
+                f"backend config 'auth_env' must be a string, not {auth_env!r}"
+            )
+        return cls(
+            endpoint=endpoint,
+            model=model,
+            auth_env=auth_env,
+            rpm=_config_number(config, "rpm", 60, float),
+            timeout_s=_config_number(config, "timeout_s", 30, float),
+            max_retries=_config_number(config, "max_retries", 3, int),
+            transport=transport,
+            sleep=sleep,
+        )
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
@@ -312,7 +328,10 @@ class BatchDriver:
     work, and completed ids are skipped on resume (loaded last-wins). At
     the end of a run the checkpoint is rewritten once, sorted by id.
     ``budget`` caps the number of new backend calls, making API cost
-    explicit.
+    explicit. A call that raises a ``ChartKitError`` other than
+    ``InvalidConfig`` is data: the run records ``{"id", "error"}`` in
+    ``failures`` and goes on, and the id stays out of the checkpoint, so a
+    rerun retries it. Any other error aborts the run.
     """
 
     def __init__(self, backend=None, checkpoint_path=None,
@@ -321,9 +340,12 @@ class BatchDriver:
         self.checkpoint_path = checkpoint_path
         self.budget = budget
         self.log_path = log_path
+        self.failures: list[dict] = []
 
     def run(self, items: Iterable[tuple[str, PromptBundle]]) -> dict[str, str]:
+        """Every finished id's summary; this run's failures go to ``failures``."""
         done: dict[str, str] = {}
+        self.failures = []
         with contextlib.ExitStack() as stack:
             journal = None
             if self.checkpoint_path:
@@ -332,7 +354,13 @@ class BatchDriver:
             todo = [(cid, b) for cid, b in items if cid not in done][: self.budget]
             log_rows = []
             for cid, bundle in todo:
-                summary = self.backend.complete(bundle)
+                try:
+                    summary = self.backend.complete(bundle)
+                except InvalidConfig:
+                    raise  # the same for every item
+                except ChartKitError as exc:
+                    self.failures.append({"id": cid, "error": str(exc)})
+                    continue
                 done[cid] = summary
                 if journal:
                     journal.append({"id": cid, "summary": summary})

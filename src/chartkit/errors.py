@@ -37,7 +37,8 @@ class MalformedJsonl(ChartKitError, ValueError):
 
 
 class MalformedTable(ChartKitError, ValueError):
-    """A flattened table whose cells do not form a ``DataTable``.
+    """Cells that do not form a ``DataTable``: a flattened table that does
+    not parse, or a chart-ready piece whose series would repeat a column name.
 
     Also a ``ValueError``, as the error ``DataTable`` raised in its place was.
     """

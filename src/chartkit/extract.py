@@ -154,14 +154,12 @@ class ValueLabel:
 @dataclass
 class ParsedChart:
     marks: list[RawMark] = field(default_factory=list)
-    lines: list[dict] = field(default_factory=list)
     x_ticks: list[tuple[float, str]] = field(default_factory=list)
     y_ticks: list[tuple[float, str]] = field(default_factory=list)
     legend: list[tuple[str, str]] = field(default_factory=list)
     labels: list[ValueLabel] = field(default_factory=list)
     chart_meta: dict = field(default_factory=dict)
     axis_fields: dict = field(default_factory=dict)  # axis -> (name, unit)
-    titles: dict = field(default_factory=dict)
     diagnostics: list[str] = field(default_factory=list)
 
 
@@ -327,7 +325,7 @@ def parse_chart_svg(svg: str, profile: SelectorProfile = BUILTIN_PROFILE) -> Par
         if kind in ("bar", "slice", "point"):
             _collect_mark(parsed, profile, elem, kind, tx, ty)
         elif kind == "line":
-            parsed.lines.append({"series": elem.get(profile.series_attr)})
+            continue  # a series' polyline: its points are the marks
         elif kind == "mark_label":
             parsed.labels.append(ValueLabel(
                 _text_content(elem),
@@ -343,7 +341,6 @@ def parse_chart_svg(svg: str, profile: SelectorProfile = BUILTIN_PROFILE) -> Par
         elif kind == "legend_item":
             _collect_legend(parsed, profile, elem)
         elif kind == "chart_title":
-            parsed.titles["chart"] = _text_content(elem)
             for key in ("data-x-field", "data-y-field", "data-y-unit",
                         "data-group-field"):
                 if elem.get(key) is not None:

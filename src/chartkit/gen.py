@@ -73,6 +73,8 @@ def random_chart_table(
     scale = rng.choice(VALUE_SCALES)
     neg = negatives and not nonneg
 
+    y_col = Column(measure, NUMERIC, unit)
+    x_col = Column(x_name, CATEGORICAL)
     if not grouped:
         n = rows if rows is not None else rng.randint(3, 8)
         xs = rng.sample(vocab, n)
@@ -82,33 +84,20 @@ def random_chart_table(
             values[i] = values[j]
         if neg and all(v >= 0 for v in values):
             values[rng.randrange(n)] = -abs(values[rng.randrange(n)]) - 0.5
-        base = DataTable(
-            [Column(x_name, CATEGORICAL), Column(measure, NUMERIC, unit)],
-            [[x, v] for x, v in zip(xs, values)],
-        )
-        return ChartReadyTable(base, x_column=0, y_column=1)
+        return ChartReadyTable(DataTable([x_col, y_col], zip(xs, values)), y_col)
 
     k = n_series if n_series is not None else rng.randint(2, 4)
     max_x = max(1, 8 // k)
     m = rows if rows is not None else rng.randint(min(2, max_x), max_x)
     xs = rng.sample(vocab, m)
     groups = rng.sample(GROUP_VOCAB, k)
-    data = []
-    values = []
-    for x in xs:
-        for g in groups:
-            v = rand_value(rng, scale, neg)
-            values.append(v)
-            data.append([x, g, v])
-    if force_duplicates and len(data) >= 2:
-        i, j = rng.sample(range(len(data)), 2)
-        data[i][2] = data[j][2]
-    base = DataTable(
-        [Column(x_name, CATEGORICAL), Column("Group", CATEGORICAL),
-         Column(measure, NUMERIC, unit)],
-        data,
-    )
-    return ChartReadyTable(base, x_column=0, group_column=1, y_column=2)
+    data = [[x] + [rand_value(rng, scale, neg) for _ in groups] for x in xs]
+    if force_duplicates and m * k >= 2:
+        # i and j index the x-major grid of cells, one per mark.
+        i, j = rng.sample(range(m * k), 2)
+        data[i // k][1 + i % k] = data[j // k][1 + j % k]
+    columns = [x_col] + [Column(g, NUMERIC, unit) for g in groups]
+    return ChartReadyTable(DataTable(columns, data), y_col, "Group")
 
 
 def random_style(

@@ -20,6 +20,7 @@ on resume, and compacted (rewritten sorted by id) at the end of a run.
 from __future__ import annotations
 
 import json
+import os
 import random
 import re
 from concurrent.futures import ProcessPoolExecutor
@@ -35,6 +36,7 @@ from .errors import (
     InvalidConfig,
     LengthMismatch,
     MalformedSvg,
+    MalformedTable,
 )
 from .extract import BUILTIN_PROFILE, SelectorProfile, extract_chart
 from .gen import chart_table_for, random_style
@@ -82,6 +84,27 @@ DEFAULT_TASK_COUNTS = {
 }
 
 
+def _is(value, kinds) -> bool:
+    """``isinstance``, except that a bool is not a number here."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+_PATH = (str, os.PathLike)
+# (field, accepted types, what an error calls them) for each field whose
+# type alone is checked; labels, canvas and the dict fields' values have
+# their own checks.
+_FIELD_TYPES = (
+    ("seed", int, "an integer"),
+    ("count", int, "an integer"),
+    ("workers", int, "an integer"),
+    ("grouped_fraction", (int, float), "a number"),
+    ("style_overrides", dict, "an object"),
+    ("out", _PATH, "a path"),
+    ("tables_path", (*_PATH, type(None)), "a path or null"),
+    ("backend_config", (*_PATH, type(None)), "a path or null"),
+)
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Knobs for the synthesis and task-generation pipelines.
@@ -109,16 +132,21 @@ class PipelineConfig:
     canvas: tuple[int, int] = DEFAULT_CANVAS
 
     def __post_init__(self):
+        for name, kinds, what in _FIELD_TYPES:
+            value = getattr(self, name)
+            if not _is(value, kinds):
+                raise InvalidConfig(f"{name} must be {what}, not {value!r}")
         for name, kinds, what in (("chart_type_weights", (int, float), "numbers"),
                                   ("counts", int, "integers")):
             value = getattr(self, name)
             if not isinstance(value, dict) or not all(
-                isinstance(v, kinds) and not isinstance(v, bool)
-                for v in value.values()
+                _is(v, kinds) for v in value.values()
             ):
                 raise InvalidConfig(f"{name} must be an object of {what}, not {value!r}")
-        if isinstance(self.count, bool) or not isinstance(self.count, int):
-            raise InvalidConfig(f"count must be an integer, not {self.count!r}")
+        canvas = self.canvas
+        if not (isinstance(canvas, tuple) and len(canvas) == 2
+                and all(_is(v, int) and v > 0 for v in canvas)):
+            raise InvalidConfig(f"canvas must be two positive integers, not {canvas!r}")
         weights = self.chart_type_weights
         unknown = set(weights) - set(FAMILIES)
         if unknown:
@@ -146,7 +174,7 @@ class PipelineConfig:
         unknown = set(data) - known
         if unknown:
             raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")
-        if "canvas" in data:
+        if isinstance(data.get("canvas"), list):
             data["canvas"] = tuple(data["canvas"])
         return cls(**data)
 
@@ -169,7 +197,10 @@ def _load_table_pool(tables_path: str, seed: int) -> tuple:
         tables.extend(map(DataTable.from_json_dict, _load_jsonl(path)))
     pool = []
     for i, table in enumerate(tables):
-        pool.extend(decompose(table, rng_seed=seed + i))
+        try:
+            pool.extend(decompose(table, rng_seed=seed + i))
+        except MalformedTable as exc:
+            raise InvalidConfig(f"{tables_path}: {exc}") from exc
     if not pool:
         raise InvalidConfig(f"no chart-ready tables came out of {tables_path}")
     return tuple(pool)
@@ -540,13 +571,15 @@ def distill_corpus(
     budget: Optional[int] = None,
     checkpoint_path=None,
     log_path=None,
-) -> dict[str, str]:
+) -> tuple[dict[str, str], list[dict]]:
     """Generate a summary per chart through a backend or the offline fallback.
 
+    Returns (summary per finished id, ``{"id", "error"}`` per failed id).
     ``backend=None`` and ``backend_config=None`` selects the deterministic
     fallback; no network transport is ever constructed in that case.
     ``checkpoint_path`` names the driver's append journal of finished
-    summaries (see ``BatchDriver``); a rerun resumes from it.
+    summaries (see ``BatchDriver``); a rerun resumes from it and retries
+    the failed ids.
     """
     if backend is None and backend_config:
         backend = BackendClient.from_config(read_json_object(backend_config),
@@ -561,4 +594,4 @@ def distill_corpus(
                          budget=budget, log_path=log_path)
     done = driver.run(items)
     write_jsonl(out_path, ({"id": cid, "summary": done[cid]} for cid in sorted(done)))
-    return done
+    return done, driver.failures

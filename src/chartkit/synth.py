@@ -147,7 +147,7 @@ class ChartSpec:
         if not grouped_type and self.table.grouped:
             raise ValueError(f"{self.chart_type} requires an ungrouped table")
         if self.chart_type == PIE:
-            values = [r[self.table.y_column] for r in self.table.base.rows]
+            values = [r[1] for r in self.table.wide.rows]
             if any(v < 0 for v in values):
                 raise ValueError("pie charts require non-negative values")
             if sum(values) <= 0:
@@ -257,7 +257,7 @@ def choose_chart_type(
         weights = DEFAULT_TYPE_WEIGHTS
     families = list(FAMILIES)
     if table is not None:
-        values = [r[table.y_column] for r in table.base.rows]
+        values = [r[1] for r in table.wide.rows]
         pie_ok = 2 <= len(values) <= 8 and min(values) >= 0 and sum(values) > 0
         if table.grouped or not pie_ok:
             families.remove("pie")
@@ -403,10 +403,8 @@ def _series_layout(spec: ChartSpec):
     xs = table.x_labels()
     if spec.chart_type == PIE:
         series = list(xs)
-    elif table.grouped:
-        series = table.group_labels()
     else:
-        series = [table.y_name]
+        series = [c.name for c in table.wide.columns[1:]]
     series_colors = {s: colors[i % len(colors)] for i, s in enumerate(series)}
     return series, series_colors, xs
 
@@ -480,7 +478,7 @@ def _render_legend(svg, spec, series, series_colors, plot):
 
 def _render_xy(svg, spec, series, series_colors, xs, plot):
     style, table = spec.style, spec.table
-    values = [row[table.y_column] for row in table.base.rows]
+    values = [v for row in table.wide.rows for v in row[1:]]
     is_bar = spec.chart_type in (SIMPLE_BAR, GROUPED_BAR)
     if is_bar:
         lo, hi = min(0.0, min(values)), max(values)
@@ -551,11 +549,10 @@ def _render_xy(svg, spec, series, series_colors, xs, plot):
     )
 
     if is_bar:
-        marks = _render_bars(svg, spec, series, series_colors, xs, centers,
-                             band_w, plot, y_px, axis_min)
+        marks = _render_bars(svg, spec, series, series_colors, centers,
+                             band_w, y_px, axis_min)
     else:
-        marks = _render_lines(svg, spec, series, series_colors, xs, centers,
-                              y_px, plot)
+        marks = _render_lines(svg, spec, series, series_colors, centers, y_px)
     return marks, ticks
 
 
@@ -574,26 +571,15 @@ def _bar_slots(spec, series, band_w):
     return offsets, sub_w
 
 
-def _series_value(table, x, group_name):
-    group = group_name if table.grouped else None
-    try:
-        return table.value(x, group)
-    except KeyError:
-        return None
-
-
-def _render_bars(svg, spec, series, series_colors, xs, centers, band_w, plot,
-                 y_px, axis_min):
-    table, style = spec.table, spec.style
+def _render_bars(svg, spec, series, series_colors, centers, band_w, y_px,
+                 axis_min):
+    style = spec.style
     offsets, bar_w = _bar_slots(spec, series, band_w)
     bottom = y_px(axis_min)
     marks = []
     labels = []
-    for x in xs:
-        for name in series:
-            value = _series_value(table, x, name)
-            if value is None:
-                continue
+    for x, *values in spec.table.wide.rows:
+        for name, value in zip(series, values):
             top = y_px(value)
             bx = centers[x] + offsets[name]
             color = series_colors[name]
@@ -613,49 +599,41 @@ def _render_bars(svg, spec, series, series_colors, xs, centers, band_w, plot,
     return marks
 
 
-def _render_lines(svg, spec, series, series_colors, xs, centers, y_px, plot):
-    table, style = spec.table, spec.style
+def _render_lines(svg, spec, series, series_colors, centers, y_px):
+    style = spec.style
     dash = {"solid": "", "dotted": ' stroke-dasharray="2,5"',
             "dashed": ' stroke-dasharray="9,5"'}[style.line_dash]
     radius = 3.5
-    per_series_points = {name: [] for name in series}
-    for x in xs:
-        for name in series:
-            value = _series_value(table, x, name)
-            if value is not None:
-                per_series_points[name].append((x, centers[x], y_px(value), value))
-    for name in series:
-        pts = " ".join(f"{_px(px)},{_px(py)}" for _x, px, py, _v in per_series_points[name])
+    # One (x, pixel x, [(pixel y, value) per series]) entry per x label.
+    points = [(x, centers[x], [(y_px(v), v) for v in values])
+              for x, *values in spec.table.wide.rows]
+    for j, name in enumerate(series):
+        pts = " ".join(f"{_px(px)},{_px(ys[j][0])}" for _x, px, ys in points)
         svg.add(
             f'<polyline class="mark-line" data-series={_attr(name)} '
             f'points="{pts}" fill="none" stroke="{series_colors[name]}" '
             f'stroke-width="2.5"{dash}/>'
         )
     marks = []
-    for x in xs:
-        for name in series:
-            for px_, py, value in (
-                (p[1], p[2], p[3]) for p in per_series_points[name] if p[0] == x
-            ):
-                color = series_colors[name]
-                bbox = Rect(px_ - radius, py - radius, 2 * radius, 2 * radius)
-                svg.add(
-                    f'<circle class="mark-point" data-series={_attr(name)} '
-                    f'data-x={_attr(x)} cx="{_px(px_)}" cy="{_px(py)}" '
-                    f'r="{_px(radius)}" fill="{color}"/>'
-                )
-                marks.append(MarkRecord(name, x, value, bbox, color))
-                if style.show_data_labels:
-                    svg.text(format_number(value), px_, py - 7, cls="mark-label",
-                             attrs={"data-series": name, "data-x": x})
+    for x, px_, ys in points:
+        for name, (py, value) in zip(series, ys):
+            color = series_colors[name]
+            bbox = Rect(px_ - radius, py - radius, 2 * radius, 2 * radius)
+            svg.add(
+                f'<circle class="mark-point" data-series={_attr(name)} '
+                f'data-x={_attr(x)} cx="{_px(px_)}" cy="{_px(py)}" '
+                f'r="{_px(radius)}" fill="{color}"/>'
+            )
+            marks.append(MarkRecord(name, x, value, bbox, color))
+            if style.show_data_labels:
+                svg.text(format_number(value), px_, py - 7, cls="mark-label",
+                         attrs={"data-series": name, "data-x": x})
     return marks
 
 
 def _render_pie(svg, spec, series_colors, plot):
-    table, style = spec.table, spec.style
-    xs = table.x_labels()
-    values = [table.value(x) for x in xs]
-    total = sum(values)
+    style, rows = spec.style, spec.table.wide.rows
+    total = sum(value for _x, value in rows)
     cx, cy = plot.cx, plot.cy
     radius = 0.42 * min(plot.w, plot.h)
 
@@ -664,7 +642,7 @@ def _render_pie(svg, spec, series_colors, plot):
 
     marks = []
     theta = -math.pi / 2  # start at 12 o'clock, sweep clockwise
-    for x, value in zip(xs, values):
+    for x, value in rows:
         frac = value / total
         sweep = 2 * math.pi * frac
         theta_end = theta + sweep

@@ -3,7 +3,9 @@
 A DataTable is a small columnar table whose columns are either categorical
 (string cells) or numeric (finite float cells). infer_column_kinds turns a
 raw grid of text cells into a typed table; decompose slices a typed table
-into one-x / one-y (optionally one-group) tables small enough to chart.
+into chart-ready wide tables (x labels, then one numeric column per series)
+of at most MAX_MARKS marks, the shape a chart draws and its sidecar
+carries.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
     EmptyTable,
+    MalformedTable,
     NoCategoricalColumn,
     NoNumericColumn,
     RaggedInput,
@@ -221,106 +224,66 @@ def infer_column_kinds(raw: Sequence[Sequence[str]]) -> DataTable:
     return DataTable(columns, kept_rows)
 
 
-MAX_CHART_ROWS = 8
+MAX_MARKS = 8
 MAX_SERIES = 4
 
 
 @dataclass(frozen=True)
 class ChartReadyTable:
-    """A decomposed table: one categorical x, one numeric y, optional group.
+    """The wide table a chart draws: x labels, then one column per series.
 
-    Holds at most MAX_CHART_ROWS rows so the resulting chart stays legible;
-    (x, group) pairs are unique.
+    ``wide`` has a categorical x column first, then one numeric column per
+    series, one row per distinct x label. It is exactly the table the
+    sidecar carries and extraction reconstructs. An ungrouped table has one
+    series, the measure ``y`` itself. A grouped table names its series
+    after the group values, so the measure (``y``: name and unit) and the
+    group column's name ride beside it. At most MAX_MARKS marks (rows
+    times series columns) keep the chart legible.
     """
 
-    base: DataTable
-    x_column: int
-    y_column: int
-    group_column: Optional[int] = None
+    wide: DataTable
+    y: Column
+    group_name: Optional[str] = None
 
     def __post_init__(self):
-        t = self.base
-        if not (0 < t.n_rows <= MAX_CHART_ROWS):
-            raise ValueError(f"chart-ready table must have 1..{MAX_CHART_ROWS} rows")
-        if t.columns[self.x_column].kind != CATEGORICAL:
+        x_col, *series = self.wide.columns
+        n_marks = self.wide.n_rows * len(series)
+        if not (0 < n_marks <= MAX_MARKS):
+            raise ValueError(f"chart-ready table must have 1..{MAX_MARKS} marks")
+        if x_col.kind != CATEGORICAL:
             raise ValueError("x column must be categorical")
-        if t.columns[self.y_column].kind != NUMERIC:
-            raise ValueError("y column must be numeric")
-        if self.group_column is not None:
-            if t.columns[self.group_column].kind != CATEGORICAL:
-                raise ValueError("group column must be categorical")
-        keys = [(r[self.x_column], self._group_of(r)) for r in t.rows]
-        if len(set(keys)) != len(keys):
-            raise ValueError("(x, group) pairs must be unique")
-
-    def _group_of(self, row) -> Optional[str]:
-        return None if self.group_column is None else row[self.group_column]
+        if self.y.kind != NUMERIC or any(c.kind != NUMERIC for c in series):
+            raise ValueError("y and every series column must be numeric")
+        if not self.grouped and series != [self.y]:
+            raise ValueError("an ungrouped table's one series column must be y")
+        xs = self.x_labels()
+        if len(set(xs)) != len(xs):
+            raise ValueError("x labels must be unique")
 
     @property
     def grouped(self) -> bool:
-        return self.group_column is not None
+        return self.group_name is not None
 
     @property
     def x_name(self) -> str:
-        return self.base.columns[self.x_column].name
+        return self.wide.columns[0].name
 
     @property
     def y_name(self) -> str:
-        return self.base.columns[self.y_column].name
+        return self.y.name
 
     @property
     def y_unit(self) -> Optional[str]:
-        return self.base.columns[self.y_column].unit
-
-    @property
-    def group_name(self) -> Optional[str]:
-        if self.group_column is None:
-            return None
-        return self.base.columns[self.group_column].name
+        return self.y.unit
 
     def x_labels(self) -> list[str]:
-        """Distinct x values in first-occurrence order."""
-        seen: dict[str, None] = {}
-        for row in self.base.rows:
-            seen.setdefault(row[self.x_column], None)
-        return list(seen)
-
-    def group_labels(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for row in self.base.rows:
-            g = self._group_of(row)
-            if g is not None:
-                seen.setdefault(g, None)
-        return list(seen)
-
-    def value(self, x: str, group: Optional[str] = None) -> float:
-        for row in self.base.rows:
-            if row[self.x_column] == x and self._group_of(row) == group:
-                return row[self.y_column]
-        raise KeyError((x, group))
+        """The x labels, one per row, in chart order."""
+        return [row[0] for row in self.wide.rows]
 
     def to_wide_table(self) -> DataTable:
-        """Canonical wide view: x column plus one numeric column per series.
-
-        Ungrouped tables become (x, y); grouped tables pivot to one column
-        per group value (which must all differ from the x column name).
-        This is the table a reader would transcribe from the chart, and the
-        target that extraction reconstructs.
-        """
-        x_col = self.base.columns[self.x_column]
-        if not self.grouped:
-            y_col = self.base.columns[self.y_column]
-            rows = [
-                (r[self.x_column], r[self.y_column]) for r in self.base.rows
-            ]
-            return DataTable((x_col, y_col), rows)
-        groups = self.group_labels()
-        unit = self.y_unit
-        columns = [x_col] + [Column(g, NUMERIC, unit) for g in groups]
-        rows = []
-        for x in self.x_labels():
-            rows.append([x] + [self.value(x, g) for g in groups])
-        return DataTable(columns, rows)
+        """The table a reader would transcribe from the chart, and the
+        target that extraction reconstructs."""
+        return self.wide
 
 
 def decompose(table: DataTable, rng_seed: int) -> list[ChartReadyTable]:
@@ -328,10 +291,13 @@ def decompose(table: DataTable, rng_seed: int) -> list[ChartReadyTable]:
 
     Picks one numeric y column and one categorical x column (plus, half the
     time when available, a second categorical group column) pseudo-randomly
-    from the seed, then splits the rows into consecutive windows small
+    from the seed, then splits the x labels into consecutive windows small
     enough to chart. Duplicate (x, group) keys keep their first occurrence;
-    rows with empty x or group cells are skipped; grouped output keeps only
-    x values present in every group. Deterministic for a fixed seed.
+    rows with empty x or group cells are skipped; grouped output keeps the
+    first MAX_SERIES group values as series and only x values present in
+    every one of them. Deterministic for a fixed seed.
+
+    Raises MalformedTable when a series would take the x column's name.
     """
     numeric = table.indices_of_kind(NUMERIC)
     categorical = table.indices_of_kind(CATEGORICAL)
@@ -356,27 +322,22 @@ def decompose(table: DataTable, rng_seed: int) -> list[ChartReadyTable]:
     return _ungrouped_pieces(table, x, y)
 
 
-def _window_table(table, col_indices, rows):
-    columns = [table.columns[i] for i in col_indices]
-    data = [[row[i] for i in col_indices] for row in rows]
-    return DataTable(columns, data)
+def _windows(columns, rows, size, y, group_name):
+    return [
+        ChartReadyTable(DataTable(columns, rows[i : i + size]), y, group_name)
+        for i in range(0, len(rows), size)
+    ]
 
 
 def _ungrouped_pieces(table, x, y):
-    seen = set()
-    rows = []
+    values = {}
     for row in table.rows:
-        key = row[x]
-        if not str(key).strip() or key in seen:
-            continue
-        seen.add(key)
-        rows.append(row)
-    pieces = []
-    for start in range(0, len(rows), MAX_CHART_ROWS):
-        window = rows[start : start + MAX_CHART_ROWS]
-        base = _window_table(table, [x, y], window)
-        pieces.append(ChartReadyTable(base, x_column=0, y_column=1))
-    return pieces
+        if str(row[x]).strip():
+            values.setdefault(row[x], row[y])
+    y_col = table.columns[y]
+    return _windows((table.columns[x], y_col), list(values.items()),
+                    MAX_MARKS, y_col, None)
+
 
 def _grouped_pieces(table, x, group, y):
     values = {}
@@ -386,9 +347,7 @@ def _grouped_pieces(table, x, group, y):
         xv, gv = row[x], row[group]
         if not str(xv).strip() or not str(gv).strip():
             continue
-        if (xv, gv) in values:
-            continue
-        values[(xv, gv)] = row
+        values.setdefault((xv, gv), row[y])
         x_order.setdefault(xv, None)
         g_order.setdefault(gv, None)
 
@@ -396,12 +355,13 @@ def _grouped_pieces(table, x, group, y):
     xs = [xv for xv in x_order if all((xv, g) in values for g in groups)]
     if len(groups) < 2 or not xs:
         return []
-
-    per_window = max(1, MAX_CHART_ROWS // len(groups))
-    pieces = []
-    for start in range(0, len(xs), per_window):
-        window_x = xs[start : start + per_window]
-        rows = [values[(xv, g)] for xv in window_x for g in groups]
-        base = _window_table(table, [x, group, y], rows)
-        pieces.append(ChartReadyTable(base, x_column=0, group_column=1, y_column=2))
-    return pieces
+    x_col, y_col = table.columns[x], table.columns[y]
+    if x_col.name in groups:
+        raise MalformedTable(
+            f"group value {x_col.name!r} of column {table.columns[group].name!r} "
+            f"is also the x column's name"
+        )
+    columns = [x_col] + [Column(g, NUMERIC, y_col.unit) for g in groups]
+    rows = [[xv] + [values[(xv, g)] for g in groups] for xv in xs]
+    return _windows(columns, rows, max(1, MAX_MARKS // len(groups)),
+                    y_col, table.columns[group].name)

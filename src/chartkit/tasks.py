@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import AnswerNotInSummary, MissingSummary, UnsupportedChartType
-from .flatten import CELL_SEP, ROW_SEP, flatten_table
+from .flatten import CELL_SEP, ROW_SEP, flatten_table, format_number
 from .jsonl import encode_row
 from .synth import PIE, RenderedChart
 from .templates import REGISTRY, ChartView
@@ -100,8 +100,7 @@ def value_estimation_target(chart: RenderedChart) -> str:
                 frac = (plot.bottom - center) / plot.h
             else:
                 frac = mark.bbox.h / plot.h
-            cell = f"{round(frac, 2):.2f}".rstrip("0").rstrip(".")
-            cells.append(cell or "0")
+            cells.append(format_number(frac))
         rows.append(CELL_SEP.join(cells))
     return ROW_SEP.join(rows)
 

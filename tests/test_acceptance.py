@@ -317,8 +317,8 @@ def test_criterion_9_distill_offline(tmp_path, monkeypatch):
     out = tmp_path / "corpus"
     config = PipelineConfig(seed=99, count=25, out=str(out), labels="mixed")
     synthesize(config)
-    done = distill_corpus(out, tmp_path / "summaries.jsonl",
-                          checkpoint_path=str(tmp_path / "ckpt.jsonl"))
+    done, _ = distill_corpus(out, tmp_path / "summaries.jsonl",
+                             checkpoint_path=str(tmp_path / "ckpt.jsonl"))
     assert calls["n"] == 0
     assert len(done) == 25
 

@@ -21,11 +21,9 @@ from chartkit.tables import ChartReadyTable, Column, DataTable, NUMERIC
 
 def _chart(values, chart_type=SIMPLE_BAR, labels=True, xs=None, unit=None):
     xs = xs or [f"c{i}" for i in range(len(values))]
-    base = DataTable(
-        [Column("X"), Column("V", NUMERIC, unit)],
-        [[x, v] for x, v in zip(xs, values)],
-    )
-    table = ChartReadyTable(base, x_column=0, y_column=1)
+    y = Column("V", NUMERIC, unit)
+    wide = DataTable([Column("X"), y], [[x, v] for x, v in zip(xs, values)])
+    table = ChartReadyTable(wide, y)
     style = StyleParams(show_data_labels=labels)
     return render(ChartSpec(chart_type, table, style))
 
@@ -106,11 +104,11 @@ def test_zero_slice_in_labeled_pie():
 
 
 def test_grouped_negative_values_round_trip():
-    base = DataTable(
-        [Column("X"), Column("G"), Column("V", NUMERIC)],
-        [["a", "g1", -4.0], ["a", "g2", 2.0], ["b", "g1", 3.5], ["b", "g2", -1.0]],
+    wide = DataTable(
+        [Column("X"), Column("g1", NUMERIC), Column("g2", NUMERIC)],
+        [["a", -4.0, 2.0], ["b", 3.5, -1.0]],
     )
-    table = ChartReadyTable(base, x_column=0, group_column=1, y_column=2)
+    table = ChartReadyTable(wide, Column("V", NUMERIC), group_name="G")
     chart = render(ChartSpec(GROUPED_BAR, table, StyleParams(show_data_labels=False)))
     result = extract_chart(chart.svg)
     assert result.table == chart.table or all(

@@ -17,7 +17,7 @@ from chartkit.distill import (
     FallbackBackend,
     build_table_summary_prompt,
 )
-from chartkit.errors import ChartKitError
+from chartkit.errors import ChartKitError, ParseFailure
 from chartkit.jsonl import Journal, encode_row, load_by_id, read_jsonl, write_jsonl
 from chartkit.pipeline import PipelineConfig, distill_corpus, synthesize
 from chartkit.tables import Column, DataTable, NUMERIC
@@ -70,6 +70,34 @@ def test_interrupted_distill_resumes_to_fresh_bytes(tmp_path):
     assert len(ckpt.read_text(encoding="utf-8").splitlines()) == 3
     distill_corpus(root / "corpus", root / "summaries.jsonl",
                    checkpoint_path=ckpt)
+    assert tree_digest(root) == fresh
+
+
+def test_failed_distill_items_are_data_and_a_rerun_converges(tmp_path, capsys,
+                                                             monkeypatch):
+    fresh = _fresh_distill(tmp_path / "fresh")
+    root = tmp_path / "failed"
+    _corpus(root)
+    argv = ["distill", "--corpus", str(root / "corpus"), "--fallback",
+            "--out", str(root / "summaries.jsonl"),
+            "--checkpoint", str(root / "checkpoint.jsonl")]
+    calls = []
+    complete = FallbackBackend.complete
+
+    def fails_second_call(self, bundle):
+        calls.append(bundle)
+        if len(calls) == 2:
+            raise ParseFailure("garbled completion")
+        return complete(self, bundle)
+
+    monkeypatch.setattr(FallbackBackend, "complete", fails_second_call)
+    assert main(argv) == 1
+    assert "failed chart-000001: garbled completion" in capsys.readouterr().err
+    finished = [f"chart-{i:06d}" for i in (0, 2, 3, 4, 5)]
+    assert [row["id"] for row in read_jsonl(root / "summaries.jsonl")] == finished
+    assert sorted(load_by_id(root / "checkpoint.jsonl")) == finished
+    monkeypatch.undo()
+    assert main(argv) == 0
     assert tree_digest(root) == fresh
 
 

@@ -118,6 +118,20 @@ def test_synthesize_from_external_tables(tmp_path):
     assert len(manifest) == 6
 
 
+def test_group_value_equal_to_the_x_header_names_file_and_value(tmp_path, capsys):
+    # Seed 1 groups Sales by Kind and Region; the Region value "Kind" would
+    # head a series column beside the x column "Kind".
+    tables = tmp_path / "clash.csv"
+    tables.write_text("Kind,Region,Sales\nA,Kind,1\nA,North,2\nB,Kind,3\nB,North,4\n",
+                      encoding="utf-8")
+    rc = main(["synthesize", "--out", str(tmp_path / "corpus"), "--count", "5",
+               "--seed", "1", "--tables", str(tables)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert str(tables) in err and "'Kind'" in err
+
+
 PIE_TABLES = [
     {"columns": ["City", "Pop"], "rows": [["a", "10"], ["b", "20"], ["c", "15"]]},
     {"columns": ["Team", "Score"], "rows": [["x", "5"], ["y", "9"]]},
@@ -309,8 +323,9 @@ def test_distill_corpus_offline(tmp_path):
     config = _config(tmp_path, count=4)
     synthesize(config)
     out = tmp_path / "summaries.jsonl"
-    done = distill_corpus(config.out, out, checkpoint_path=str(tmp_path / "ck.jsonl"))
-    assert len(done) == 4
+    done, failures = distill_corpus(config.out, out,
+                                    checkpoint_path=str(tmp_path / "ck.jsonl"))
+    assert len(done) == 4 and failures == []
     rows = [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()]
     assert [r["id"] for r in rows] == sorted(r["id"] for r in rows)
 
@@ -334,8 +349,8 @@ def test_distill_corpus_with_backend_config(tmp_path, monkeypatch):
         assert headers["Authorization"] == "Bearer k"
         return 200, replies
 
-    done = distill_corpus(config.out, tmp_path / "s.jsonl",
-                          backend_config=str(backend_cfg), transport=transport)
+    done, _ = distill_corpus(config.out, tmp_path / "s.jsonl",
+                             backend_config=str(backend_cfg), transport=transport)
     assert set(done.values()) == {"A summary."}
 
 
@@ -454,18 +469,28 @@ def test_extract_unreadable_svg_is_a_recorded_failure(tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value", [
     ("rpm", "fast"), ("rpm", None), ("max_retries", [1]),
+    ("endpoint", 5), ("endpoint", None), ("endpoint", "not a url"),
+    ("model", ""), ("model", 5), ("auth_env", 5),
 ])
-def test_cli_distill_backend_value_of_the_wrong_type(tmp_path, capsys, key, value):
+def test_cli_distill_backend_value_of_the_wrong_type(tmp_path, capsys, monkeypatch,
+                                                     key, value):
+    import chartkit.distill as distill_mod
+
+    requests = []
+    monkeypatch.setattr(distill_mod, "default_transport",
+                        lambda url, *rest: requests.append(url) or (500, ""))
+    synthesize(_config(tmp_path, count=1))
     cfg = tmp_path / "backend.json"
     cfg.write_text(json.dumps({
         "endpoint": "https://example.invalid/v1/chat", "model": "toy", key: value,
     }), encoding="utf-8")
-    rc = main(["distill", "--corpus", str(tmp_path), "--out",
+    rc = main(["distill", "--corpus", str(tmp_path / "corpus"), "--out",
                str(tmp_path / "s.jsonl"), "--backend", str(cfg)])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert key in err
+    assert requests == []
 
 
 _SYNTHESIZE = ["synthesize", "--out", "{tmp}/corpus", "--config", "{path}"]
@@ -480,8 +505,20 @@ _GEN_TASKS = ["gen-tasks", "--corpus", "{tmp}", "--out", "{tmp}/t", "--counts"]
     (_GEN_TASKS + ["{bad"], None),
     (_GEN_TASKS + ["[1]"], None),
     (_GEN_TASKS + ['{"qa_reasoning": "x"}'], None),
+    (_SYNTHESIZE, '{"workers": "2"}'),
+    (_SYNTHESIZE, '{"grouped_fraction": "x"}'),
+    (_SYNTHESIZE, '{"canvas": 5}'),
+    (_SYNTHESIZE, '{"canvas": ["a", 5]}'),
+    (_SYNTHESIZE, '{"canvas": [0, 600]}'),
+    (_SYNTHESIZE, '{"style_overrides": 5}'),
+    (_SYNTHESIZE, '{"tables_path": 5}'),
+    (_SYNTHESIZE, '{"seed": 1.5}'),
+    (_SYNTHESIZE, '{"backend_config": 5}'),
 ], ids=["config-counts-value-str", "config-weights-value-str", "config-count-str",
-        "config-counts-list", "counts-not-json", "counts-list", "counts-value-str"])
+        "config-counts-list", "counts-not-json", "counts-list", "counts-value-str",
+        "config-workers-str", "config-grouped-fraction-str", "config-canvas-int",
+        "config-canvas-str-cell", "config-canvas-zero", "config-style-overrides-int",
+        "config-tables-path-int", "config-seed-float", "config-backend-config-int"])
 def test_cli_pipeline_config_of_the_wrong_type(tmp_path, capsys, argv, content):
     path = tmp_path / "config.json"
     if content is not None:
@@ -489,4 +526,5 @@ def test_cli_pipeline_config_of_the_wrong_type(tmp_path, capsys, argv, content):
     rc = main([a.replace("{tmp}", str(tmp_path)).replace("{path}", str(path))
                for a in argv])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err

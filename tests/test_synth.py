@@ -21,22 +21,20 @@ from chartkit.tables import ChartReadyTable, Column, DataTable, NUMERIC
 
 
 def _bar_table(values, unit=None, x_name="X", y_name="V"):
-    base = DataTable(
-        [Column(x_name), Column(y_name, NUMERIC, unit)],
-        [[f"c{i}", v] for i, v in enumerate(values)],
+    y = Column(y_name, NUMERIC, unit)
+    wide = DataTable(
+        [Column(x_name), y], [[f"c{i}", v] for i, v in enumerate(values)]
     )
-    return ChartReadyTable(base, x_column=0, y_column=1)
+    return ChartReadyTable(wide, y)
 
 
 def _grouped_table(groups):
-    rows = []
-    for x, per_group in groups.items():
-        for g, v in per_group.items():
-            rows.append([x, g, v])
-    base = DataTable(
-        [Column("X"), Column("G"), Column("V", NUMERIC)], rows
+    names = list(next(iter(groups.values())))
+    wide = DataTable(
+        [Column("X")] + [Column(g, NUMERIC) for g in names],
+        [[x] + [per_group[g] for g in names] for x, per_group in groups.items()],
     )
-    return ChartReadyTable(base, x_column=0, group_column=1, y_column=2)
+    return ChartReadyTable(wide, Column("V", NUMERIC), group_name="G")
 
 
 def test_choose_pie_requires_nonnegative():

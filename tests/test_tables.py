@@ -14,6 +14,7 @@ from chartkit.flatten import format_number
 from chartkit.tables import (
     CATEGORICAL,
     NUMERIC,
+    ChartReadyTable,
     Column,
     DataTable,
     decompose,
@@ -151,15 +152,17 @@ def test_csv_import():
     assert [r[1] for r in t.rows] == [10.0, 20.0]
 
 
-def _table(cat_cols, num_cols, n_rows, rng):
+def _table(cat_cols, num_cols, n_rows, rng, n_labels=None):
+    """Distinct labels per row, or ``n_labels`` repeating ones (so groups form)."""
     columns = [Column(n, CATEGORICAL) for n in cat_cols] + [
         Column(n, NUMERIC) for n in num_cols
     ]
     rows = []
     for i in range(n_rows):
-        row = [f"{name}{i}" for name in cat_cols] + [
-            round(rng.uniform(1, 100), 2) for _ in num_cols
-        ]
+        row = [
+            f"{name}{i if n_labels is None else rng.randrange(n_labels)}"
+            for name in cat_cols
+        ] + [round(rng.uniform(1, 100), 2) for _ in num_cols]
         rows.append(row)
     return DataTable(columns, rows)
 
@@ -168,8 +171,8 @@ def test_decompose_window_sizes():
     rng = random.Random(0)
     t = _table(["x"], ["v"], 10, rng)
     pieces = decompose(t, rng_seed=1)
-    assert [p.base.n_rows for p in pieces] == [8, 2]
-    assert all(p.group_column is None for p in pieces)
+    assert [p.wide.n_rows for p in pieces] == [8, 2]
+    assert not any(p.grouped for p in pieces)
 
 
 def test_decompose_preconditions():
@@ -190,10 +193,10 @@ def test_decompose_single_y_column_and_row_cap():
     rng = random.Random(9)
     t = _table(["x", "g"], ["v", "w"], 3, rng)
     for piece in decompose(t, 0):
-        assert piece.base.columns[piece.y_column].kind == NUMERIC
-        numeric = piece.base.indices_of_kind(NUMERIC)
-        assert numeric == [piece.y_column]
-        assert piece.base.n_rows <= 8
+        assert piece.y in t.columns and piece.y.kind == NUMERIC
+        series = piece.wide.columns[1:]
+        assert all(c.kind == NUMERIC and c.unit == piece.y.unit for c in series)
+        assert piece.wide.n_rows * len(series) <= 8
 
 
 @settings(max_examples=60, deadline=None)
@@ -205,33 +208,56 @@ def test_decompose_single_y_column_and_row_cap():
 def test_decompose_invariants_random(seed, n_rows, n_num):
     rng = random.Random(seed)
     cat_cols = ["x", "g"][: rng.randint(1, 2)]
-    t = _table(cat_cols, [f"v{i}" for i in range(n_num)], n_rows, rng)
+    n_labels = rng.choice([None, 3])
+    t = _table(cat_cols, [f"v{i}" for i in range(n_num)], n_rows, rng, n_labels)
+    names = [c.name for c in t.columns]
     for piece in decompose(t, seed):
-        assert piece.base.n_rows <= 8
-        keys = [
-            (r[piece.x_column], None if piece.group_column is None else r[piece.group_column])
-            for r in piece.base.rows
-        ]
-        assert len(set(keys)) == len(keys)
-        # No fabricated cells: every output row restricts some input row.
-        for row in piece.base.rows:
-            assert any(
-                all(cell in orig for cell in row) for orig in t.rows
-            )
+        wide = piece.wide
+        assert wide.n_rows * (wide.n_cols - 1) <= 8
+        assert len(set(piece.x_labels())) == wide.n_rows
+        x, y = names.index(piece.x_name), names.index(piece.y_name)
+        group = names.index(piece.group_name) if piece.grouped else None
+        # No fabricated cells: each (x, series, value) cell is some input row's.
+        for row in wide.rows:
+            for col, value in zip(wide.columns[1:], row[1:]):
+                assert any(
+                    orig[x] == row[0] and orig[y] == value
+                    and (group is None or orig[group] == col.name)
+                    for orig in t.rows
+                )
 
 
 def test_wide_table_grouped_pivot():
-    base = DataTable(
+    long = DataTable(
         [Column("Year"), Column("Region"), Column("Sales", NUMERIC, "%")],
         [
             ["2001", "North", 5.0], ["2001", "South", 7.0],
             ["2002", "North", 6.0], ["2002", "South", 8.0],
         ],
     )
-    from chartkit.tables import ChartReadyTable
-
-    crt = ChartReadyTable(base, x_column=0, group_column=1, y_column=2)
+    (crt,) = decompose(long, rng_seed=1)
+    assert (crt.x_name, crt.group_name, crt.y) == ("Year", "Region", long.columns[2])
     wide = crt.to_wide_table()
     assert [c.name for c in wide.columns] == ["Year", "North", "South"]
     assert wide.rows == (("2001", 5.0, 7.0), ("2002", 6.0, 8.0))
     assert all(c.unit == "%" for c in wide.columns[1:])
+
+
+def test_chart_ready_table_rejections():
+    x, y = Column("X"), Column("V", NUMERIC)
+
+    def ready(columns, rows, group_name=None):
+        return ChartReadyTable(DataTable(columns, rows), y, group_name)
+
+    ready([x, y], [[f"c{i}", 1.0] for i in range(8)])
+    with pytest.raises(ValueError, match="marks"):
+        ready([x, y], [[f"c{i}", 1.0] for i in range(9)])
+    with pytest.raises(ValueError, match="marks"):
+        series = [Column(g, NUMERIC) for g in "abc"]
+        ready([x, *series], [[f"c{i}", 1, 2, 3] for i in range(3)], "G")
+    with pytest.raises(ValueError, match="unique"):
+        ready([x, y], [["a", 1.0], ["a", 2.0]])
+    with pytest.raises(ValueError, match="numeric"):
+        ready([x, Column("a", NUMERIC), Column("b")], [["c0", 1.0, "t"]], "G")
+    with pytest.raises(ValueError, match="must be y"):
+        ready([x, Column("W", NUMERIC)], [["c0", 1.0]])

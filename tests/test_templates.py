@@ -24,22 +24,18 @@ from chartkit.templates import (
 
 def bar_chart(values, chart_type=SIMPLE_BAR, labels=None):
     labels = labels or [f"c{i}" for i in range(len(values))]
-    base = DataTable(
-        [Column("X"), Column("V", NUMERIC)],
-        [[x, v] for x, v in zip(labels, values)],
-    )
-    table = ChartReadyTable(base, x_column=0, y_column=1)
-    return render(ChartSpec(chart_type, table, StyleParams()))
+    y = Column("V", NUMERIC)
+    wide = DataTable([Column("X"), y], [[x, v] for x, v in zip(labels, values)])
+    return render(ChartSpec(chart_type, ChartReadyTable(wide, y), StyleParams()))
 
 
 def grouped_chart(series, xs=None, chart_type=GROUPED_BAR):
     xs = xs or [f"x{i}" for i in range(len(next(iter(series.values()))))]
-    rows = []
-    for x_i, x in enumerate(xs):
-        for name, values in series.items():
-            rows.append([x, name, values[x_i]])
-    base = DataTable([Column("X"), Column("G"), Column("V", NUMERIC)], rows)
-    table = ChartReadyTable(base, x_column=0, group_column=1, y_column=2)
+    wide = DataTable(
+        [Column("X")] + [Column(name, NUMERIC) for name in series],
+        [[x] + [values[i] for values in series.values()] for i, x in enumerate(xs)],
+    )
+    table = ChartReadyTable(wide, Column("V", NUMERIC), group_name="G")
     return render(ChartSpec(chart_type, table, StyleParams()))
 
 
@@ -62,11 +58,9 @@ def test_pie_applicability():
 
 
 def _pie_table():
-    base = DataTable(
-        [Column("X"), Column("V", NUMERIC)],
-        [["a", 3.0], ["b", 2.0], ["c", 1.0]],
-    )
-    return ChartReadyTable(base, x_column=0, y_column=1)
+    y = Column("V", NUMERIC)
+    wide = DataTable([Column("X"), y], [["a", 3.0], ["b", 2.0], ["c", 1.0]])
+    return ChartReadyTable(wide, y)
 
 
 def test_two_bar_chart_has_no_median_template():
@@ -207,12 +201,13 @@ def test_every_binding_matches_brute_force():
 def test_t39_pie_with_duplicate_extremes():
     # Equal smallest slices: the answer is the first slice clockwise, not
     # whichever bounding box happens to sit further left.
-    base = DataTable(
-        [Column("Product"), Column("Capacity", NUMERIC)],
+    y = Column("Capacity", NUMERIC)
+    wide = DataTable(
+        [Column("Product"), y],
         [["Printers", 37.22], ["Tablets", 18.12], ["Drones", 18.12],
          ["Speakers", 46.18], ["Phones", 37.37]],
     )
-    table = ChartReadyTable(base, x_column=0, y_column=1)
+    table = ChartReadyTable(wide, y)
     chart = render(ChartSpec(PIE, table, StyleParams()))
     assert _answer(chart, "T39", {"alt": "smallest"}) == "Tablets"
     assert _answer(chart, "T39", {"alt": "smallest"}) == brute_answer(
