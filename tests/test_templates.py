@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 from qa_brute import brute_answer
@@ -6,6 +7,7 @@ from chartkit.gen import random_chart
 from chartkit.palettes import color_name
 from chartkit.synth import (
     GROUPED_BAR,
+    LINE_MULTI,
     LINE_SINGLE,
     PIE,
     SIMPLE_BAR,
@@ -213,3 +215,39 @@ def test_t39_pie_with_duplicate_extremes():
     assert _answer(chart, "T39", {"alt": "smallest"}) == brute_answer(
         chart, "T39", {"alt": "smallest"}
     )
+
+
+# Every binding of every template, in order, with its question and answer:
+# a SHA-256 over (chart index, template id, question, answer) on seeded
+# random charts of all five types, some with negatives and some with forced
+# duplicate values. generate_qa indexes each binding list with
+# rng.randrange, so a binder that reorders, drops or adds a binding changes
+# the QA stream; this digest fails on any of those.
+BINDINGS_SHA256 = "22fa0af1658346382642795860de8049101e86e816764492a3518758e3deb48c"
+
+
+def test_golden_bindings_digest():
+    rng = random.Random(9090)
+    kinds = [SIMPLE_BAR, GROUPED_BAR, PIE, LINE_SINGLE, LINE_MULTI]
+    digest = hashlib.sha256()
+    bound = set()
+    count = 0
+    for i in range(500):
+        kwargs = {}
+        if i % 3 == 1:
+            kwargs["negatives"] = True
+        if i % 4 == 2:
+            kwargs["force_duplicates"] = True
+        chart = random_chart(rng, chart_type=kinds[i % 5], **kwargs)
+        view = ChartView(chart)
+        for tid in sorted(REGISTRY):
+            template = REGISTRY[tid]
+            for binding in template.bindings(view):
+                question = template.question(binding)
+                answer = template.answer(view, binding)
+                digest.update(f"{i}\0{tid}\0{question}\0{answer}\n".encode("utf-8"))
+                bound.add(tid)
+                count += 1
+    assert bound == set(REGISTRY)
+    assert count == 83988
+    assert digest.hexdigest() == BINDINGS_SHA256
