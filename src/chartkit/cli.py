@@ -11,6 +11,7 @@ from . import pipeline
 from .errors import ChartKitError, InvalidConfig
 from .extract import load_profile
 from .jsonl import encode_row
+from .metrics import METRIC_NAMES
 
 
 def _config_from_args(args) -> pipeline.PipelineConfig:
@@ -174,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score predictions against gold")
     p.add_argument("--pred", required=True)
     p.add_argument("--gold", required=True)
-    p.add_argument("--metrics", default="ra,rnss,rms,bleu")
+    p.add_argument("--metrics", default=",".join(METRIC_NAMES))
     p.add_argument("--out", help="write the full MetricReport JSON here")
     p.set_defaults(func=cmd_eval)
     return parser

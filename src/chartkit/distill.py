@@ -30,56 +30,39 @@ from .jsonl import Journal, encode_row
 from .tables import CATEGORICAL, DataTable
 
 
-@dataclass(frozen=True)
-class Exemplar:
-    """One demonstration pair: a flattened table and its summary."""
+SUMMARY_PREAMBLE = (
+    "You write short, factual summaries of data tables behind charts. "
+    "Mention notable highs, lows and overall patterns. Do not invent numbers."
+)
 
-    table_text: str
-    summary: str
-
-    def __post_init__(self):
-        if not self.table_text.strip():
-            raise ValueError("exemplar table must be non-empty")
-        if not self.summary.strip():
-            raise ValueError("exemplar summary must be non-empty")
+# The one demonstration, a flattened table and its summary, ahead of every
+# payload in the user message.
+DEMONSTRATION = (
+    "Table:\nQuarter | Revenue & Q1 | 12 & Q2 | 18 & Q3 | 9\n"
+    "Summary:\nRevenue peaked at 18 in Q2 before falling to a low of 9 in Q3, "
+    "ending below the 12 recorded in Q1.\n\n"
+)
 
 
 @dataclass(frozen=True)
 class PromptBundle:
-    """A fully assembled prompt: preamble, 1-shot demo, payload."""
+    """A 1-shot prompt: ``SUMMARY_PREAMBLE`` as the system message, then
+    ``DEMONSTRATION`` and the payload as the user message."""
 
-    system_preamble: str
     target_payload: str
-    demonstration: Exemplar
 
     def __post_init__(self):
         if not self.target_payload.strip():
             raise ValueError("target payload must be non-empty")
 
     def user_text(self) -> str:
-        return (
-            f"Table:\n{self.demonstration.table_text}\n"
-            f"Summary:\n{self.demonstration.summary}\n\n"
-            f"{self.target_payload}"
-        )
+        return DEMONSTRATION + self.target_payload
 
     def messages(self) -> list[dict]:
         return [
-            {"role": "system", "content": self.system_preamble},
+            {"role": "system", "content": SUMMARY_PREAMBLE},
             {"role": "user", "content": self.user_text()},
         ]
-
-
-SUMMARY_PREAMBLE = (
-    "You write short, factual summaries of data tables behind charts. "
-    "Mention notable highs, lows and overall patterns. Do not invent numbers."
-)
-
-DEFAULT_EXEMPLAR = Exemplar(
-    "Quarter | Revenue & Q1 | 12 & Q2 | 18 & Q3 | 9",
-    "Revenue peaked at 18 in Q2 before falling to a low of 9 in Q3, "
-    "ending below the 12 recorded in Q1.",
-)
 
 
 def build_table_summary_prompt(table: DataTable) -> PromptBundle:
@@ -91,7 +74,7 @@ def build_table_summary_prompt(table: DataTable) -> PromptBundle:
     lines = [f"Unit of {c.name}: {c.unit}" for c in table.columns if c.unit]
     lines.append(f"Table:\n{flatten_table(table)}")
     lines.append("Summary:")
-    return PromptBundle(SUMMARY_PREAMBLE, "\n".join(lines), DEFAULT_EXEMPLAR)
+    return PromptBundle("\n".join(lines))
 
 
 # -- deterministic offline fallback ---------------------------------------

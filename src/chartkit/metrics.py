@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence, Union
 
 from .assignment import hungarian, pad_square
-from .errors import ChartKitError, LengthMismatch
+from .errors import ChartKitError, InvalidConfig, LengthMismatch
 from .flatten import unflatten_table
 from .tables import CATEGORICAL, DataTable
 
@@ -385,16 +385,24 @@ class MetricReport:
         return asdict(self)
 
 
+METRIC_NAMES = ("ra", "rnss", "rms", "bleu")
+
+
 def score_pairs(
     pairs: list[tuple[str, str, list[str]]],
-    metrics: Sequence[str] = ("ra", "rnss", "rms", "bleu"),
+    metrics: Sequence[str] = METRIC_NAMES,
 ) -> MetricReport:
     """Score aligned (id, prediction, [references]) triples.
 
     "ra" and "rnss" use the first reference; "rms" parses both sides as
     flattened tables (malformed predictions score 0); "bleu" is computed
-    corpus-level over all pairs.
+    corpus-level over all pairs. ``metrics`` must name at least one of
+    ``METRIC_NAMES`` and nothing else (``InvalidConfig``).
     """
+    if not metrics or any(m not in METRIC_NAMES for m in metrics):
+        raise InvalidConfig(
+            f"metrics must be one or more of {','.join(METRIC_NAMES)}, not {list(metrics)!r}"
+        )
     report = MetricReport()
     sums: dict[str, float] = {}
     for cid, pred, refs in pairs:

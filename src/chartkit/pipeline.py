@@ -50,7 +50,7 @@ from .jsonl import (
     write_jsonl,
 )
 from .jsonl import read_jsonl as _load_jsonl  # perfbench times reads by this name
-from .metrics import MetricReport, score_pairs
+from .metrics import METRIC_NAMES, MetricReport, score_pairs
 from .synth import (
     DEFAULT_CANVAS,
     DEFAULT_TYPE_WEIGHTS,
@@ -59,6 +59,7 @@ from .synth import (
     PIE,
     ChartSpec,
     RenderedChart,
+    check_style_override,
     choose_chart_type,
     render,
 )
@@ -165,6 +166,11 @@ class PipelineConfig:
         unknown = set(self.counts) - set(TASK_KINDS)
         if unknown:
             raise InvalidConfig(f"unknown task kinds in counts: {sorted(unknown)}")
+        for key, value in self.style_overrides.items():
+            try:
+                check_style_override(key, value)
+            except ValueError as exc:
+                raise InvalidConfig(f"style_overrides: {exc}") from None
 
     @classmethod
     def from_file(cls, path, **overrides) -> "PipelineConfig":
@@ -548,7 +554,7 @@ def _eval_rows(path) -> list[dict]:
     return rows
 
 
-def evaluate(pred_path, gold_path, metrics=("ra", "rnss", "rms", "bleu")) -> MetricReport:
+def evaluate(pred_path, gold_path, metrics=METRIC_NAMES) -> MetricReport:
     """Score a predictions JSONL against a gold JSONL, aligned by id."""
     preds = {row["id"]: str(row["output"]) for row in _eval_rows(pred_path)}
     golds = _gold_groups(_eval_rows(gold_path))

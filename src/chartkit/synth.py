@@ -283,28 +283,52 @@ def _draw(rng: random.Random, space):
     return rng.choice(space)
 
 
+def check_style_override(key: str, value) -> None:
+    """Raise ``ValueError`` naming ``key`` unless ``diversify_style`` accepts
+    this override for every seed: a pin ``StyleParams`` accepts, a range
+    inside the field's range (low end first for an integer field), or a
+    non-empty list of the field's choices."""
+    if key not in STYLE_SPACE:
+        raise ValueError(f"unknown style field {key!r}")
+    space = STYLE_SPACE[key]
+    try:
+        if not isinstance(value, (list, tuple)):
+            StyleParams(**{key: value})
+            return
+        if isinstance(space, list) and len(value) == 2:
+            kind = type(space[0])
+            lo, hi = kind(value[0]), kind(value[1])
+            inside = all(space[0] <= v <= space[1] for v in (lo, hi))
+            if inside and (kind is float or lo <= hi):
+                return
+        elif isinstance(space, tuple) and value and all(v in space for v in value):
+            return
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"cannot override style field {key!r} with {value!r}: "
+                     f"it draws from {space!r}")
+
+
 def diversify_style(rng_seed: int, overrides: Optional[dict] = None) -> StyleParams:
     """Draw a full style seed-deterministically from ``STYLE_SPACE``.
 
     ``overrides`` pins fields (scalar), narrows numeric ranges ([lo, hi]),
     or restricts choices (list); each narrowed field is drawn again, after
-    the full draw, in the order of ``overrides``.
+    the full draw, in the order of ``overrides``. An override outside the
+    space raises ``ValueError`` (see ``check_style_override``).
     """
     rng = random.Random(rng_seed)
     drawn = {name: _draw(rng, space) for name, space in STYLE_SPACE.items()}
     for key, value in (overrides or {}).items():
-        if key not in STYLE_SPACE:
-            raise ValueError(f"unknown style field {key!r}")
+        check_style_override(key, value)
         space = STYLE_SPACE[key]
         if not isinstance(value, (list, tuple)):
             drawn[key] = value
-        elif isinstance(space, list) and len(value) == 2:
+        elif isinstance(space, list):
             kind = type(space[0])
             drawn[key] = _draw(rng, [kind(value[0]), kind(value[1])])
-        elif isinstance(space, tuple):
-            drawn[key] = rng.choice(value)
         else:
-            raise ValueError(f"cannot override {key!r} with {value!r}")
+            drawn[key] = rng.choice(value)
     return StyleParams(**drawn)
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations, permutations
 from typing import Callable
 
 from .flatten import format_number as fmt
@@ -123,9 +124,6 @@ class ChartView:
     def all_values(self) -> list[float]:
         return [m.value for m in self.marks]
 
-    def segments(self) -> list[tuple[str, float]]:
-        return [(m.x_label, m.value) for m in self.marks]
-
     # -- geometry -------------------------------------------------------
 
     def left_sorted(self) -> list[MarkRecord]:
@@ -177,19 +175,33 @@ def _register(tid, pattern, slots, bind, render, oracle):
 
 
 # -- binding enumeration helpers -----------------------------------------
+#
+# A binder maps a ChartView to its list of binding dicts. generate_qa draws
+# from each list with rng.randrange, so every binder's order is part of the
+# seeded task stream.
+
+
+def _when(predicate, bind):
+    """``bind``, on charts that satisfy ``predicate``; no bindings elsewhere."""
+    return lambda view: bind(view) if predicate(view) else []
+
+
+def _times(bind, name, options):
+    """Each binding of ``bind`` once per option of slot ``name``."""
+    return lambda view: [{**b, name: opt} for b in bind(view) for opt in options]
+
+
+def _each(bind, extra):
+    """Each binding of ``bind`` merged with every binding ``extra(view, binding)`` lists."""
+    return lambda view: [{**b, **more} for b in bind(view) for more in extra(view, b)]
 
 
 def _no_slots(predicate):
-    return lambda view: [{}] if predicate(view) else []
+    return _when(predicate, lambda view: [{}])
 
 
-def _alts(name, options, predicate=None):
-    def bind(view):
-        if predicate is not None and not predicate(view):
-            return []
-        return [{name: opt} for opt in options]
-
-    return bind
+def _alts(name, options, predicate):
+    return _times(_no_slots(predicate), name, options)
 
 
 def _colored_series(view: ChartView, min_len: int = 1) -> list[tuple[str, str]]:
@@ -205,16 +217,11 @@ def _colored_series(view: ChartView, min_len: int = 1) -> list[tuple[str, str]]:
 
 
 def _colored_pairs(view: ChartView, min_len: int = 1, aligned: bool = False):
-    singles = _colored_series(view, min_len)
-    pairs = []
-    for w1, s1 in singles:
-        for w2, s2 in singles:
-            if s1 == s2:
-                continue
-            if aligned and not view.aligned(s1, s2):
-                continue
-            pairs.append((w1, s1, w2, s2))
-    return pairs
+    return [
+        (w1, s1, w2, s2)
+        for (w1, s1), (w2, s2) in permutations(_colored_series(view, min_len), 2)
+        if not aligned or view.aligned(s1, s2)
+    ]
 
 
 def _series_slot(view: ChartView, min_len: int = 1) -> list[str]:
@@ -224,12 +231,10 @@ def _series_slot(view: ChartView, min_len: int = 1) -> list[str]:
 
 
 def _series_pairs(view: ChartView, aligned: bool = False):
-    names = _series_slot(view)
     return [
         (s1, s2)
-        for s1 in names
-        for s2 in names
-        if s1 != s2 and (not aligned or view.aligned(s1, s2))
+        for s1, s2 in permutations(_series_slot(view), 2)
+        if not aligned or view.aligned(s1, s2)
     ]
 
 
@@ -251,23 +256,6 @@ def _x_pair_answer(view: ChartView, xa: str, xb: str) -> str:
     return f"{first} and {second}"
 
 
-def _unique_pair_bindings(view: ChartView, series: str, combine) -> list[dict]:
-    """Pairs of x labels whose combined value is unique after formatting."""
-    xs = [m.x_label for m in view.series_marks(series)]
-    vals = view.values(series)
-    sums = [
-        (xs[i], xs[j], combine(vals[i], vals[j]))
-        for i in range(len(xs))
-        for j in range(i + 1, len(xs))
-    ]
-    counts = Counter(fmt(v) for _, _, v in sums)
-    return [
-        {"legend_label": series, "value": v, "_xa": xa, "_xb": xb}
-        for xa, xb, v in sums
-        if counts[fmt(v)] == 1
-    ]
-
-
 def _per_x_diffs(view: ChartView, s1: str, s2: str) -> list[tuple[str, float]]:
     return [
         (m.x_label, abs(m.value - view.value_at(s2, m.x_label)))
@@ -283,8 +271,74 @@ def _bars_only(view: ChartView) -> bool:
     return view.is_bar
 
 
+def _lines_only(view: ChartView) -> bool:
+    return view.is_line
+
+
 def _grouped_bars(view: ChartView) -> bool:
     return view.chart_type == GROUPED_BAR
+
+
+def _bind_colored(min_len=1):
+    return lambda view: [
+        {"color": w, "_series": s} for w, s in _colored_series(view, min_len)
+    ]
+
+
+def _bind_colored_pairs(min_len=1, aligned=False):
+    return lambda view: [
+        {"color_1": w1, "color_2": w2, "_series_1": s1, "_series_2": s2}
+        for w1, s1, w2, s2 in _colored_pairs(view, min_len, aligned)
+    ]
+
+
+def _bind_series(min_len=1, predicate=None):
+    """One binding per series whose values pass ``predicate``."""
+    return lambda view: [
+        {"legend_label": s}
+        for s in _series_slot(view, min_len)
+        if predicate is None or predicate(view.values(s))
+    ]
+
+
+def _bind_series_pairs(aligned=False):
+    return lambda view: [
+        {"legend_label_1": s1, "legend_label_2": s2}
+        for s1, s2 in _series_pairs(view, aligned=aligned)
+    ]
+
+
+def _bind_segments(view):
+    return [{"color": w, "_series": label} for w, label, _ in _colored_segments(view)]
+
+
+def _bind_exceeded(view):
+    """Each distinct value that some other value exceeds: all but the largest."""
+    return [{"value": t} for t in sorted(set(view.all_values()))[:-1]]
+
+
+def _unique_pairs(combine):
+    """Pairs of a series' x labels whose combined value is unique after formatting."""
+    def extra(view, b):
+        marks = [(m.x_label, m.value) for m in view.series_marks(b["legend_label"])]
+        combined = [(xa, xb, combine(a, b)) for (xa, a), (xb, b) in combinations(marks, 2)]
+        counts = Counter(fmt(v) for _, _, v in combined)
+        return [
+            {"value": v, "_xa": xa, "_xb": xb}
+            for xa, xb, v in combined
+            if counts[fmt(v)] == 1
+        ]
+
+    return extra
+
+
+def _values_slot(name):
+    """Slot ``name`` over the colored series' distinct values, ascending."""
+    return lambda view, b: [{name: t} for t in sorted(set(view.values(b["_series"])))]
+
+
+def _x_labels(view: ChartView, series: str) -> list[str]:
+    return [m.x_label for m in view.series_marks(series)]
 
 
 # -- T01..T12: positional bar selection ----------------------------------
@@ -406,22 +460,6 @@ _register(
 
 # -- T13..T18: color and legend lookups -----------------------------------
 
-
-def _bind_colored(min_len=1, extra=None):
-    def bind(view):
-        out = []
-        for word, series in _colored_series(view, min_len):
-            base = {"color": word, "_series": series}
-            if extra is None:
-                out.append(base)
-            else:
-                for more in extra(view, series):
-                    out.append({**base, **more})
-        return out
-
-    return bind
-
-
 _register(
     "T13", "Leftmost <color> data", ("color",),
     _bind_colored(),
@@ -454,88 +492,41 @@ _register(
     lambda v, b: b["_series"],
 )
 
-
-def _bind_legend(view):
-    if view.is_pie:
-        return []
-    return [
-        {"legend_label": s}
-        for s in view.series_names
-        if view.unique_color.get(view.color_word[s]) == s
-    ]
-
-
 _register(
     "T18", "What is the color of <legend>?", ("legend_label",),
-    _bind_legend,
+    lambda v: [{"legend_label": s} for _, s in _colored_series(v)],
     lambda b: f"What is the color of {b['legend_label']}?",
     lambda v, b: v.color_word[b["legend_label"]],
 )
 
 # -- T19..T24: whole-chart arithmetic -------------------------------------
 
-
-def _bind_t19(view):
-    if view.grouped:
-        return []
-    out = []
-    for i, xa in enumerate(view.x_labels):
-        for xb in view.x_labels[i + 1 :]:
-            if view.single_value(xa) != view.single_value(xb):
-                out.append({"x1": xa, "x2": xb})
-    return out
-
-
 _register(
     "T19", "Which one is greater, <x1> or <x2>?", ("x1", "x2"),
-    _bind_t19,
+    _when(lambda v: not v.grouped, lambda v: [
+        {"x1": xa, "x2": xb}
+        for xa, xb in combinations(v.x_labels, 2)
+        if v.single_value(xa) != v.single_value(xb)
+    ]),
     lambda b: f"Which one is greater, {b['x1']} or {b['x2']}?",
     lambda v, b: b["x1"]
     if v.single_value(b["x1"]) > v.single_value(b["x2"])
     else b["x2"],
 )
 
-
-def _bind_t20(view):
-    if len(view.marks) < 2:
-        return []
-    return [{"n": n} for n in (2, 3, 4)]
-
-
 _register(
     "T20", "Divide the sum of largest and lowest values by <n>", ("n",),
-    _bind_t20,
+    _alts("n", (2, 3, 4), lambda v: len(v.marks) >= 2),
     lambda b: f"Divide the sum of largest and lowest values by {b['n']}",
     lambda v, b: fmt((max(v.all_values()) + min(v.all_values())) / b["n"]),
 )
 
-
-def _bind_line_series(view, min_len=1):
-    if not view.is_line:
-        return []
-    return [{"legend_label": s} for s in _series_slot(view, min_len)]
-
-
 _register(
     "T21", "When did line <legend-label> peak?", ("legend_label",),
-    _bind_line_series,
+    _when(_lines_only, _bind_series()),
     lambda b: f"When did line {b['legend_label']} peak?",
     lambda v, b: v.peak_mark(b["legend_label"]).x_label,
 )
-
-
-def _bind_series(min_len=1, predicate=None):
-    def bind(view):
-        if view.is_pie:
-            return []
-        out = []
-        for s in _series_slot(view, min_len):
-            if predicate is None or predicate(view.values(s)):
-                out.append({"legend_label": s})
-        return out
-
-    return bind
-
 
 _register(
     "T22",
@@ -546,21 +537,9 @@ _register(
     lambda v, b: fmt(max(v.values(b["legend_label"])) - min(v.values(b["legend_label"]))),
 )
 
-
-def _bind_t23(view):
-    if not view.is_pie:
-        return []
-    vals = [v for _, v in view.segments()]
-    out = []
-    for t in sorted(set(vals)):
-        if any(v > t for v in vals):
-            out.append({"value": t})
-    return out
-
-
 _register(
     "T23", "Sum pie segments above <value>", ("value",),
-    _bind_t23,
+    _when(lambda v: v.is_pie, _bind_exceeded),
     lambda b: f"Sum pie segments above {fmt(b['value'])}",
     lambda v, b: fmt(sum(x for x in v.all_values() if x > b["value"])),
 )
@@ -575,21 +554,15 @@ _register(
 # -- T25..T43: single- and two-series statistics ---------------------------
 
 
-def _bind_t25(view):
-    if view.is_pie:
-        return []
-    out = []
-    for s in _series_slot(view, min_len=3):
-        out.append({"alt": "median", "legend_label": s})
-        vals = view.values(s)
-        if max(Counter(vals).values()) >= 2:
-            out.append({"alt": "mode", "legend_label": s})
-    return out
+def _median_and_mode(view, b):
+    """Median always; mode only when some value repeats."""
+    vals = view.values(b["legend_label"])
+    return [{"alt": "median"}] + ([{"alt": "mode"}] if len(set(vals)) < len(vals) else [])
 
 
 _register(
     "T25", "What is the median/mode of <legend-label>?", ("alt", "legend_label"),
-    _bind_t25,
+    _each(_bind_series(min_len=3), _median_and_mode),
     lambda b: f"What is the {b['alt']} of {b['legend_label']}?",
     lambda v, b: fmt(
         median(v.values(b["legend_label"]))
@@ -605,21 +578,10 @@ _register(
     lambda v, b: fmt(min(v.values(b["legend_label"]))),
 )
 
-
-def _bind_t27(view):
-    if view.is_pie:
-        return []
-    return [
-        {"alt": alt, "legend_label": s}
-        for s in _series_slot(view)
-        for alt in ("largest", "smallest")
-    ]
-
-
 _register(
     "T27", "What is the largest/smallest value of <legend-label>?",
     ("alt", "legend_label"),
-    _bind_t27,
+    _times(_bind_series(), "alt", ("largest", "smallest")),
     lambda b: f"What is the {b['alt']} value of {b['legend_label']}?",
     lambda v, b: fmt(
         max(v.values(b["legend_label"])) if b["alt"] == "largest"
@@ -627,20 +589,10 @@ _register(
     ),
 )
 
-
-def _bind_t28(view):
-    if view.is_pie:
-        return []
-    out = []
-    for s in _series_slot(view, min_len=2):
-        out.extend(_unique_pair_bindings(view, s, lambda a, b: a + b))
-    return out
-
-
 _register(
     "T28", "Which two x-axis labels of <legend-label> sums up to <value>?",
     ("legend_label", "value"),
-    _bind_t28,
+    _each(_bind_series(min_len=2), _unique_pairs(lambda a, b: a + b)),
     lambda b: f"Which two x-axis labels of {b['legend_label']} sum up to {fmt(b['value'])}?",
     lambda v, b: _x_pair_answer(v, b["_xa"], b["_xb"]),
 )
@@ -683,45 +635,23 @@ _register(
     ),
 )
 
-
-def _bind_t32(view):
-    if view.is_pie:
-        return []
-    out = []
-    for s in _series_slot(view, min_len=2):
-        out.extend(_unique_pair_bindings(view, s, lambda a, b: abs(a - b)))
-    return out
-
-
 _register(
     "T32", "Which two x-axis labels of <legend-label> have a difference of <value>?",
     ("legend_label", "value"),
-    _bind_t32,
+    _each(_bind_series(min_len=2), _unique_pairs(lambda a, b: abs(a - b))),
     lambda b: (
         f"Which two x-axis labels of {b['legend_label']} have a difference of {fmt(b['value'])}?"
     ),
     lambda v, b: _x_pair_answer(v, b["_xa"], b["_xb"]),
 )
 
-
-def _bind_t33(view):
-    if view.is_pie:
-        return []
-    out = []
-    for s in _series_slot(view, min_len=2):
-        xs = [m.x_label for m in view.series_marks(s)]
-        for i in range(len(xs)):
-            for j in range(i + 1, len(xs)):
-                out.append(
-                    {"legend_label": s, "x1": xs[i], "x2": xs[j], "_i": i, "_j": j}
-                )
-    return out
-
-
 _register(
     "T33", "What is the average of <legend-label> from <x-label-1> to <x-label-2>?",
     ("legend_label", "x1", "x2"),
-    _bind_t33,
+    _each(_bind_series(min_len=2), lambda v, b: [
+        {"x1": xa, "x2": xb, "_i": i, "_j": j}
+        for (i, xa), (j, xb) in combinations(enumerate(_x_labels(v, b["legend_label"])), 2)
+    ]),
     lambda b: f"What is the average of {b['legend_label']} from {b['x1']} to {b['x2']}?",
     lambda v, b: fmt(
         sum(v.values(b["legend_label"])[b["_i"] : b["_j"] + 1]) / (b["_j"] - b["_i"] + 1)
@@ -738,17 +668,6 @@ _register(
     ),
 )
 
-
-def _bind_series_pairs(aligned=False):
-    def bind(view):
-        return [
-            {"legend_label_1": s1, "legend_label_2": s2}
-            for s1, s2 in _series_pairs(view, aligned=aligned)
-        ]
-
-    return bind
-
-
 _register(
     "T35",
     "What is the sum of the average of <legend-label-1> and average of <legend-label-2>?",
@@ -764,20 +683,11 @@ _register(
     ),
 )
 
-
-def _bind_t36(view):
-    return [
-        {**b, "alt": alt}
-        for b in _bind_series_pairs()(view)
-        for alt in ("sum", "difference")
-    ]
-
-
 _register(
     "T36",
     "What is the sum/difference of the maximum of <legend-label-1> and minimum of <legend-label-2>?",
     ("alt", "legend_label_1", "legend_label_2"),
-    _bind_t36,
+    _times(_bind_series_pairs(), "alt", ("sum", "difference")),
     lambda b: (
         f"What is the {b['alt']} of the maximum of {b['legend_label_1']} "
         f"and minimum of {b['legend_label_2']}?"
@@ -788,14 +698,6 @@ _register(
         else abs(max(v.values(b["legend_label_1"])) - min(v.values(b["legend_label_2"])))
     ),
 )
-
-
-def _bind_t37(view):
-    return [
-        {**b, "alt": alt}
-        for b in _bind_series_pairs(aligned=True)(view)
-        for alt in ("maximum", "minimum")
-    ]
 
 
 def _t37_oracle(view, b):
@@ -809,7 +711,7 @@ _register(
     "Which x-axis label has the maximum/minimum difference between "
     "<legend-label-1> and minimum of <legend-label-2>?",
     ("alt", "legend_label_1", "legend_label_2"),
-    _bind_t37,
+    _times(_bind_series_pairs(aligned=True), "alt", ("maximum", "minimum")),
     lambda b: (
         f"Which x-axis label has the {b['alt']} difference between "
         f"{b['legend_label_1']} and {b['legend_label_2']}?"
@@ -852,20 +754,9 @@ _register(
     lambda v, b: fmt(sum(median(v.values(s)) for s in v.series_names)),
 )
 
-
-def _bind_t41(view):
-    vals = view.all_values()
-    out = []
-    for t in sorted(set(vals)):
-        above = [x for x in vals if x > t]
-        if above:
-            out.append({"value": t})
-    return out
-
-
 _register(
     "T41", "What is the average of all values above <value>?", ("value",),
-    _bind_t41,
+    _bind_exceeded,
     lambda b: f"What is the average of all values above {fmt(b['value'])}?",
     lambda v, b: fmt(
         sum(x for x in v.all_values() if x > b["value"])
@@ -889,20 +780,11 @@ _register(
     ),
 )
 
-
-def _bind_t43(view):
-    return [
-        {**b, "alt": alt}
-        for b in _bind_series_pairs(aligned=True)(view)
-        for alt in ("maximum", "minimum")
-    ]
-
-
 _register(
     "T43",
     "What is the maximum/minimum difference between <legend-label-1> and <legend-label-2>?",
     ("alt", "legend_label_1", "legend_label_2"),
-    _bind_t43,
+    _times(_bind_series_pairs(aligned=True), "alt", ("maximum", "minimum")),
     lambda b: (
         f"What is the {b['alt']} difference between "
         f"{b['legend_label_1']} and {b['legend_label_2']}?"
@@ -979,27 +861,11 @@ _register(
     lambda v, b: _ratio(v.left_sorted()[0].value, v.left_sorted()[1].value),
 )
 
-
-def _bind_colored_pairs(min_len=1, aligned=False, extra=None):
-    def bind(view):
-        out = []
-        for w1, s1, w2, s2 in _colored_pairs(view, min_len, aligned):
-            base = {"color_1": w1, "color_2": w2, "_series_1": s1, "_series_2": s2}
-            if extra is None:
-                out.append(base)
-            else:
-                for more in extra(view, s1, s2):
-                    out.append({**base, **more})
-        return out
-
-    return bind
-
-
 _register(
     "T50",
     "What is the difference between the rightmost <color-1> bar and leftmost <color-2> bar?",
     ("color_1", "color_2"),
-    lambda v: _bind_colored_pairs()(v) if _bars_only(v) else [],
+    _when(_bars_only, _bind_colored_pairs()),
     lambda b: (
         f"What is the difference between the rightmost {b['color_1']} bar "
         f"and the leftmost {b['color_2']} bar?"
@@ -1011,26 +877,16 @@ _register(
 
 _register(
     "T51", "What is the average of <color> bars values?", ("color",),
-    lambda v: _bind_colored()(v) if _bars_only(v) else [],
+    _when(_bars_only, _bind_colored()),
     lambda b: f"What is the average of the {b['color']} bars values?",
     lambda v, b: fmt(
         sum(v.values(b["_series"])) / len(v.values(b["_series"]))
     ),
 )
 
-
-def _bind_t52(view):
-    def extra(view_, series):
-        return [{"N": t} for t in sorted(set(view_.values(series)))]
-
-    if not view.is_bar:
-        return []
-    return _bind_colored(extra=extra)(view)
-
-
 _register(
     "T52", "How many <color> bars are larger than <N>?", ("color", "N"),
-    _bind_t52,
+    _when(_bars_only, _each(_bind_colored(), _values_slot("N"))),
     lambda b: f"How many {b['color']} bars are larger than {fmt(b['N'])}?",
     lambda v, b: str(sum(1 for x in v.values(b["_series"]) if x > b["N"])),
 )
@@ -1045,17 +901,11 @@ _register(
     ),
 )
 
-
-def _bind_t54(view):
-    if not _grouped_bars(view):
-        return []
-    cluster_vals = [m.value for m in view.cluster(view.x_labels[0])]
-    return [{"N": t} for t in sorted(set(cluster_vals))]
-
-
 _register(
     "T54", "How many bars in the leftmost group have a value over <N>?", ("N",),
-    _bind_t54,
+    _when(_grouped_bars, lambda v: [
+        {"N": t} for t in sorted({m.value for m in v.cluster(v.x_labels[0])})
+    ]),
     lambda b: f"How many bars in the leftmost group have a value over {fmt(b['N'])}?",
     lambda v, b: str(
         sum(1 for m in v.cluster(v.x_labels[0]) if m.value > b["N"])
@@ -1064,16 +914,9 @@ _register(
 
 # -- T55..T63: color-addressed series stats ---------------------------------
 
-
-def _bind_t55(view):
-    if view.is_pie:
-        return [{"color": w, "_series": label} for w, label, _ in _colored_segments(view)]
-    return _bind_colored()(view)
-
-
 _register(
     "T55", "What does the <color> represent?", ("color",),
-    _bind_t55,
+    lambda v: _bind_segments(v) if v.is_pie else _bind_colored()(v),
     lambda b: f"What does the {b['color']} color represent?",
     lambda v, b: b["_series"],
 )
@@ -1184,7 +1027,7 @@ _register(
 
 _register(
     "T66", "Difference between the two lowest <color> bars", ("color",),
-    lambda v: _bind_colored(min_len=2)(v) if _bars_only(v) else [],
+    _when(_bars_only, _bind_colored(min_len=2)),
     lambda b: f"Difference between the two lowest {b['color']} bars",
     lambda v, b: fmt(
         sorted(v.values(b["_series"]))[1] - sorted(v.values(b["_series"]))[0]
@@ -1201,38 +1044,19 @@ _register(
     ),
 )
 
-
-def _bind_t68(view):
-    def extra(view_, series):
-        return [{"x": m.x_label} for m in view_.series_marks(series)]
-
-    return _bind_colored(extra=extra)(view)
-
-
 _register(
     "T68", "What is the value of <color> line/bars in <x-axis-label>?", ("color", "x"),
-    _bind_t68,
+    _each(_bind_colored(), lambda v, b: [{"x": x} for x in _x_labels(v, b["_series"])]),
     lambda b: f"What is the value of the {b['color']} series in {b['x']}?",
     lambda v, b: fmt(v.value_at(b["_series"], b["x"])),
 )
 
-
-def _bind_t69(view):
-    def extra(view_, s1, s2):
-        shared = [
-            m.x_label
-            for m in view_.series_marks(s1)
-            if any(n.x_label == m.x_label for n in view_.series_marks(s2))
-        ]
-        return [{"x": x, "alt": alt} for x in shared for alt in ("Sum", "Average")]
-
-    return _bind_colored_pairs(extra=extra)(view)
-
-
 _register(
     "T69", "Sum/Average of <color-1> and <color-2> values in <x-axis-label>?",
     ("alt", "color_1", "color_2", "x"),
-    _bind_t69,
+    _times(_each(_bind_colored_pairs(), lambda v, b: [
+        {"x": x} for x in _x_labels(v, b["_series_1"]) if x in _x_labels(v, b["_series_2"])
+    ]), "alt", ("Sum", "Average")),
     lambda b: f"{b['alt']} of {b['color_1']} and {b['color_2']} values in {b['x']}?",
     lambda v, b: fmt(
         (v.value_at(b["_series_1"], b["x"]) + v.value_at(b["_series_2"], b["x"]))
@@ -1251,14 +1075,6 @@ _register(
 )
 
 
-def _bind_t71(view):
-    if view.is_pie or len(view.series_names) < 2:
-        return []
-    if len(view.unique_color) != len(view.series_names):
-        return []
-    return [{"alt": "highest"}, {"alt": "smallest"}]
-
-
 def _t71_oracle(view, b):
     pick = max if b["alt"] == "highest" else min
     best_name = view.series_names[0]
@@ -1274,7 +1090,10 @@ def _t71_oracle(view, b):
 
 _register(
     "T71", "Which color has the highest/smallest values?", ("alt",),
-    _bind_t71,
+    _alts(
+        "alt", ("highest", "smallest"),
+        lambda v: not v.is_pie and 2 <= len(v.series_names) == len(v.unique_color),
+    ),
     lambda b: f"Which color has the {b['alt']} values?",
     _t71_oracle,
 )
@@ -1313,16 +1132,9 @@ _register(
     ),
 )
 
-
-def _bind_t76(view):
-    if not view.is_line:
-        return []
-    return _bind_colored()(view)
-
-
 _register(
     "T76", "When did <color> line reached the peak?", ("color",),
-    _bind_t76,
+    _when(_lines_only, _bind_colored()),
     lambda b: f"When did the {b['color']} line reach the peak?",
     lambda v, b: v.peak_mark(b["_series"]).x_label,
 )
@@ -1330,44 +1142,33 @@ _register(
 _register(
     "T77", "What is the average of the rightmost three points of <color> line?",
     ("color",),
-    lambda v: _bind_colored(min_len=3)(v) if v.is_line else [],
+    _when(_lines_only, _bind_colored(min_len=3)),
     lambda b: f"What is the average of the rightmost three points of the {b['color']} line?",
     lambda v, b: fmt(sum(v.values(b["_series"])[-3:]) / 3),
 )
 
-
-def _bind_t78(view):
-    def extra(view_, series):
-        return [{"value": t} for t in sorted(set(view_.values(series)))]
-
-    return _bind_colored(min_len=2, extra=extra)(view)
-
-
 _register(
     "T78", "How many <color> data points are above <value>?", ("color", "value"),
-    _bind_t78,
+    _each(_bind_colored(min_len=2), _values_slot("value")),
     lambda b: f"How many {b['color']} data points are above {fmt(b['value'])}?",
     lambda v, b: str(sum(1 for x in v.values(b["_series"]) if x > b["value"])),
 )
 
 
-def _bind_t79(view):
-    if not view.is_bar:
-        return []
-    out = []
-    for word, series in _colored_series(view, min_len=2):
-        vals = sorted(view.values(series), reverse=True)
-        if vals[1] != 0:
-            out.append({"alt": "second", "color": word, "_series": series})
-        if len(vals) >= 3 and vals[2] != 0:
-            out.append({"alt": "third", "color": word, "_series": series})
-    return out
+def _nonzero_runners_up(view, b):
+    """The second- and third-largest values, where they exist and are nonzero."""
+    vals = sorted(view.values(b["_series"]), reverse=True)
+    return [
+        {"alt": alt}
+        for k, alt in ((1, "second"), (2, "third"))
+        if len(vals) > k and vals[k] != 0
+    ]
 
 
 _register(
     "T79", "What's the ratio of the largest and the third/second-largest <color> bar?",
     ("alt", "color"),
-    _bind_t79,
+    _when(_bars_only, _each(_bind_colored(min_len=2), _nonzero_runners_up)),
     lambda b: (
         f"What's the ratio of the largest and the {b['alt']}-largest {b['color']} bar?"
     ),
@@ -1379,29 +1180,16 @@ _register(
 
 # -- T80..T88: comparisons and compound arithmetic ---------------------------
 
-
-def _bind_t80(view):
-    if not _grouped_bars(view):
-        return []
-    singles = _colored_series(view)
-    out = []
-    for w1, s1 in singles:
-        for w2, s2 in singles:
-            for w3, s3 in singles:
-                if len({s1, s2, s3}) == 3:
-                    out.append({
-                        "color_1": w1, "color_2": w2, "color_3": w3,
-                        "_series_1": s1, "_series_2": s2, "_series_3": s3,
-                    })
-    return out
-
-
 _register(
     "T80",
     "Is the sum of lowest value of <color-1> and <color-2> bar greater than "
     "largest value of <color-3> bar?",
     ("color_1", "color_2", "color_3"),
-    _bind_t80,
+    _when(_grouped_bars, lambda v: [
+        {"color_1": w1, "color_2": w2, "color_3": w3,
+         "_series_1": s1, "_series_2": s2, "_series_3": s3}
+        for (w1, s1), (w2, s2), (w3, s3) in permutations(_colored_series(v), 3)
+    ]),
     lambda b: (
         f"Is the sum of the lowest values of the {b['color_1']} and {b['color_2']} bars "
         f"greater than the largest value of the {b['color_3']} bar?"
@@ -1416,7 +1204,7 @@ _register(
     "T81",
     "Is the median value of <color-1> bars greater than the median value of <color-2> bars?",
     ("color_1", "color_2"),
-    lambda v: _bind_colored_pairs()(v) if _bars_only(v) else [],
+    _when(_bars_only, _bind_colored_pairs()),
     lambda b: (
         f"Is the median value of the {b['color_1']} bars greater than "
         f"the median value of the {b['color_2']} bars?"
@@ -1430,7 +1218,7 @@ _register(
     "T82",
     "Is the median of all the <color-1> bars greater than the largest value of <color-2> bar?",
     ("color_1", "color_2"),
-    lambda v: _bind_colored_pairs()(v) if _bars_only(v) else [],
+    _when(_bars_only, _bind_colored_pairs()),
     lambda b: (
         f"Is the median of all the {b['color_1']} bars greater than "
         f"the largest value of the {b['color_2']} bars?"
@@ -1440,25 +1228,12 @@ _register(
     ),
 )
 
-
-def _bind_t83(view):
-    def extra(view_, series):
-        xs = [m.x_label for m in view_.series_marks(series)]
-        return [
-            {"x1": xs[i], "x2": xs[j]}
-            for i in range(len(xs))
-            for j in range(i + 1, len(xs))
-        ]
-
-    if not view.is_bar:
-        return []
-    return _bind_colored(min_len=2, extra=extra)(view)
-
-
 _register(
     "T83", "What's the product of <color> bars in India and Japan?",
     ("color", "x1", "x2"),
-    _bind_t83,
+    _when(_bars_only, _each(_bind_colored(min_len=2), lambda v, b: [
+        {"x1": xa, "x2": xb} for xa, xb in combinations(_x_labels(v, b["_series"]), 2)
+    ])),
     lambda b: f"What's the product of the {b['color']} bars in {b['x1']} and {b['x2']}?",
     lambda v, b: fmt(v.value_at(b["_series"], b["x1"]) * v.value_at(b["_series"], b["x2"])),
 )
@@ -1483,28 +1258,16 @@ _register(
     _t84_oracle,
 )
 
-
-def _bind_t85(view):
-    def extra(view_, s1, s2):
-        xs1 = [m.x_label for m in view_.series_marks(s1)]
-        xs2 = [m.x_label for m in view_.series_marks(s2)]
-        return [
-            {"x1": x1, "x2": x2}
-            for x1 in xs1
-            for x2 in xs2
-            if view_.value_at(s2, x2) != 0
-        ]
-
-    if not view.is_bar:
-        return []
-    return _bind_colored_pairs(extra=extra)(view)
-
-
 _register(
     "T85",
     "What's the ratio of the <x-axis-label-1> <color-1> bar and the <x-axis-2> <color-2> bar?",
     ("x1", "color_1", "x2", "color_2"),
-    _bind_t85,
+    _when(_bars_only, _each(_bind_colored_pairs(), lambda v, b: [
+        {"x1": x1, "x2": m.x_label}
+        for x1 in _x_labels(v, b["_series_1"])
+        for m in v.series_marks(b["_series_2"])
+        if m.value != 0
+    ])),
     lambda b: (
         f"What's the ratio of the {b['x1']} {b['color_1']} bar "
         f"and the {b['x2']} {b['color_2']} bar?"
@@ -1517,7 +1280,7 @@ _register(
 _register(
     "T86", "Is the total of all <color-1> bars greater than the total of all <color-2> bars?",
     ("color_1", "color_2"),
-    lambda v: _bind_colored_pairs()(v) if _bars_only(v) else [],
+    _when(_bars_only, _bind_colored_pairs()),
     lambda b: (
         f"Is the total of all {b['color_1']} bars greater than "
         f"the total of all {b['color_2']} bars?"
@@ -1532,7 +1295,7 @@ _register(
     "Take the sum of the two smallest <color-1> bars and smallest <color-2> bars, "
     "deduct the smaller value from the larger value, what's the result?",
     ("color_1", "color_2"),
-    lambda v: _bind_colored_pairs(min_len=2)(v) if _bars_only(v) else [],
+    _when(_bars_only, _bind_colored_pairs(min_len=2)),
     lambda b: (
         f"Take the sum of the two smallest {b['color_1']} bars and the two smallest "
         f"{b['color_2']} bars, deduct the smaller value from the larger value, "
@@ -1547,17 +1310,6 @@ _register(
 )
 
 
-def _bind_t88(view):
-    if not view.is_bar:
-        return []
-    out = []
-    for word, series in _colored_series(view, min_len=2):
-        for op in ("sum", "average"):
-            for which in ("smallest", "largest"):
-                out.append({"alt": op, "which": which, "color": word, "_series": series})
-    return out
-
-
 def _t88_oracle(view, b):
     vals = sorted(view.values(b["_series"]))
     two = vals[:2] if b["which"] == "smallest" else vals[-2:]
@@ -1568,35 +1320,29 @@ def _t88_oracle(view, b):
 _register(
     "T88", "What is the sum/average of two smallest/largest <color> bars?",
     ("alt", "which", "color"),
-    _bind_t88,
+    _when(_bars_only, _times(
+        _times(_bind_colored(min_len=2), "alt", ("sum", "average")),
+        "which", ("smallest", "largest"),
+    )),
     lambda b: f"What is the {b['alt']} of the two {b['which']} {b['color']} bars?",
     _t88_oracle,
 )
 
-
-def _bind_t89(view):
-    segs = _colored_segments(view)
-    out = []
-    for w1, l1, v1 in segs:
-        for w2, l2, v2 in segs:
-            if l1 != l2 and v2 != 0:
-                out.append({"color_1": w1, "color_2": w2, "_x1": l1, "_x2": l2})
-    return out
-
-
 _register(
     "T89", "What is the ratio of <color-1> and <color-2> segments?",
     ("color_1", "color_2"),
-    _bind_t89,
+    lambda v: [
+        {"color_1": w1, "color_2": w2, "_x1": x1, "_x2": x2}
+        for (w1, x1, _), (w2, x2, value) in permutations(_colored_segments(v), 2)
+        if value != 0
+    ],
     lambda b: f"What is the ratio of the {b['color_1']} and {b['color_2']} segments?",
     lambda v, b: _ratio(v.single_value(b["_x1"]), v.single_value(b["_x2"])),
 )
 
 _register(
     "T90", "What segment is represented by <color>?", ("color",),
-    lambda v: [
-        {"color": w, "_series": label} for w, label, _ in _colored_segments(v)
-    ],
+    _bind_segments,
     lambda b: f"What segment is represented by the {b['color']} color?",
     lambda v, b: b["_series"],
 )

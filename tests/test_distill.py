@@ -3,10 +3,8 @@ import json
 import pytest
 
 from chartkit.distill import (
-    DEFAULT_EXEMPLAR,
     BackendClient,
     BatchDriver,
-    Exemplar,
     FallbackBackend,
     PromptBundle,
     build_table_summary_prompt,
@@ -27,9 +25,7 @@ def _table():
 
 def test_bundle_validation():
     with pytest.raises(ValueError):
-        PromptBundle("sys", "  ", DEFAULT_EXEMPLAR)
-    with pytest.raises(ValueError):
-        Exemplar("t", "   ")  # empty demo summary
+        PromptBundle("  ")
 
 
 PINNED_SYSTEM_TEXT = (
@@ -71,7 +67,6 @@ def test_table_summary_prompt_deterministic_and_complete():
     for name in ("Year", "Sales"):
         assert name in a.target_payload
     assert "Unit of Sales: %" in a.target_payload
-    assert a.demonstration == DEFAULT_EXEMPLAR
 
 
 def test_fallback_summary_rules():

@@ -528,3 +528,37 @@ def test_cli_pipeline_config_of_the_wrong_type(tmp_path, capsys, argv, content):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"font_px": 100}, "font_px"),
+    ({"bogus": 1}, "bogus"),
+    ({"font_px": [1, 30]}, "font_px"),
+    ({"grid": ["none", "zigzag"]}, "grid"),
+], ids=["pin-out-of-range", "unknown-field", "range-wider-than-space", "unknown-choice"])
+def test_cli_style_override_outside_the_space(tmp_path, capsys, overrides, field):
+    # A narrowed range that only some seeds draw outside of is rejected up
+    # front too, before any chart is written.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"count": 3, "style_overrides": overrides}),
+                    encoding="utf-8")
+    out = tmp_path / "corpus"
+    rc = main(["synthesize", "--out", str(out), "--config", str(path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "style_overrides" in err and repr(field) in err
+    assert not out.exists() or not list(out.rglob("*.svg"))
+
+
+@pytest.mark.parametrize("names", ["ra,blue", ","], ids=["typo", "empty"])
+def test_cli_eval_rejects_unknown_or_no_metrics(tmp_path, capsys, names):
+    pred = tmp_path / "p.jsonl"
+    pred.write_text(json.dumps({"id": "a", "output": "10"}) + "\n", encoding="utf-8")
+    rc = main(["eval", "--pred", str(pred), "--gold", str(pred), "--metrics", names])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "ra,rnss,rms,bleu" in captured.err
+    if names == "ra,blue":
+        assert "'blue'" in captured.err
