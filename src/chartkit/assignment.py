@@ -1,11 +1,16 @@
 """Minimum-cost assignment on square matrices.
 
-The Hungarian solver below is the O(n^3) potentials-and-augmenting-paths
-formulation in pure Python. rnss and rms_f1 run it on matrices padded
-square to the larger side's number or entry count, which reaches tens of
-rows on wide tables and hundreds at real benchmark table sizes.
-exhaustive_assignment brute-forces every permutation and exists as the
-cross-check oracle for small instances.
+``hungarian`` is the O(n^3) potentials-and-augmenting-paths formulation in
+pure Python. Each augmentation grows a tree of columns and scans only the
+columns still off it, in ascending order, so a tie goes to the lowest
+column, as in the textbook loop over all columns. rnss and rms_f1 run it
+on matrices padded square (``pad_square``) to the larger side's number or
+entry count, which reaches tens of rows on wide tables and hundreds at
+real benchmark table sizes. A rectangular solver (Jonker-Volgenant) would
+skip the padding, but it may pick another optimum on a tie, which changes
+the summed float score; the eval workloads' matrices are mostly square
+already. ``exhaustive_assignment`` brute-forces every permutation and
+exists as the cross-check oracle for small instances.
 """
 
 from __future__ import annotations
@@ -35,31 +40,32 @@ def hungarian(cost: list[list[float]]) -> tuple[list[int], float]:
         p[0] = i
         j0 = 0
         minv = [INF] * (n + 1)
-        used = [False] * (n + 1)
+        free = list(range(1, n + 1))  # columns off the tree, ascending
+        used = [0]  # columns on the tree
         while True:
-            used[j0] = True
             i0 = p[j0]
+            row = cost[i0 - 1]
+            ui = u[i0]
             delta = INF
             j1 = 0
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = cost[i0 - 1][j - 1] - u[i0] - v[j]
+            for j in free:
+                cur = row[j - 1] - ui - v[j]
                 if cur < minv[j]:
                     minv[j] = cur
                     way[j] = j0
                 if minv[j] < delta:
                     delta = minv[j]
                     j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
+            for j in used:
+                u[p[j]] += delta
+                v[j] -= delta
+            for j in free:
+                minv[j] -= delta
             j0 = j1
             if p[j0] == 0:
                 break
+            free.remove(j0)
+            used.append(j0)
         while j0:
             j1 = way[j0]
             p[j0] = p[j1]

@@ -29,14 +29,17 @@ _NUMBER_RE = re.compile(
 
 
 def extract_numbers(text: str) -> list[float]:
-    """All numbers embedded in a string; "12%" counts as 12."""
+    """All numbers embedded in a string; "12%" counts as 12. A number too
+    large for a float is left out."""
     out = []
     for token in _NUMBER_RE.findall(text):
         token = token.rstrip("%").replace(",", "")
         try:
-            out.append(float(token))
+            value = float(token)
         except ValueError:  # pragma: no cover - regex should prevent this
             continue
+        if math.isfinite(value):
+            out.append(value)
     return out
 
 
@@ -44,14 +47,16 @@ def _to_float(text: str) -> Optional[float]:
     token = text.strip().rstrip("%").replace(",", "")
     if not re.fullmatch(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?", token):
         return None
-    return float(token)
+    value = float(token)
+    return value if math.isfinite(value) else None
 
 
 def relaxed_accuracy(pred: str, gold: str) -> int:
     """1 when numeric answers agree within 5% relative deviation.
 
-    A gold of exactly 0 requires a prediction of 0. Non-numeric answers
-    fall back to case-insensitive trimmed string equality.
+    A gold of exactly 0 requires a prediction of 0. Non-numeric answers,
+    and numbers too large for a float, fall back to case-insensitive
+    trimmed string equality.
 
     Deviates from ChartQA's exact 5% bound by a relative slack of 1e-9, so
     an answer exactly 5% off, which float rounding puts either side of the
@@ -80,10 +85,15 @@ def _table_numbers(table: DataTable) -> list[float]:
     return numbers
 
 
+def _is_flat(text: str) -> bool:
+    """Whether ``rnss`` reads ``text`` as a flattened table, if it parses."""
+    return " | " in text or " & " in text
+
+
 def _numbers_of(value: TableLike) -> list[float]:
     if isinstance(value, DataTable):
         return _table_numbers(value)
-    if " | " in value or " & " in value:
+    if _is_flat(value):
         try:
             return _table_numbers(unflatten_table(value))
         except ChartKitError:
@@ -102,9 +112,11 @@ def rnss(pred: TableLike, gold: TableLike) -> float:
     where every number of the larger set left unmatched costs 1 (the
     smaller set is padded at sentinel cost 1). Two empty sets score 1, one
     empty set 0. Where this may differ from ChartQA's definition: the cost
-    of an unmatched number, the eps floor that defines D for a gold 0, and
-    the numbers read out of text cells (and out of plain text, when a side
-    is not a flattened table), which all count.
+    of an unmatched number, the eps floor that defines D for a gold 0, the
+    numbers read out of text cells (and out of plain text, when a side is
+    not a flattened table), which all count, and a number too large for a
+    float, which does not count (so two identical texts whose one number
+    overflows score 1, not 0).
     """
     p = _numbers_of(pred)
     g = _numbers_of(gold)
@@ -143,37 +155,62 @@ def _pack_keys(keys: Sequence[str]) -> tuple[dict[str, int], int, int, list[int]
     return peq, mask, mask & ~(mask << 1), segs
 
 
-def _levenshtein_many(packed, b: str) -> list[int]:
-    """Exact unit-cost edit distance from every packed key to ``b``.
+def _levenshtein_walk(packed, texts) -> dict[str, list[int]]:
+    """Exact unit-cost edit distance from every packed key to each text.
 
-    Bit-parallel: the global form (Hyyrö 2003) of Myers' algorithm (JACM
-    1999), run on all keys at once as in Hyyrö, Fredriksson and Navarro,
-    "Increased bit-parallelism for approximate and multiple string
-    matching" (ACM JEA 2005). Column ``j`` of every key's DP matrix is held
-    as two bit-vectors of its vertical +1 and -1 deltas and is advanced one
-    character of ``b`` at a time. No carry of the addition crosses a guard,
-    since both addends are 0 there. Python ints make the vectors as long as
-    the keys, so any length is exact.
+    Returns ``{text: [distance to each key]}``. Bit-parallel: the global
+    form (Hyyrö 2003) of Myers' algorithm (JACM 1999), run on all keys at
+    once as in Hyyrö, Fredriksson and Navarro, "Increased bit-parallelism
+    for approximate and multiple string matching" (ACM JEA 2005). Column
+    ``j`` of every key's DP matrix is held as two bit-vectors of its
+    vertical +1 and -1 deltas and is advanced one character of a text at a
+    time. No carry of the addition crosses a guard, since both addends are
+    0 there. Python ints make the vectors as long as the keys, so any
+    length is exact.
+
+    The column after a prefix of a text depends only on that prefix, so
+    the texts are walked in sorted order and each resumes from the column
+    at its common prefix with the text before it: ``states[i]`` is the
+    column after the first ``i`` characters of the previous text.
     """
     peq, mask, firsts, segs = packed
-    pv, mv = mask, 0
-    for c in b:
-        eq = peq.get(c, 0)
-        xv = eq | mv
-        xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | ~(xh | pv)
-        mh = pv & xh
-        # Row 0 of each key's matrix rises by 1 per column: shift in a +1
-        # at each key's first bit. A key's last bit shifts onto its guard,
-        # where ``& mask`` and ``xv`` (0 on guards) drop it; a guard's bit
-        # shifts onto the next key's first bit, which the +1 sets anyway.
-        ph = (ph << 1) | firsts
-        mh <<= 1
-        pv = (mh | ~(xv | ph)) & mask
-        mv = ph & xv
-    # The last column: row 0 holds len(b), plus each key's vertical deltas.
-    n = len(b)
-    return [n + (pv & seg).bit_count() - (mv & seg).bit_count() for seg in segs]
+    states = [(mask, 0)]
+    prev = ""
+    out = {}
+    for b in sorted(set(texts)):
+        k = 0
+        for x, y in zip(prev, b):
+            if x != y:
+                break
+            k += 1
+        del states[k + 1 :]
+        pv, mv = states[k]
+        for c in b[k:]:
+            eq = peq.get(c, 0)
+            xv = eq | mv
+            xh = (((eq & pv) + pv) ^ pv) | eq
+            ph = mv | ~(xh | pv)
+            mh = pv & xh
+            # Row 0 of each key's matrix rises by 1 per column: shift in a
+            # +1 at each key's first bit. A key's last bit shifts onto its
+            # guard, where ``& mask`` and ``xv`` (0 on guards) drop it; a
+            # guard's bit shifts onto the next key's first bit, which the
+            # +1 sets anyway.
+            ph = (ph << 1) | firsts
+            mh <<= 1
+            pv = (mh | ~(xv | ph)) & mask
+            mv = ph & xv
+            states.append((pv, mv))
+        prev = b
+        # The last column: row 0 holds len(b), plus each key's vertical deltas.
+        n = len(b)
+        out[b] = [n + (pv & seg).bit_count() - (mv & seg).bit_count() for seg in segs]
+    return out
+
+
+def _levenshtein_many(packed, b: str) -> list[int]:
+    """Edit distance from every packed key to ``b``: the one-text walk."""
+    return _levenshtein_walk(packed, (b,))[b]
 
 
 def levenshtein(a: str, b: str) -> int:
@@ -214,12 +251,6 @@ def table_entries(table: DataTable) -> list[TableEntry]:
     return entries
 
 
-def _value_similarity(p, g) -> float:
-    if isinstance(p, float) and isinstance(g, float):
-        return 1.0 - min(1.0, abs(p - g) / max(abs(g), EPS))
-    return 1.0 if p == g else 0.0
-
-
 def _transposed(table: DataTable) -> Optional[DataTable]:
     cat = table.indices_of_kind(CATEGORICAL)
     if len(cat) != 1 or cat[0] != 0 or table.n_cols < 2 or table.n_rows == 0:
@@ -242,27 +273,64 @@ def _transposed(table: DataTable) -> Optional[DataTable]:
         return None
 
 
-def _rms_once(pred_entries, gold_entries, gold_keys) -> tuple[float, float, float]:
-    """RMS of one orientation; ``gold_keys`` is ``_pack_keys`` of the gold keys."""
+def _value_rows(gold_entries):
+    """A function from a prediction value to its value similarity with
+    every gold value, computing each distinct value's row once.
+
+    A number p against a number g scores 1 - min(1, |p - g| / max(|g|,
+    eps)), written ``1.0 - d if d < 1.0 else 0.0`` (the same float); every
+    other pair scores 1 when equal and 0 otherwise. Cells are ``float`` or
+    ``str`` only (``DataTable`` coerces them), so a row is keyed by the
+    value itself: 0.0 and -0.0 share a key, and give the same row.
+    """
+    gold = [g.value for g in gold_entries]
+    scales = [max(abs(g), EPS) if isinstance(g, float) else None for g in gold]
+    rows: dict = {}
+
+    def row_of(p):
+        row = rows.get(p)
+        if row is None:
+            if isinstance(p, float):
+                row = []
+                for g, scale in zip(gold, scales):
+                    if scale is None:
+                        row.append(0.0)
+                    else:
+                        d = abs(p - g) / scale
+                        row.append(1.0 - d if d < 1.0 else 0.0)
+            else:
+                row = [1.0 if p == g else 0.0 for g in gold]
+            rows[p] = row
+        return row
+
+    return row_of
+
+
+def _rms_once(
+    pred_entries, gold_entries, gold_keys, value_row
+) -> tuple[float, float, float]:
+    """RMS of one orientation; ``gold_keys`` is ``_pack_keys`` of the gold
+    keys and ``value_row`` is ``_value_rows`` of the gold entries."""
     if not pred_entries and not gold_entries:
         return 1.0, 1.0, 1.0
     if not pred_entries or not gold_entries:
         return 0.0, 0.0, 0.0
     gold_lens = [len(g.key) for g in gold_entries]
+    rows = [value_row(p.value) for p in pred_entries]
+    # A value similarity of 0 zeroes the product whatever the key
+    # similarity in [0, 1] is, so an all-zero row needs no key pass.
+    distances = _levenshtein_walk(
+        gold_keys, [p.key for p, row in zip(pred_entries, rows) if any(row)]
+    )
     scores = []
-    for p in pred_entries:
-        values = [_value_similarity(p.value, g.value) for g in gold_entries]
-        # A value similarity of 0 zeroes the product whatever the key
-        # similarity in [0, 1] is, so an all-zero row needs no key pass.
+    for p, values in zip(pred_entries, rows):
         # Two empty keys are at distance 0: max(..., 1) gives them a key
         # similarity of 1.
         if any(values):
             lp = len(p.key)
             values = [
                 (1.0 - d / max(lp, lg, 1)) * v
-                for d, lg, v in zip(
-                    _levenshtein_many(gold_keys, p.key), gold_lens, values
-                )
+                for d, lg, v in zip(distances[p.key], gold_lens, values)
             ]
         scores.append(values)
     cost = [[1.0 - s for s in row] for row in scores]
@@ -301,10 +369,12 @@ def rms_f1(pred: DataTable, gold: DataTable) -> tuple[float, float, float]:
     """
     gold_entries = table_entries(gold)
     gold_keys = _pack_keys([g.key for g in gold_entries])
-    best = _rms_once(table_entries(pred), gold_entries, gold_keys)
+    # Both tries carry the same prediction values, so they share the rows.
+    value_row = _value_rows(gold_entries)
+    best = _rms_once(table_entries(pred), gold_entries, gold_keys, value_row)
     flipped = _transposed(pred)
     if flipped is not None:
-        alt = _rms_once(table_entries(flipped), gold_entries, gold_keys)
+        alt = _rms_once(table_entries(flipped), gold_entries, gold_keys, value_row)
         if alt[2] > best[2]:
             best = alt
     return best
@@ -318,7 +388,7 @@ def bleu_tokenize(text: str) -> list[str]:
 
 
 def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*[tokens[i:] for i in range(n)]))
 
 
 def corpus_bleu(preds: list[str], golds: list[list[str]], max_n: int = 4) -> float:
@@ -355,12 +425,9 @@ def corpus_bleu(preds: list[str], golds: list[list[str]], max_n: int = 4) -> flo
                 continue
             max_ref = Counter()
             for r_tokens in r_token_lists:
-                for gram, count in _ngram_counts(r_tokens, n).items():
-                    max_ref[gram] = max(max_ref[gram], count)
-            guessed[n - 1] += sum(p_counts.values())
-            matched[n - 1] += sum(
-                min(count, max_ref[gram]) for gram, count in p_counts.items()
-            )
+                max_ref |= _ngram_counts(r_tokens, n)
+            guessed[n - 1] += len(p_tokens) - n + 1
+            matched[n - 1] += sum((p_counts & max_ref).values())
     if pred_len == 0:
         return 0.0
     log_sum = 0.0
@@ -388,6 +455,24 @@ class MetricReport:
 METRIC_NAMES = ("ra", "rnss", "rms", "bleu")
 
 
+def _parse_side(text: str, for_rms: bool) -> tuple[TableLike, Optional[DataTable]]:
+    """One side of a pair, parsed once for both table metrics.
+
+    Returns ``(what rnss reads, the parsed table or None)``. ``rnss`` gets
+    the table only where it would parse one itself (``_is_flat`` text that
+    parses) and the text otherwise. Text that is not flat is parsed only
+    ``for_rms``, which parses every side.
+    """
+    flat = _is_flat(text)
+    table = None
+    if flat or for_rms:
+        try:
+            table = unflatten_table(text)
+        except ChartKitError:
+            pass
+    return (table if flat and table is not None else text), table
+
+
 def score_pairs(
     pairs: list[tuple[str, str, list[str]]],
     metrics: Sequence[str] = METRIC_NAMES,
@@ -403,6 +488,7 @@ def score_pairs(
         raise InvalidConfig(
             f"metrics must be one or more of {','.join(METRIC_NAMES)}, not {list(metrics)!r}"
         )
+    want_rnss, want_rms = "rnss" in metrics, "rms" in metrics
     report = MetricReport()
     sums: dict[str, float] = {}
     for cid, pred, refs in pairs:
@@ -410,13 +496,14 @@ def score_pairs(
         gold = refs[0]
         if "ra" in metrics:
             row["ra"] = relaxed_accuracy(pred, gold)
-        if "rnss" in metrics:
-            row["rnss"] = rnss(pred, gold)
-        if "rms" in metrics:
-            try:
-                p_table = unflatten_table(pred)
-                g_table = unflatten_table(gold)
-            except ChartKitError:
+        if want_rnss or want_rms:
+            (p_rnss, p_table), (g_rnss, g_table) = (
+                _parse_side(pred, want_rms), _parse_side(gold, want_rms)
+            )
+        if want_rnss:
+            row["rnss"] = rnss(p_rnss, g_rnss)
+        if want_rms:
+            if p_table is None or g_table is None:
                 p = r = f1 = 0.0
                 row["rms_error"] = "unparseable table"
             else:

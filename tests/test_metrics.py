@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,8 +10,10 @@ from chartkit.assignment import exhaustive_assignment, hungarian, pad_square
 from chartkit.errors import LengthMismatch
 from chartkit.flatten import flatten_table
 from chartkit.gen import random_plain_table
+from chartkit import metrics
 from chartkit.metrics import (
     _levenshtein_many,
+    _levenshtein_walk,
     _pack_keys,
     _transposed,
     corpus_bleu,
@@ -51,6 +54,12 @@ def test_ra_percent_and_separators():
     assert relaxed_accuracy("1,200", "1200") == 1
 
 
+def test_ra_overflowing_numbers_compare_as_text():
+    # Both sides read as inf, and inf - inf is NaN, which no tolerance meets.
+    assert relaxed_accuracy("1e400", "1e400") == 1
+    assert relaxed_accuracy("1e400", "2e400") == 0
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.floats(min_value=0.1, max_value=1e6, allow_nan=False),
@@ -88,6 +97,13 @@ def test_rnss_examples():
 def test_rnss_accepts_text():
     assert rnss("x | v & a | 10", "x | v & a | 10") == pytest.approx(1.0)
     assert rnss("the answer is 9.5", _num_table([10])) == pytest.approx(0.95)
+
+
+def test_rnss_skips_overflowing_numbers():
+    big = "9" * 400
+    assert extract_numbers(f"{big} and 5") == [5.0]
+    assert rnss(big, big) == 1.0
+    assert rnss(f"{big} rose to 5", "it rose to 5") == 1.0
 
 
 def test_rnss_identity_and_row_order_invariance():
@@ -154,6 +170,31 @@ def test_levenshtein_many_matches_dp(keys, b):
     assert _levenshtein_many(_pack_keys(keys), b) == [
         dp_levenshtein(k, b) for k in keys
     ]
+
+
+@st.composite
+def _prefix_sharing_texts(draw):
+    """Texts made of a few shared stems plus suffixes: an empty suffix
+    makes a text that is a prefix of others, and repeats are common."""
+    stems = draw(st.lists(st.text(alphabet=_EDIT_ALPHABET, max_size=40),
+                          min_size=1, max_size=3))
+    return draw(st.lists(
+        st.tuples(st.sampled_from(stems), st.text(alphabet=_EDIT_ALPHABET, max_size=20))
+        .map("".join), max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(alphabet=_EDIT_ALPHABET, max_size=60), max_size=6),
+       _prefix_sharing_texts())
+@example(["ab", ""], ["", "a", "ab", "ab", "abc", "b", ""])
+@example(["\U0001F4C8a", "a"], ["\U0001F4C8", "\U0001F4C8\U00010348", "\U0001F4C8", "a"])
+@example([], ["x", "xy"])
+@example(["ab é"], [])
+def test_levenshtein_walk_matches_dp(keys, texts):
+    got = _levenshtein_walk(_pack_keys(keys), texts)
+    assert sorted(got) == sorted(set(texts))
+    for text in texts:
+        assert got[text] == [dp_levenshtein(k, text) for k in keys]
 
 
 # -- rms --------------------------------------------------------------------
@@ -300,6 +341,24 @@ def test_hungarian_matches_exhaustive_fuzz():
         assert abs(fast - slow) <= 1e-9
 
 
+def test_hungarian_assignment_matches_exhaustive():
+    # With continuous random costs a tie for the optimum is vanishingly
+    # rare; where the best two totals are this close, the optimum is not
+    # unique enough to pin a permutation, and the matrix is skipped.
+    rng = random.Random(4242)
+    checked = 0
+    for _ in range(500):
+        n = rng.randint(1, 7)
+        cost = [[rng.random() for _ in range(n)] for _ in range(n)]
+        totals = sorted(sum(cost[i][p[i]] for i in range(n))
+                        for p in permutations(range(n)))
+        if n > 1 and totals[1] - totals[0] < 1e-9:
+            continue
+        assert hungarian(cost)[0] == exhaustive_assignment(cost)[0]
+        checked += 1
+    assert checked >= 495
+
+
 def test_pad_square():
     padded = pad_square([[0.5]], 1, 1, 1.0)
     assert padded == [[0.5]]
@@ -358,3 +417,49 @@ def test_score_pairs_report():
     assert report.aggregate["rms_f1"] == pytest.approx(1.0)
     assert report.aggregate["bleu"] == pytest.approx(100.0)
     assert report.per_example[0]["id"] == "c1"
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The texts ``score_pairs`` hands to ``unflatten_table``, in order."""
+    seen = []
+    real = metrics.unflatten_table
+
+    def counting(text):
+        seen.append(text)
+        return real(text)
+
+    monkeypatch.setattr(metrics, "unflatten_table", counting)
+    return seen
+
+
+def test_score_pairs_parses_each_side_once(parses):
+    flat = "x | v & a | 10"
+    row = score_pairs([("c", flat, [flat])], ["rnss", "rms"]).per_example[0]
+    assert row["rnss"] == 1.0 and row["rms_f1"] == 1.0
+    assert parses == [flat, flat]
+
+
+def test_score_pairs_rnss_reads_plain_text(parses):
+    # Parsed as tables, both sides would hold no numbers at all (rnss 1.0).
+    row = score_pairs([("c", "The chart peaks at 5.", ["It peaks at 4"])],
+                      ["rnss", "rms"]).per_example[0]
+    assert row["rnss"] == 0.75
+    assert "rms_error" not in row
+    assert parses == ["The chart peaks at 5.", "It peaks at 4"]
+
+
+def test_score_pairs_unparseable_flat_text():
+    # A ragged table: rnss falls back to the numbers in the text, 1 and 2
+    # matching the gold's and 3 unmatched; rms reports the failed parse.
+    row = score_pairs([("c", "a | b & 1 | 2 | 3", ["a | b & 1 | 2"])],
+                      ["rnss", "rms"]).per_example[0]
+    assert row["rnss"] == 1.0 - 1.0 / 3
+    assert row["rms_error"] == "unparseable table"
+    assert row["rms_f1"] == row["rms_precision"] == row["rms_recall"] == 0.0
+
+
+def test_score_pairs_ra_only_parses_nothing(parses):
+    report = score_pairs([("c", "x | v & a | 10", ["x | v & a | 10"])], ["ra"])
+    assert report.per_example == [{"id": "c", "ra": 1}]
+    assert parses == []
