@@ -193,3 +193,66 @@ def test_golden_eval_digest():
     assert any(len(key) > 64 for key in LONG_LABELS)
     text = json.dumps(report.to_json_dict(), sort_keys=True)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == EVAL_SHA256
+
+
+# The summary and open-QA streams gen-tasks builds from its two side
+# inputs: a SHA-256 over summary.jsonl, qa_open.jsonl and the warnings on
+# a 6-chart corpus. The summaries hold several texts per chart (one past
+# the per-chart count of 2), blank texts next to non-blank ones, non-ASCII
+# text and ids not in the manifest. The QA pairs, each with its own
+# question, are good (the answer sits in one of the chart's texts, the
+# third included), bad (not in any text, or straddling two texts), for a
+# chart with no summary (unchecked), for an id not in the manifest, and
+# more than the cap of one per chart.
+SIDE_INPUT_SHA256 = "b48419e4bf9529432d7644afbaa31bff776d1e30297ced815223e79781f1a575"
+
+SIDE_SUMMARIES = [
+    ("chart-000000", "Sales rose in every quarter."),
+    ("chart-000000", "Costs fell. Margins widened."),
+    ("chart-000000", "A third text past the count."),
+    ("chart-000001", "   "),
+    ("chart-000001", "Umsatz stieg um 12 % — Rekordjahr."),
+    ("chart-000002", "Only one text here."),
+    ("chart-000002", ""),
+    ("chart-000004", "Exports peaked in 2021."),
+    ("chart-000004", "Imports stayed flat."),
+    ("chart-999999", "A chart that is not in the manifest."),
+    ("ghost", "Another stray id."),
+]
+
+SIDE_QA_PAIRS = [
+    ("chart-000000", "What happened to sales?", "Sales rose in every quarter."),
+    ("chart-000000", "And margins?", "Margins widened."),
+    ("chart-000000", "Which text is third?", "A third text past the count."),
+    ("chart-000000", "Across two texts?", "quarter. Costs fell."),
+    ("chart-000001", "How much did sales grow?", "um 12 %"),
+    ("chart-000001", "Was it a bad year?", "Yes, a bad year."),
+    ("chart-000002", "What is here?", "Nothing of the sort."),
+    ("chart-000002", "How many texts?", "Only one text"),
+    ("chart-000003", "Unchecked?", "Nobody can tell."),
+    ("chart-000003", "Unchecked again?", "Still nobody."),
+    ("chart-000004", "What peaked?", "Exports peaked"),
+    ("chart-000005", "Is anything known?", "Nothing on file."),
+    ("chart-999999", "A stray pair?", "Not in the manifest."),
+]
+
+
+def test_golden_side_input_digest(tmp_path):
+    config = PipelineConfig(seed=7, count=6, out=str(tmp_path / "corpus"),
+                            counts={"summary": 2, "qa_open": 1})
+    synthesize(config)
+    summaries, qa_pairs = tmp_path / "summaries.jsonl", tmp_path / "qa.jsonl"
+    summaries.write_text("".join(
+        json.dumps({"id": cid, "summary": text}, ensure_ascii=False) + "\n"
+        for cid, text in SIDE_SUMMARIES), encoding="utf-8")
+    qa_pairs.write_text("".join(
+        json.dumps({"id": cid, "question": q, "answer": a}) + "\n"
+        for cid, q, a in SIDE_QA_PAIRS), encoding="utf-8")
+    emitted, warnings = gen_tasks(tmp_path / "corpus", tmp_path / "tasks", config,
+                                  summaries_path=summaries, qa_pairs_path=qa_pairs)
+    assert emitted == {"summary": 6, "qa_open": 6}
+    digest = hashlib.sha256()
+    for name in ("summary.jsonl", "qa_open.jsonl"):
+        digest.update((tmp_path / "tasks" / name).read_bytes())
+    digest.update(json.dumps(warnings).encode("utf-8"))
+    assert digest.hexdigest() == SIDE_INPUT_SHA256
