@@ -38,8 +38,6 @@ from .tables import (
 )
 from .tasks import (
     TaskRecord,
-    assemble_open_qa_records,
-    assemble_summary_records,
     generate_qa,
     value_estimation_target,
 )
@@ -70,8 +68,6 @@ __all__ = [
     "SelectorProfile",
     "StyleParams",
     "TaskRecord",
-    "assemble_open_qa_records",
-    "assemble_summary_records",
     "choose_chart_type",
     "corpus_bleu",
     "decompose",

@@ -15,7 +15,10 @@ exists as the cross-check oracle for small instances.
 
 from __future__ import annotations
 
+import math
 from itertools import permutations
+
+from .errors import InvalidCostMatrix
 
 INF = float("inf")
 
@@ -24,13 +27,15 @@ def hungarian(cost: list[list[float]]) -> tuple[list[int], float]:
     """Optimal assignment for an n x n cost matrix.
 
     Returns (assign, total) where assign[i] is the column matched to row i
-    and total is the summed cost of the chosen cells.
+    and total is the summed cost of the chosen cells. A -inf cost, and an
+    inf or NaN cost that the search cannot step around, raise
+    ``InvalidCostMatrix`` naming it; an inf or NaN cost is never chosen.
     """
     n = len(cost)
     if n == 0:
         return [], 0.0
     if any(len(row) != n for row in cost):
-        raise ValueError("cost matrix must be square")
+        raise InvalidCostMatrix("cost matrix must be square")
 
     u = [0.0] * (n + 1)
     v = [0.0] * (n + 1)
@@ -56,6 +61,9 @@ def hungarian(cost: list[list[float]]) -> tuple[list[int], float]:
                 if minv[j] < delta:
                     delta = minv[j]
                     j1 = j
+            # Checked here, not up front, so finite input pays nothing.
+            if not -INF < delta < INF:
+                raise InvalidCostMatrix(_non_finite(cost))
             for j in used:
                 u[p[j]] += delta
                 v[j] -= delta
@@ -77,6 +85,15 @@ def hungarian(cost: list[list[float]]) -> tuple[list[int], float]:
             assign[p[j] - 1] = j - 1
     total = sum(cost[i][assign[i]] for i in range(n))
     return assign, total
+
+
+def _non_finite(cost: list[list[float]]) -> str:
+    """What an error says of the first cost that is not a finite number."""
+    for i, row in enumerate(cost):
+        for j, c in enumerate(row):
+            if not math.isfinite(c):
+                return f"cost[{i}][{j}] is {c!r}; costs must be finite"
+    return "the costs overflow a float in the search"
 
 
 def exhaustive_assignment(cost: list[list[float]]) -> tuple[list[int], float]:

@@ -64,21 +64,12 @@ class UnsupportedChartType(ChartKitError):
     pass
 
 
-class MissingSummary(ChartKitError):
-    """One or more chart ids have no usable summary text."""
+class InvalidCostMatrix(ChartKitError, ValueError):
+    """A cost matrix ``hungarian`` cannot solve: not square, or a cost that
+    is not a finite number in its way.
 
-    def __init__(self, ids):
-        self.ids = sorted(ids)
-        super().__init__("no summary for: " + ", ".join(self.ids))
-
-
-class AnswerNotInSummary(ChartKitError):
-    """Answer sentences that are not substrings of their chart's summary."""
-
-    def __init__(self, pairs):
-        self.pairs = list(pairs)
-        ids = ", ".join(p[0] for p in self.pairs)
-        super().__init__(f"answer not found in summary for: {ids}")
+    Also a ``ValueError``, as the errors it replaces were.
+    """
 
 
 class BackendTimeout(ChartKitError):

@@ -71,7 +71,8 @@ def relaxed_accuracy(pred: str, gold: str) -> int:
     return int(str(pred).strip().lower() == str(gold).strip().lower())
 
 
-TableLike = Union[str, DataTable]
+# A table, its text, or the numbers already read out of one.
+TableLike = Union[str, DataTable, list]
 
 
 def _table_numbers(table: DataTable) -> list[float]:
@@ -91,6 +92,8 @@ def _is_flat(text: str) -> bool:
 
 
 def _numbers_of(value: TableLike) -> list[float]:
+    if isinstance(value, list):
+        return value
     if isinstance(value, DataTable):
         return _table_numbers(value)
     if _is_flat(value):
@@ -102,7 +105,8 @@ def _numbers_of(value: TableLike) -> list[float]:
 
 
 def rnss(pred: TableLike, gold: TableLike) -> float:
-    """Relative number-set similarity between two tables (or table texts).
+    """Relative number-set similarity between two tables (or table texts,
+    or the numbers already read out of them).
 
     RNSS of ChartQA (Masry et al. 2022). With P and G the numbers of the
     prediction and the gold and D(p, g) = min(1, |p - g| / max(|g|, eps)),
@@ -456,12 +460,12 @@ METRIC_NAMES = ("ra", "rnss", "rms", "bleu")
 
 
 def _parse_side(text: str, for_rms: bool) -> tuple[TableLike, Optional[DataTable]]:
-    """One side of a pair, parsed once for both table metrics.
+    """One side of a pair, unflattened at most once for both table metrics.
 
-    Returns ``(what rnss reads, the parsed table or None)``. ``rnss`` gets
-    the table only where it would parse one itself (``_is_flat`` text that
-    parses) and the text otherwise. Text that is not flat is parsed only
-    ``for_rms``, which parses every side.
+    Returns ``(what rnss reads, the parsed table or None)``. ``rnss`` reads
+    what it would read itself: the table of ``_is_flat`` text that parses,
+    and otherwise the numbers in the text. Text that is not flat is parsed
+    only ``for_rms``, which parses every side.
     """
     flat = _is_flat(text)
     table = None
@@ -470,7 +474,7 @@ def _parse_side(text: str, for_rms: bool) -> tuple[TableLike, Optional[DataTable
             table = unflatten_table(text)
         except ChartKitError:
             pass
-    return (table if flat and table is not None else text), table
+    return (table if flat and table is not None else extract_numbers(text)), table
 
 
 def score_pairs(

@@ -31,7 +31,6 @@ from typing import Optional
 
 from .distill import BackendClient, BatchDriver, build_table_summary_prompt
 from .errors import (
-    AnswerNotInSummary,
     ChartKitError,
     InvalidConfig,
     LengthMismatch,
@@ -65,10 +64,9 @@ from .synth import (
 )
 from .tables import DataTable, decompose
 from .tasks import (
+    PROMPT_TOKENS,
     TASK_KINDS,
     TaskRecord,
-    assemble_open_qa_records,
-    assemble_summary_records,
     generate_qa,
     records_to_jsonl,
     table_record,
@@ -192,21 +190,45 @@ def _chart_rng(seed: int, chart_id: str) -> random.Random:
     return random.Random(f"{seed}:{chart_id}")
 
 
+def _checked_rows(path, *, nonempty=(), **kinds) -> list[dict]:
+    """The rows of a side-input JSONL file, each holding every key of
+    ``kinds`` with a value of that type (``object``: any value), and a
+    non-empty value under each key of ``nonempty``.
+
+    A row that does not raises ``MalformedJsonl`` naming the file and line;
+    a file that cannot be read is ``InvalidConfig``.
+    """
+    try:
+        rows = _load_jsonl(path)
+    except OSError as exc:
+        raise InvalidConfig(f"{path}: cannot read: {exc.strerror}") from exc
+    for i, row in enumerate(rows):
+        for key, kind in kinds.items():
+            if key not in row:
+                raise row_error(path, i, f"row has no {key!r}")
+            if not isinstance(row[key], kind):
+                raise row_error(path, i, f"{key} {row[key]!r} is not a {kind.__name__}")
+        for key in nonempty:
+            if not row[key]:
+                raise row_error(path, i, f"{key} is empty")
+    return rows
+
+
 @lru_cache(maxsize=4)
 def _load_table_pool(tables_path: str, seed: int) -> tuple:
-    """Chart-ready tables decomposed from an external table file."""
+    """Chart-ready tables decomposed from an external table file; a table
+    that does not parse or decompose is ``InvalidConfig`` naming the file."""
     path = Path(tables_path)
-    tables: list[DataTable] = []
-    if path.suffix == ".csv":
-        tables.append(DataTable.from_csv(path.read_text(encoding="utf-8")))
-    else:
-        tables.extend(map(DataTable.from_json_dict, _load_jsonl(path)))
-    pool = []
-    for i, table in enumerate(tables):
-        try:
-            pool.extend(decompose(table, rng_seed=seed + i))
-        except MalformedTable as exc:
-            raise InvalidConfig(f"{tables_path}: {exc}") from exc
+    try:
+        if path.suffix == ".csv":
+            tables = [DataTable.from_csv(path.read_text(encoding="utf-8"))]
+        else:
+            tables = [DataTable.from_json_dict(row)
+                      for row in _checked_rows(path, columns=list, rows=list)]
+        pool = [piece for i, table in enumerate(tables)
+                for piece in decompose(table, rng_seed=seed + i)]
+    except (MalformedTable, OSError) as exc:
+        raise InvalidConfig(f"{tables_path}: {exc}") from exc
     if not pool:
         raise InvalidConfig(f"no chart-ready tables came out of {tables_path}")
     return tuple(pool)
@@ -345,7 +367,12 @@ def gen_tasks(
     """Emit the per-kind task JSONL streams for a synthesized corpus.
 
     Returns (per-kind record counts, warnings). Kinds configured to 0 are
-    omitted entirely.
+    omitted entirely. A chart's summary records are the non-blank texts
+    among its first ``counts["summary"]`` rows in ``summaries_path``. The
+    open-QA pairs are taken in file order: a pair whose chart has rows in
+    the summaries file is dropped unless its answer is inside their texts,
+    a pair whose chart has none is kept unchecked, and then each chart
+    keeps its first ``counts["qa_open"]`` pairs.
     """
     manifest = load_manifest(corpus_dir)
     counts = {k: config.counts.get(k, 0) for k in TASK_KINDS}
@@ -353,16 +380,13 @@ def gen_tasks(
 
     summaries: dict[str, list[str]] = {}
     if summaries_path:
-        for row in _load_jsonl(summaries_path):
+        for row in _checked_rows(summaries_path, id=str, summary=str):
             summaries.setdefault(row["id"], []).append(row["summary"])
-    qa_pairs: list[tuple[str, str, str]] = []
-    if qa_pairs_path:
-        qa_pairs = [
-            (row["id"], row["question"], row["answer"])
-            for row in _load_jsonl(qa_pairs_path)
-        ]
+    qa_pairs = _checked_rows(qa_pairs_path, id=str, question=str, answer=str,
+                             nonempty=("answer",)) if qa_pairs_path else []
 
     records: dict[str, list[TaskRecord]] = {k: [] for k in TASK_KINDS}
+    no_summary = 0
     for row in manifest:
         chart = load_chart(corpus_dir, row)
         ref = row["svg"]
@@ -377,53 +401,45 @@ def gen_tasks(
             records["qa_reasoning"].extend(
                 generate_qa(chart, counts["qa_reasoning"], seed, image_ref=ref)
             )
-
-    ref_of = {r["id"]: r["svg"] for r in manifest}
-
-    if counts["summary"] > 0 and summaries:
-        with_summaries = [r["id"] for r in manifest if r["id"] in summaries]
-        missing = [r["id"] for r in manifest if r["id"] not in summaries]
-        if missing:
-            warnings.append(
-                f"summary: {len(missing)} charts have no summary on file"
+        if counts["summary"] > 0:
+            texts = [text for text in summaries.get(row["id"], [])[: counts["summary"]]
+                     if text.strip()]
+            no_summary += not texts
+            records["summary"].extend(
+                TaskRecord(ref, PROMPT_TOKENS["summary"], text, "summary")
+                for text in texts
             )
-        if with_summaries:
-            records["summary"] = assemble_summary_records(
-                [ref_of[cid] for cid in with_summaries],
-                {
-                    ref_of[cid]: summaries[cid][: counts["summary"]]
-                    for cid in with_summaries
-                },
-            )
-    elif counts["summary"] > 0:
+    if counts["summary"] > 0 and not summaries:
         warnings.append("summary: no summaries file supplied; emitted 0 records")
+    elif no_summary:
+        warnings.append(f"summary: {no_summary} charts have no summary on file")
 
     if counts["qa_open"] > 0 and qa_pairs:
+        ref_of = {r["id"]: r["svg"] for r in manifest}
         # Newline join: an answer sentence must sit inside one summary, not
         # straddle the boundary between two of them.
-        flat_summaries = {
-            ref_of[cid]: "\n".join(texts)
-            for cid, texts in summaries.items()
-            if cid in ref_of
-        }
-        usable = [
-            (ref_of[cid], q, a) for cid, q, a in qa_pairs if cid in ref_of
-        ]
-        try:
-            qa_records, diags = assemble_open_qa_records(usable, flat_summaries)
-        except AnswerNotInSummary as exc:
-            bad = {(cid, q) for cid, q in exc.pairs}
+        joined = {cid: "\n".join(texts) for cid, texts in summaries.items()}
+        dropped, notes, per_chart = 0, [], {}
+        for pair in qa_pairs:
+            cid, answer = pair["id"], pair["answer"]
+            ref = ref_of.get(cid)
+            if ref is None:
+                continue
+            if cid not in joined:
+                notes.append(f"qa_open: {ref}: unchecked (no summary on file)")
+            elif answer not in joined[cid]:
+                dropped += 1
+                continue
+            per_chart[ref] = per_chart.get(ref, 0) + 1
+            if per_chart[ref] <= counts["qa_open"]:
+                records["qa_open"].append(TaskRecord(
+                    ref, f"{PROMPT_TOKENS['qa_open']} {pair['question']}",
+                    answer, "qa_open"))
+        if dropped:
             warnings.append(
-                f"qa_open: dropped {len(bad)} pairs whose answer is not in the summary"
+                f"qa_open: dropped {dropped} pairs whose answer is not in the summary"
             )
-            usable = [p for p in usable if (p[0], p[1]) not in bad]
-            qa_records, diags = assemble_open_qa_records(usable, flat_summaries)
-        warnings.extend(f"qa_open: {d}" for d in diags)
-        per_chart: dict[str, int] = {}
-        for record in qa_records:
-            per_chart[record.image_ref] = per_chart.get(record.image_ref, 0) + 1
-            if per_chart[record.image_ref] <= counts["qa_open"]:
-                records["qa_open"].append(record)
+        warnings.extend(notes)
     elif counts["qa_open"] > 0:
         warnings.append("qa_open: no qa-pairs file supplied; emitted 0 records")
 
@@ -515,7 +531,8 @@ def corpus_stats(corpus_dir, summaries_path=None) -> CorpusStats:
 
     texts = []
     if summaries_path:
-        texts = [row["summary"] for row in _load_jsonl(summaries_path)]
+        texts = [row["summary"]
+                 for row in _checked_rows(summaries_path, id=str, summary=str)]
     vocab = set()
     for text in texts:
         vocab.update(tok.lower() for tok in text.split())
@@ -542,22 +559,11 @@ def _gold_groups(rows: list[dict]) -> dict[str, list[str]]:
     return groups
 
 
-def _eval_rows(path) -> list[dict]:
-    """The rows of a pred or gold file, each with a string ``id`` and an ``output``."""
-    rows = _load_jsonl(path)
-    for i, row in enumerate(rows):
-        for key in ("id", "output"):
-            if key not in row:
-                raise row_error(path, i, f"row has no {key!r}")
-        if not isinstance(row["id"], str):
-            raise row_error(path, i, f"id {row['id']!r} is not a string")
-    return rows
-
-
 def evaluate(pred_path, gold_path, metrics=METRIC_NAMES) -> MetricReport:
     """Score a predictions JSONL against a gold JSONL, aligned by id."""
-    preds = {row["id"]: str(row["output"]) for row in _eval_rows(pred_path)}
-    golds = _gold_groups(_eval_rows(gold_path))
+    preds = {row["id"]: str(row["output"])
+             for row in _checked_rows(pred_path, id=str, output=object)}
+    golds = _gold_groups(_checked_rows(gold_path, id=str, output=object))
     missing_gold = sorted(set(preds) - set(golds))
     missing_pred = sorted(set(golds) - set(preds))
     if missing_gold or missing_pred:

@@ -141,16 +141,24 @@ class DataTable:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DataTable":
-        raw_cols = data["columns"]
-        if raw_cols and isinstance(raw_cols[0], str):
-            # Bare column names: a raw table that still needs kind inference.
-            grid = [list(raw_cols)] + [[str(c) for c in row] for row in data["rows"]]
-            return infer_column_kinds(grid)
-        columns = [
-            Column(c["name"], c.get("kind", CATEGORICAL), c.get("unit"))
-            for c in raw_cols
-        ]
-        return cls(columns, data["rows"])
+        """The table of ``{"columns", "rows"}``: columns as bare names (kinds
+        inferred) or as ``{"name", "kind", "unit"}``. Anything that does not
+        form a table is ``MalformedTable``."""
+        try:
+            raw_cols = data["columns"]
+            if raw_cols and isinstance(raw_cols[0], str):
+                # Bare column names: a raw table that still needs kind inference.
+                grid = [list(raw_cols)] + [[str(c) for c in row] for row in data["rows"]]
+                return infer_column_kinds(grid)
+            columns = [
+                Column(c["name"], c.get("kind", CATEGORICAL), c.get("unit"))
+                for c in raw_cols
+            ]
+            return cls(columns, data["rows"])
+        except KeyError as exc:
+            raise MalformedTable(f"table has no key {exc}") from exc
+        except (TypeError, AttributeError, ValueError) as exc:
+            raise MalformedTable(f"not a table: {exc}") from exc
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), ensure_ascii=False, sort_keys=True)

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import AnswerNotInSummary, MissingSummary, UnsupportedChartType
+from .errors import UnsupportedChartType
 from .flatten import CELL_SEP, ROW_SEP, flatten_table, format_number
 from .jsonl import encode_row
 from .synth import PIE, RenderedChart
@@ -156,64 +156,3 @@ def generate_qa(
         )
     return records
 
-
-def assemble_summary_records(
-    chart_ids: Iterable[str], summaries: dict[str, list[str]]
-) -> list[TaskRecord]:
-    """One summarization record per (chart, summary text) pair.
-
-    Raises MissingSummary listing every chart id that has no non-empty
-    summary on file.
-    """
-    ids = list(chart_ids)
-    missing = [
-        cid
-        for cid in ids
-        if not any(s.strip() for s in summaries.get(cid, []))
-    ]
-    if missing:
-        raise MissingSummary(missing)
-    records = []
-    for cid in ids:
-        for text in summaries[cid]:
-            if text.strip():
-                records.append(
-                    TaskRecord(cid, PROMPT_TOKENS["summary"], text, "summary")
-                )
-    return records
-
-
-def assemble_open_qa_records(
-    qa_pairs: Iterable[tuple[str, str, str]],
-    summaries: Optional[dict[str, str]] = None,
-) -> tuple[list[TaskRecord], list[str]]:
-    """Open-ended QA records from externally supplied (id, question, answer).
-
-    When the chart has a summary on file, the answer sentence must appear
-    verbatim inside it (that is where such answers come from); violations
-    raise AnswerNotInSummary listing the offending pairs. Pairs for charts
-    without a summary are accepted with an "unchecked" diagnostic.
-    """
-    summaries = summaries or {}
-    records = []
-    diagnostics = []
-    rejected = []
-    for cid, question, answer in qa_pairs:
-        summary = summaries.get(cid)
-        if summary is not None:
-            if answer not in summary:
-                rejected.append((cid, question))
-                continue
-        else:
-            diagnostics.append(f"{cid}: unchecked (no summary on file)")
-        records.append(
-            TaskRecord(
-                cid,
-                f"{PROMPT_TOKENS['qa_open']} {question}",
-                answer,
-                "qa_open",
-            )
-        )
-    if rejected:
-        raise AnswerNotInSummary(rejected)
-    return records, diagnostics

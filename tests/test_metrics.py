@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from itertools import permutations
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chartkit.assignment import exhaustive_assignment, hungarian, pad_square
-from chartkit.errors import LengthMismatch
+from chartkit.errors import ChartKitError, LengthMismatch
 from chartkit.flatten import flatten_table
 from chartkit.gen import random_plain_table
 from chartkit import metrics
@@ -359,6 +360,20 @@ def test_hungarian_assignment_matches_exhaustive():
     assert checked >= 495
 
 
+def test_hungarian_names_a_cost_that_is_not_finite():
+    inf, nan = float("inf"), float("nan")
+    for cost, named in [([[inf]], "cost[0][0] is inf"),
+                        ([[nan]], "cost[0][0] is nan"),
+                        ([[1.0, 2.0], [3.0, -inf]], "cost[1][1] is -inf"),
+                        ([[inf, 1.0], [inf, 1.0]], "cost[0][0] is inf")]:
+        with pytest.raises(ChartKitError, match=re.escape(named)):
+            hungarian(cost)
+    # A cost the optimum avoids is passed over.
+    assert hungarian([[inf, 1.0], [1.0, nan]]) == ([1, 0], 2.0)
+    with pytest.raises(ChartKitError, match="square"):
+        hungarian([[1.0, 2.0], [3.0]])
+
+
 def test_pad_square():
     padded = pad_square([[0.5]], 1, 1, 1.0)
     assert padded == [[0.5]]
@@ -449,12 +464,17 @@ def test_score_pairs_rnss_reads_plain_text(parses):
     assert parses == ["The chart peaks at 5.", "It peaks at 4"]
 
 
-def test_score_pairs_unparseable_flat_text():
+def test_score_pairs_unparseable_flat_text(parses):
     # A ragged table: rnss falls back to the numbers in the text, 1 and 2
     # matching the gold's and 3 unmatched; rms reports the failed parse.
-    row = score_pairs([("c", "a | b & 1 | 2 | 3", ["a | b & 1 | 2"])],
-                      ["rnss", "rms"]).per_example[0]
-    assert row["rnss"] == 1.0 - 1.0 / 3
+    # Each side is unflattened once, the failed one too.
+    pred, gold = "a | b & 1 | 2 | 3", "a | b & 1 | 2"
+    for wanted in (["rnss", "rms"], ["rnss"]):
+        parses.clear()
+        row = score_pairs([("c", pred, [gold])], wanted).per_example[0]
+        assert row["rnss"] == 1.0 - 1.0 / 3
+        assert parses == [pred, gold]
+    row = score_pairs([("c", pred, [gold])], ["rms"]).per_example[0]
     assert row["rms_error"] == "unparseable table"
     assert row["rms_f1"] == row["rms_precision"] == row["rms_recall"] == 0.0
 

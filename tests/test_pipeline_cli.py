@@ -6,6 +6,7 @@ import pytest
 
 from chartkit.cli import main
 from chartkit.errors import InvalidConfig
+from chartkit.jsonl import read_jsonl, write_jsonl
 from chartkit.pipeline import (
     PipelineConfig,
     corpus_stats,
@@ -253,8 +254,120 @@ def test_gen_tasks_summary_and_open_qa(tmp_path):
     )
     assert emitted["summary"] == 1
     assert emitted["qa_open"] == 2  # the bad pair dropped, unchecked kept
-    assert any("dropped" in w for w in warnings)
-    assert any("no summary" in w for w in warnings)
+    assert read_jsonl(tmp_path / "t" / "summary.jsonl") == [
+        {"image": rows[0]["svg"], "prompt": "<summarize_chart>",
+         "target": "Sales rose sharply.", "kind": "summary"}]
+    assert [r["prompt"] for r in read_jsonl(tmp_path / "t" / "qa_open.jsonl")] == [
+        "<open_question> what rose?", "<open_question> unchecked?"]
+    assert warnings == [
+        "summary: 2 charts have no summary on file",
+        "qa_open: dropped 1 pairs whose answer is not in the summary",
+        f"qa_open: {rows[1]['svg']}: unchecked (no summary on file)",
+    ]
+
+
+def _gen_tasks_cli(tmp_path, *side_args):
+    corpus = tmp_path / "corpus"
+    main(["synthesize", "--out", str(corpus), "--count", "3", "--seed", "2"])
+    return main(["gen-tasks", "--corpus", str(corpus), "--out", str(tmp_path / "t"),
+                 "--counts", '{"summary": 2, "qa_open": 1}', *side_args])
+
+
+def test_gen_tasks_counts_a_chart_whose_texts_are_all_blank(tmp_path, capsys):
+    summaries = tmp_path / "summaries.jsonl"
+    write_jsonl(summaries, [
+        {"id": "chart-000000", "summary": " "}, {"id": "chart-000000", "summary": ""},
+        {"id": "chart-000000", "summary": "Past the count of 2."},
+        {"id": "chart-000001", "summary": "Fine."}])
+    assert _gen_tasks_cli(tmp_path, "--summaries", str(summaries)) == 0
+    err = capsys.readouterr().err
+    assert "warning: summary: 2 charts have no summary on file" in err
+    assert [r["image"] for r in read_jsonl(tmp_path / "t" / "summary.jsonl")] == [
+        "charts/chart-000001.svg"]
+
+
+def test_gen_tasks_keeps_a_good_pair_beside_a_bad_one_with_its_question(tmp_path):
+    config = _config(tmp_path, count=2, counts={"qa_open": 2})
+    synthesize(config)
+    summaries, qa = tmp_path / "summaries.jsonl", tmp_path / "qa.jsonl"
+    write_jsonl(summaries, [{"id": "chart-000000", "summary": "Sales rose."}])
+    write_jsonl(qa, [
+        {"id": "chart-000000", "question": "q", "answer": "Sales rose."},
+        {"id": "chart-000000", "question": "q", "answer": "Nope."}])
+    emitted, warnings = gen_tasks(config.out, tmp_path / "t", config,
+                                  summaries_path=summaries, qa_pairs_path=qa)
+    assert emitted["qa_open"] == 1
+    assert [r["target"] for r in read_jsonl(tmp_path / "t" / "qa_open.jsonl")] == [
+        "Sales rose."]
+    assert "qa_open: dropped 1 pairs whose answer is not in the summary" in warnings
+
+
+_GOOD_SUMMARY = {"id": "chart-000000", "summary": "Fine."}
+_GOOD_PAIR = {"id": "chart-000000", "question": "q", "answer": "a"}
+
+
+@pytest.mark.parametrize("command, good, bad, problem", [
+    ("--summaries", _GOOD_SUMMARY, {"id": "chart-000001"}, "row has no 'summary'"),
+    ("--summaries", _GOOD_SUMMARY, {"id": "chart-000001", "summary": ["x"]},
+     "summary ['x'] is not a str"),
+    ("--summaries", _GOOD_SUMMARY, {"id": 1, "summary": "x"}, "id 1 is not a str"),
+    ("--qa-pairs", _GOOD_PAIR, {"id": "chart-000001", "answer": "a"},
+     "row has no 'question'"),
+    ("--qa-pairs", _GOOD_PAIR, {"id": "chart-000001", "question": "q", "answer": 5},
+     "answer 5 is not a str"),
+    ("--qa-pairs", _GOOD_PAIR, {"id": "chart-000001", "question": "q", "answer": ""},
+     "answer is empty"),
+    ("stats", _GOOD_SUMMARY, {"id": "chart-000001", "summary": None},
+     "summary None is not a str"),
+])
+def test_cli_rejects_a_malformed_side_input_row(tmp_path, capsys, command, good,
+                                                bad, problem):
+    side = tmp_path / "side.jsonl"
+    write_jsonl(side, [good, bad])
+    if command == "stats":
+        main(["synthesize", "--out", str(tmp_path / "corpus"), "--count", "2"])
+        rc = main(["stats", "--corpus", str(tmp_path / "corpus"),
+                   "--summaries", str(side)])
+    else:
+        rc = _gen_tasks_cli(tmp_path, command, str(side))
+    assert rc == 2
+    assert f"error: {side}, line 2: {problem}" in capsys.readouterr().err
+
+
+def test_cli_reports_a_side_input_it_cannot_read(tmp_path, capsys):
+    missing = tmp_path / "missing.jsonl"
+    corpus = str(tmp_path / "corpus")
+    main(["synthesize", "--out", corpus, "--count", "1"])
+    for argv in (["gen-tasks", "--corpus", corpus, "--out", str(tmp_path / "t"),
+                  "--summaries", str(missing)],
+                 ["gen-tasks", "--corpus", corpus, "--out", str(tmp_path / "t"),
+                  "--qa-pairs", str(missing)],
+                 ["stats", "--corpus", corpus, "--summaries", str(missing)],
+                 ["eval", "--pred", str(missing), "--gold", str(missing)],
+                 ["synthesize", "--out", str(tmp_path / "c1"), "--count", "1",
+                  "--tables", str(missing)],
+                 ["synthesize", "--out", str(tmp_path / "c2"), "--count", "1",
+                  "--tables", str(tmp_path / "missing.csv")]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert f"error: {tmp_path / 'missing'}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("table, problem", [
+    ({"rows": [["a", "1"]]}, "line 1: row has no 'columns'"),
+    ({"columns": ["x", "v"], "rows": "a,1"}, "line 1: rows 'a,1' is not a list"),
+    ({"columns": [{"kind": "numeric"}], "rows": []}, "table has no key 'name'"),
+    ({"columns": [{"name": "x"}, {"name": "v", "kind": "numeric"}],
+      "rows": [["a", "abc"]]}, "not a table"),
+])
+def test_cli_synthesize_rejects_a_malformed_external_table(tmp_path, capsys, table,
+                                                           problem):
+    tables = tmp_path / "tables.jsonl"
+    write_jsonl(tables, [table])
+    assert main(["synthesize", "--out", str(tmp_path / "corpus"), "--count", "1",
+                 "--tables", str(tables)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tables}") and problem in err
 
 
 def test_task_count_table_has_five_columns():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from chartkit.errors import (
     EmptyTable,
+    MalformedTable,
     NoCategoricalColumn,
     NoNumericColumn,
     RaggedInput,
@@ -144,6 +145,16 @@ def test_json_round_trip():
 def test_json_import_with_bare_column_names_infers_kinds():
     t = DataTable.from_json_dict({"columns": ["x", "v"], "rows": [["a", "3"]]})
     assert t.columns[1].kind == NUMERIC
+
+
+def test_json_import_rejects_what_is_not_a_table():
+    for data in ([], {"rows": []}, {"columns": 5, "rows": []}, {"columns": [7], "rows": []},
+                 {"columns": [{"kind": "numeric"}], "rows": []},
+                 {"columns": [{"name": "v", "kind": "numeric"}], "rows": [["abc"]]},
+                 {"columns": [{"name": "v", "kind": "numeric"}], "rows": [[None]]},
+                 {"columns": ["x"], "rows": [5]}):
+        with pytest.raises(MalformedTable):
+            DataTable.from_json_dict(data)
 
 
 def test_csv_import():

@@ -3,14 +3,12 @@ import random
 
 import pytest
 
-from chartkit.errors import AnswerNotInSummary, MissingSummary, UnsupportedChartType
+from chartkit.errors import UnsupportedChartType
 from chartkit.gen import random_chart
 from chartkit.synth import GROUPED_BAR, LINE_SINGLE, PIE, SIMPLE_BAR
 from chartkit.tasks import (
     PROMPT_TOKENS,
     TaskRecord,
-    assemble_open_qa_records,
-    assemble_summary_records,
     generate_qa,
     records_to_jsonl,
     table_record,
@@ -123,27 +121,3 @@ def test_records_jsonl_shape():
     assert set(rows[0]) == {"image", "prompt", "target", "kind"}
     assert rows[1]["kind"] == "value_estimation"
 
-
-def test_assemble_summary_records():
-    records = assemble_summary_records(
-        ["c1", "c2"], {"c1": ["s1"], "c2": ["s2a", "s2b"]}
-    )
-    assert len(records) == 3
-    assert all(r.task_prompt == "<summarize_chart>" for r in records)
-    with pytest.raises(MissingSummary) as err:
-        assemble_summary_records(["c1", "c3"], {"c1": ["s"], "c3": ["  "]})
-    assert err.value.ids == ["c3"]
-
-
-def test_assemble_open_qa_records():
-    pairs = [("c1", "why?", "Because sales rose."), ("c2", "how?", "Steadily.")]
-    summaries = {"c1": "Because sales rose. The rest fell."}
-    records, diagnostics = assemble_open_qa_records(pairs, summaries)
-    assert len(records) == 2
-    assert records[0].task_prompt == "<open_question> why?"
-    assert any("unchecked" in d for d in diagnostics)
-
-    with pytest.raises(AnswerNotInSummary):
-        assemble_open_qa_records(
-            [("c1", "why?", "Not in there.")], summaries
-        )
