@@ -38,7 +38,8 @@ class MalformedJsonl(ChartKitError, ValueError):
 
 class MalformedTable(ChartKitError, ValueError):
     """Cells that do not form a ``DataTable``: a flattened table that does
-    not parse, or a chart-ready piece whose series would repeat a column name.
+    not parse, a chart-ready piece whose series would repeat a column name,
+    or a chart sidecar that does not record a chart.
 
     Also a ``ValueError``, as the error ``DataTable`` raised in its place was.
     """

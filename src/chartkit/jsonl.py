@@ -4,8 +4,9 @@ A row is one JSON object on one UTF-8 line, keys sorted, non-ASCII kept
 as is, ended by ``\\n``. Files are replaced atomically (temp file, then
 ``os.replace``). The manifest and the distill checkpoint are a ``Journal``:
 one row appended per completion, loaded last-wins on resume, and rewritten
-sorted at the end of a run. ``read_json_object`` reads the JSON config files
-(pipeline config, selector profile, backend config).
+sorted at the end of a run. ``read_json_object`` reads the files that hold
+one JSON object: the chart sidecars and the config files (pipeline config,
+selector profile, backend config).
 """
 
 from __future__ import annotations
@@ -29,11 +30,16 @@ def _scan(path) -> tuple[list[dict], int]:
     A last line with no ``\\n`` that does not parse is a torn append, left
     by a crash in the middle of a write, and is dropped. Any other line that
     does not parse, or parses to something other than an object, raises
-    ``MalformedJsonl`` naming the file and line.
+    ``MalformedJsonl`` naming the file and line; a file that cannot be read
+    is ``InvalidConfig``.
     """
     rows: list[dict] = []
     ended = 0
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise InvalidConfig(f"{path}: cannot read: {exc.strerror}") from exc
+    with fh:
         for lineno, line in enumerate(fh, 1):
             torn = not line.endswith(b"\n")
             if not torn:
@@ -59,8 +65,8 @@ def read_jsonl(path) -> list[dict]:
 
 
 def read_json_object(path) -> dict:
-    """The JSON object of a config file; ``InvalidConfig`` names the path when
-    the file cannot be read or does not hold one JSON object."""
+    """The JSON object of a sidecar or config file; ``InvalidConfig`` names
+    the path when the file cannot be read or does not hold one JSON object."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -80,11 +86,20 @@ def row_error(path, index: int, message: str) -> MalformedJsonl:
     return MalformedJsonl(f"{path}, line {lines[index]}: {message}")
 
 
-def load_by_id(path) -> dict:
-    """Rows by ``row["id"]``, the last row of an id winning; {} if no file."""
-    if not os.path.exists(path):
-        return {}
-    return {row["id"]: row for row in read_jsonl(path)}
+def check_rows(path, rows: list[dict], /, *, nonempty=(), **kinds) -> list[dict]:
+    """``rows`` of ``path`` once each holds every key of ``kinds`` with a value
+    of that type (``object``: any value) and a non-empty value under each key
+    of ``nonempty``; else ``MalformedJsonl`` naming the file and line."""
+    for i, row in enumerate(rows):
+        for key, kind in kinds.items():
+            if key not in row:
+                raise row_error(path, i, f"row has no {key!r}")
+            if not isinstance(row[key], kind):
+                raise row_error(path, i, f"{key} {row[key]!r} is not a {kind.__name__}")
+        for key in nonempty:
+            if not row[key]:
+                raise row_error(path, i, f"{key} is empty")
+    return rows
 
 
 def atomic_write_text(path, text: str):
@@ -101,18 +116,18 @@ def write_jsonl(path, rows: Iterable[dict]):
 class Journal:
     """An append-only JSONL file of rows keyed by ``row["id"]``.
 
-    ``rows`` starts as the file's rows by id, last wins. ``append`` writes and
-    flushes one row, so a crashed process loses at most that row. A last
-    line without its newline is cut off the file on open (a whole row there
-    stays in ``rows``), so no row is ever appended onto a fragment.
-    ``compact`` ends a run: it closes the file and atomically rewrites it
-    sorted by id.
+    ``rows`` starts as the file's rows by id, last wins (each must hold a
+    string id). ``append`` writes and flushes one row, so a crashed process
+    loses at most that row. A last line without its newline is cut off the
+    file on open (a whole row there stays in ``rows``), so no row is ever
+    appended onto a fragment. ``compact`` ends a run: it closes the file
+    and atomically rewrites it sorted by id.
     """
 
     def __init__(self, path):
         self.path = Path(path)
         rows, ended = _scan(self.path) if self.path.exists() else ([], 0)
-        self.rows = {row["id"]: row for row in rows}
+        self.rows = {row["id"]: row for row in check_rows(self.path, rows, id=str)}
         self._fh = open(self.path, "a", encoding="utf-8")
         self._fh.truncate(ended)
 

@@ -5,12 +5,17 @@ A corpus directory looks like:
 
     manifest.jsonl            one row per chart, sorted by id
     charts/<id>.svg           the rendered chart
-    charts/<id>.json          the provenance sidecar
-    tables/<id>.json          the chart's canonical data table
+    charts/<id>.json          the provenance sidecar, the chart's table included
+    tables/<id>.json          a copy of the table, for readers outside chartkit
 
 Determinism contract: (config, seed) fixes every output byte. Each chart's
 RNG derives from (seed, chart id), so worker pools and resumed runs produce
 the same corpus as a single fresh run; manifests carry no timestamps.
+
+Every stage reads a corpus through ``load_manifest`` and one sidecar read,
+``_from_sidecar``: the whole chart for ``load_chart``, the table alone for
+``distill_corpus``. No stage reads ``tables/``. A missing or damaged
+manifest or sidecar raises a ``ChartKitError`` naming the file.
 
 All JSONL goes through ``chartkit.jsonl``. The manifest and the distill
 checkpoint are append journals: one row per completion, loaded last-wins
@@ -42,10 +47,10 @@ from .gen import chart_table_for, random_style
 from .jsonl import (
     Journal,
     atomic_write_text,
+    check_rows,
     encode_row,
-    load_by_id,
     read_json_object,
-    row_error,
+    read_jsonl,
     write_jsonl,
 )
 from .jsonl import read_jsonl as _load_jsonl  # perfbench times reads by this name
@@ -191,43 +196,26 @@ def _chart_rng(seed: int, chart_id: str) -> random.Random:
 
 
 def _checked_rows(path, *, nonempty=(), **kinds) -> list[dict]:
-    """The rows of a side-input JSONL file, each holding every key of
-    ``kinds`` with a value of that type (``object``: any value), and a
-    non-empty value under each key of ``nonempty``.
-
-    A row that does not raises ``MalformedJsonl`` naming the file and line;
-    a file that cannot be read is ``InvalidConfig``.
-    """
-    try:
-        rows = _load_jsonl(path)
-    except OSError as exc:
-        raise InvalidConfig(f"{path}: cannot read: {exc.strerror}") from exc
-    for i, row in enumerate(rows):
-        for key, kind in kinds.items():
-            if key not in row:
-                raise row_error(path, i, f"row has no {key!r}")
-            if not isinstance(row[key], kind):
-                raise row_error(path, i, f"{key} {row[key]!r} is not a {kind.__name__}")
-        for key in nonempty:
-            if not row[key]:
-                raise row_error(path, i, f"{key} is empty")
-    return rows
+    """The rows of a side-input JSONL file, checked by ``jsonl.check_rows``."""
+    return check_rows(path, _load_jsonl(path), nonempty=nonempty, **kinds)
 
 
 @lru_cache(maxsize=4)
 def _load_table_pool(tables_path: str, seed: int) -> tuple:
-    """Chart-ready tables decomposed from an external table file; a table
-    that does not parse or decompose is ``InvalidConfig`` naming the file."""
+    """Chart-ready tables decomposed from an external table file; a file
+    that cannot be read, or a table that does not parse or decompose, is
+    ``InvalidConfig`` naming the file."""
     path = Path(tables_path)
+    is_csv = path.suffix == ".csv"
+    rows = [] if is_csv else _checked_rows(path, columns=list, rows=list)
     try:
-        if path.suffix == ".csv":
-            tables = [DataTable.from_csv(path.read_text(encoding="utf-8"))]
-        else:
-            tables = [DataTable.from_json_dict(row)
-                      for row in _checked_rows(path, columns=list, rows=list)]
+        tables = ([DataTable.from_csv(path.read_text(encoding="utf-8"))] if is_csv
+                  else [DataTable.from_json_dict(row) for row in rows])
         pool = [piece for i, table in enumerate(tables)
                 for piece in decompose(table, rng_seed=seed + i)]
-    except (MalformedTable, OSError) as exc:
+    except OSError as exc:
+        raise InvalidConfig(f"{tables_path}: cannot read: {exc.strerror}") from exc
+    except (ChartKitError, UnicodeDecodeError) as exc:
         raise InvalidConfig(f"{tables_path}: {exc}") from exc
     if not pool:
         raise InvalidConfig(f"no chart-ready tables came out of {tables_path}")
@@ -266,26 +254,26 @@ def _manifest_row(chart: RenderedChart) -> dict:
     }
 
 
-def _write_chart_files(out: Path, chart: RenderedChart) -> dict:
-    (out / "charts" / f"{chart.id}.svg").write_text(chart.svg, encoding="utf-8")
-    (out / "charts" / f"{chart.id}.json").write_text(
-        chart.to_sidecar_json() + "\n", encoding="utf-8"
-    )
-    (out / "tables" / f"{chart.id}.json").write_text(
-        chart.table.to_json() + "\n", encoding="utf-8"
-    )
-    return _manifest_row(chart)
-
-
 def _synthesize_one(args) -> dict:
     config, out_dir, chart_id = args
     chart = make_chart(config, chart_id)
-    return _write_chart_files(Path(out_dir), chart)
+    out = Path(out_dir)
+    (out / "charts" / f"{chart_id}.svg").write_text(chart.svg, encoding="utf-8")
+    (out / "charts" / f"{chart_id}.json").write_text(
+        encode_row(chart.to_sidecar_dict()), encoding="utf-8")
+    (out / "tables" / f"{chart_id}.json").write_text(
+        encode_row(chart.table.to_json_dict()), encoding="utf-8")
+    return _manifest_row(chart)
 
 
 def load_manifest(corpus_dir) -> list[dict]:
-    # Crash-resumed runs may repeat ids; the last row of an id wins.
-    return list(load_by_id(Path(corpus_dir) / "manifest.jsonl").values())
+    """The manifest's rows, the last row of an id winning (a resumed run may
+    repeat ids), each checked to hold the string keys the stages read; a
+    missing manifest is ``InvalidConfig``."""
+    path = Path(corpus_dir) / "manifest.jsonl"
+    rows = check_rows(path, read_jsonl(path), id=str, svg=str, sidecar=str,
+                      chart_type=str, family=str)
+    return list({row["id"]: row for row in rows}.values())
 
 
 def synthesize(config: PipelineConfig) -> list[dict]:
@@ -314,10 +302,25 @@ def synthesize(config: PipelineConfig) -> list[dict]:
     return keep
 
 
+def _from_sidecar(corpus_dir, row: dict, build):
+    """``build(data)`` for the JSON object in a manifest row's sidecar; any
+    ``ChartKitError`` this raises names the sidecar's path."""
+    path = Path(corpus_dir) / row["sidecar"]
+    try:
+        return build(read_json_object(path))
+    except MalformedTable as exc:
+        raise MalformedTable(f"{path}: {exc}") from None
+
+
+def _sidecar_table(data: dict) -> DataTable:
+    if "table" not in data:
+        raise MalformedTable("sidecar has no key 'table'")
+    return DataTable.from_json_dict(data["table"])
+
+
 def load_chart(corpus_dir, row: dict) -> RenderedChart:
     """A manifest row's chart from its sidecar; the SVG text is not read."""
-    sidecar = (Path(corpus_dir) / row["sidecar"]).read_text(encoding="utf-8")
-    return RenderedChart.from_sidecar_json(sidecar)
+    return _from_sidecar(corpus_dir, row, RenderedChart.from_sidecar_dict)
 
 
 def _read_svg(path: Path) -> str:
@@ -357,6 +360,17 @@ def extract_corpus(svg_dir, profile: Optional[SelectorProfile] = None,
     return summary
 
 
+def _summaries_by_id(path, ids) -> dict[str, list[str]]:
+    """The texts of the summaries file at ``path``, if any, by chart id in
+    file order, for the ids in ``ids`` only. Blank texts stay: they count
+    among a chart's first ``counts["summary"]`` rows in ``gen_tasks``."""
+    by_id: dict[str, list[str]] = {}
+    for row in _checked_rows(path, id=str, summary=str) if path else ():
+        if row["id"] in ids:
+            by_id.setdefault(row["id"], []).append(row["summary"])
+    return by_id
+
+
 def gen_tasks(
     corpus_dir,
     out_dir,
@@ -375,13 +389,11 @@ def gen_tasks(
     keeps its first ``counts["qa_open"]`` pairs.
     """
     manifest = load_manifest(corpus_dir)
+    ref_of = {r["id"]: r["svg"] for r in manifest}
     counts = {k: config.counts.get(k, 0) for k in TASK_KINDS}
     warnings: list[str] = []
 
-    summaries: dict[str, list[str]] = {}
-    if summaries_path:
-        for row in _checked_rows(summaries_path, id=str, summary=str):
-            summaries.setdefault(row["id"], []).append(row["summary"])
+    summaries = _summaries_by_id(summaries_path, ref_of)
     qa_pairs = _checked_rows(qa_pairs_path, id=str, question=str, answer=str,
                              nonempty=("answer",)) if qa_pairs_path else []
 
@@ -409,13 +421,12 @@ def gen_tasks(
                 TaskRecord(ref, PROMPT_TOKENS["summary"], text, "summary")
                 for text in texts
             )
-    if counts["summary"] > 0 and not summaries:
+    if counts["summary"] > 0 and not summaries_path:
         warnings.append("summary: no summaries file supplied; emitted 0 records")
     elif no_summary:
         warnings.append(f"summary: {no_summary} charts have no summary on file")
 
     if counts["qa_open"] > 0 and qa_pairs:
-        ref_of = {r["id"]: r["svg"] for r in manifest}
         # Newline join: an answer sentence must sit inside one summary, not
         # straddle the boundary between two of them.
         joined = {cid: "\n".join(texts) for cid, texts in summaries.items()}
@@ -517,7 +528,11 @@ def sentence_count(text: str) -> int:
 
 
 def corpus_stats(corpus_dir, summaries_path=None) -> CorpusStats:
-    """Compute chart-type distribution and summary linguistics for a corpus."""
+    """Compute chart-type distribution and summary linguistics for a corpus.
+
+    The summary statistics count the texts ``gen_tasks`` can use: the
+    non-blank texts of ids in the manifest.
+    """
     manifest = load_manifest(corpus_dir)
     type_counts: dict[str, int] = {}
     family_counts: dict[str, int] = {}
@@ -529,10 +544,8 @@ def corpus_stats(corpus_dir, summaries_path=None) -> CorpusStats:
         fam: 100.0 * c / n for fam, c in family_counts.items()
     } if n else {}
 
-    texts = []
-    if summaries_path:
-        texts = [row["summary"]
-                 for row in _checked_rows(summaries_path, id=str, summary=str)]
+    by_id = _summaries_by_id(summaries_path, {row["id"] for row in manifest})
+    texts = [text for texts in by_id.values() for text in texts if text.strip()]
     vocab = set()
     for text in texts:
         vocab.update(tok.lower() for tok in text.split())
@@ -596,12 +609,9 @@ def distill_corpus(
     if backend is None and backend_config:
         backend = BackendClient.from_config(read_json_object(backend_config),
                                             transport=transport)
-    manifest = load_manifest(corpus_dir)
-    items = []
-    for row in manifest:
-        table_text = (Path(corpus_dir) / row["table"]).read_text(encoding="utf-8")
-        table = DataTable.from_json(table_text)
-        items.append((row["id"], build_table_summary_prompt(table)))
+    items = [(row["id"], build_table_summary_prompt(
+                 _from_sidecar(corpus_dir, row, _sidecar_table)))
+             for row in load_manifest(corpus_dir)]
     driver = BatchDriver(backend=backend, checkpoint_path=checkpoint_path,
                          budget=budget, log_path=log_path)
     done = driver.run(items)

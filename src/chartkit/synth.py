@@ -13,14 +13,13 @@ byte-identical documents.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import asdict, dataclass
 from typing import Optional
 from xml.sax.saxutils import escape, quoteattr
 
-from .errors import CanvasTooSmall
+from .errors import CanvasTooSmall, MalformedTable
 from .flatten import format_number
 from .palettes import PALETTE_NAMES, palette_colors
 from .tables import ChartReadyTable, DataTable
@@ -124,10 +123,6 @@ class StyleParams:
             elif value not in space:
                 raise ValueError(f"unknown {name} {value!r}")
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "StyleParams":
-        return cls(**data)
-
 
 @dataclass(frozen=True)
 class ChartSpec:
@@ -176,16 +171,6 @@ class MarkRecord:
             "color": self.color,
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "MarkRecord":
-        return cls(
-            data["series"],
-            data["x_label"],
-            float(data["value"]),
-            Rect(*data["bbox"]),
-            data["color"],
-        )
-
 
 @dataclass(frozen=True)
 class RenderedChart:
@@ -215,27 +200,41 @@ class RenderedChart:
             "style": asdict(self.style),
         }
 
-    def to_sidecar_json(self) -> str:
-        return json.dumps(self.to_sidecar_dict(), ensure_ascii=False, sort_keys=True)
-
     @classmethod
-    def from_sidecar_dict(cls, data: dict, svg: str = "") -> "RenderedChart":
-        return cls(
-            svg=svg,
-            chart_type=data["chart_type"],
-            canvas=tuple(data["canvas"]),
-            plot_area=Rect(*data["plot_area"]),
-            marks=tuple(MarkRecord.from_json_dict(m) for m in data["marks"]),
-            axis_ticks=tuple((p, label, v) for p, label, v in data["axis_ticks"]),
-            legend=tuple((n, c) for n, c in data["legend"]),
-            table=DataTable.from_json_dict(data["table"]),
-            style=StyleParams.from_json_dict(data["style"]),
-            id=data.get("id"),
-        )
+    def from_sidecar_dict(cls, data: dict) -> "RenderedChart":
+        """The chart (less its SVG text) a sidecar dict records; a key missing
+        or a value of the wrong type is ``MalformedTable``."""
+        try:
+            for key, kind in _SIDECAR_KINDS.items():
+                if not isinstance(data[key], kind):
+                    raise TypeError(f"{key} {data[key]!r} is not a {kind.__name__}")
+            if data["chart_type"] not in CHART_TYPES:
+                raise ValueError(f"unknown chart type {data['chart_type']!r}")
+            return cls(
+                svg="",
+                chart_type=data["chart_type"],
+                canvas=tuple(data["canvas"]),
+                plot_area=Rect(*data["plot_area"]),
+                marks=tuple(MarkRecord(m["series"], m["x_label"], float(m["value"]),
+                                       Rect(*m["bbox"]), m["color"])
+                            for m in data["marks"]),
+                axis_ticks=tuple((p, label, v) for p, label, v in data["axis_ticks"]),
+                legend=tuple((n, c) for n, c in data["legend"]),
+                table=DataTable.from_json_dict(data["table"]),
+                style=StyleParams(**data["style"]),
+                id=data.get("id"),
+            )
+        except MalformedTable:
+            raise
+        except KeyError as exc:
+            raise MalformedTable(f"sidecar has no key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise MalformedTable(f"not a chart sidecar: {exc}") from None
 
-    @classmethod
-    def from_sidecar_json(cls, text: str, svg: str = "") -> "RenderedChart":
-        return cls.from_sidecar_dict(json.loads(text), svg=svg)
+
+_SIDECAR_KINDS = {"chart_type": str, "canvas": list, "plot_area": list,
+                  "marks": list, "axis_ticks": list, "legend": list,
+                  "table": dict, "style": dict}
 
 
 def choose_chart_type(

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import random
 import re
@@ -82,8 +81,8 @@ class Column:
     unit: Optional[str] = None
 
     def __post_init__(self):
-        if not self.name:
-            raise ValueError("column name must be non-empty")
+        if not (isinstance(self.name, str) and self.name):
+            raise ValueError(f"column name must be a non-empty string, not {self.name!r}")
         if self.kind not in (CATEGORICAL, NUMERIC):
             raise ValueError(f"unknown column kind: {self.kind!r}")
 
@@ -159,13 +158,6 @@ class DataTable:
             raise MalformedTable(f"table has no key {exc}") from exc
         except (TypeError, AttributeError, ValueError) as exc:
             raise MalformedTable(f"not a table: {exc}") from exc
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), ensure_ascii=False, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DataTable":
-        return cls.from_json_dict(json.loads(text))
 
     @classmethod
     def from_csv(cls, text: str) -> "DataTable":

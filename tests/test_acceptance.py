@@ -53,7 +53,7 @@ def test_criterion_1_labeled_round_trip():
         result = extract_chart(chart.svg)
         assert result.confidence == "exact", result.diagnostics
         assert result.table == chart.table, (
-            chart.table.to_json(), result.table.to_json()
+            chart.table.to_json_dict(), result.table.to_json_dict()
         )
         exact += 1
     elapsed = time.monotonic() - started

@@ -11,7 +11,7 @@ from chartkit.distill import (
     fallback_summary,
 )
 from chartkit.errors import InvalidConfig, ParseFailure, RateLimited
-from chartkit.jsonl import load_by_id
+from chartkit.jsonl import read_jsonl
 from chartkit.metrics import extract_numbers
 from chartkit.tables import Column, DataTable, NUMERIC
 
@@ -167,7 +167,7 @@ def test_driver_checkpoint_resume_and_budget(tmp_path):
                          budget=2)
     done = driver.run(bundles)
     assert len(done) == 2
-    assert len(load_by_id(ckpt)) == 2
+    assert len(read_jsonl(ckpt)) == 2
 
     # Resume finishes the rest without redoing completed ids.
     class Counting(FallbackBackend):

@@ -18,7 +18,7 @@ from chartkit.distill import (
     build_table_summary_prompt,
 )
 from chartkit.errors import ChartKitError, ParseFailure
-from chartkit.jsonl import Journal, encode_row, load_by_id, read_jsonl, write_jsonl
+from chartkit.jsonl import Journal, encode_row, read_jsonl, write_jsonl
 from chartkit.pipeline import PipelineConfig, distill_corpus, synthesize
 from chartkit.tables import Column, DataTable, NUMERIC
 from test_golden import tree_digest
@@ -95,7 +95,7 @@ def test_failed_distill_items_are_data_and_a_rerun_converges(tmp_path, capsys,
     assert "failed chart-000001: garbled completion" in capsys.readouterr().err
     finished = [f"chart-{i:06d}" for i in (0, 2, 3, 4, 5)]
     assert [row["id"] for row in read_jsonl(root / "summaries.jsonl")] == finished
-    assert sorted(load_by_id(root / "checkpoint.jsonl")) == finished
+    assert [row["id"] for row in read_jsonl(root / "checkpoint.jsonl")] == finished
     monkeypatch.undo()
     assert main(argv) == 0
     assert tree_digest(root) == fresh
@@ -152,9 +152,11 @@ def test_encoding_and_reads(tmp_path):
         fh.write('\n{"id": "y", "v": 3}')  # a blank line, no final newline
     rows = read_jsonl(path)
     assert rows[1] == row and rows[-1] == {"id": "y", "v": 3}
-    assert load_by_id(path) == {"x": {"id": "x", "v": 2}, "z": row,
+    with Journal(path) as journal:
+        assert journal.rows == {"x": {"id": "x", "v": 2}, "z": row,
                                 "y": {"id": "y", "v": 3}}
-    assert load_by_id(tmp_path / "missing.jsonl") == {}
+    with Journal(tmp_path / "missing.jsonl") as journal:
+        assert journal.rows == {}
 
 
 def test_read_drops_only_a_torn_last_line(tmp_path):

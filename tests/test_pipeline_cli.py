@@ -359,15 +359,25 @@ def test_cli_reports_a_side_input_it_cannot_read(tmp_path, capsys):
     ({"columns": [{"kind": "numeric"}], "rows": []}, "table has no key 'name'"),
     ({"columns": [{"name": "x"}, {"name": "v", "kind": "numeric"}],
       "rows": [["a", "abc"]]}, "not a table"),
+    ({"columns": ["x", "v"], "rows": [["a", "b"]]}, "table has no numeric column"),
+    ({"columns": ["x", "v"], "rows": [["1", "2"]]}, "table has no categorical column"),
+    ({"columns": ["x", "v"], "rows": []}, "no data rows"),
+    (b"x,v\na\n", "row 2 has 1 cells, expected 2"),
+    (b"x,v\n\xff,1\n", "'utf-8' codec can't decode byte 0xff"),
 ])
 def test_cli_synthesize_rejects_a_malformed_external_table(tmp_path, capsys, table,
                                                            problem):
-    tables = tmp_path / "tables.jsonl"
-    write_jsonl(tables, [table])
+    if isinstance(table, bytes):
+        tables = tmp_path / "tables.csv"
+        tables.write_bytes(table)
+    else:
+        tables = tmp_path / "tables.jsonl"
+        write_jsonl(tables, [table])
     assert main(["synthesize", "--out", str(tmp_path / "corpus"), "--count", "1",
                  "--tables", str(tables)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {tables}") and problem in err
+    assert err.count(tables.name) == 1
 
 
 def test_task_count_table_has_five_columns():
@@ -416,6 +426,18 @@ def test_stats_percentages(tmp_path):
     assert stats.avg_sentences == pytest.approx(2.0)
     assert stats.n_vocab == 4  # whitespace tokens, punctuation attached
     assert stats.avg_tokens == pytest.approx(4.0)
+
+
+def test_stats_count_only_the_summaries_gen_tasks_can_use(tmp_path):
+    config = _config(tmp_path, count=3)
+    synthesize(config)
+    summaries = tmp_path / "s.jsonl"
+    write_jsonl(summaries, [{"id": "chart-000000", "summary": ""},
+                            {"id": "chart-000000", "summary": "One two."},
+                            {"id": "ghost", "summary": "Ghost text here."}])
+    stats = corpus_stats(config.out, summaries_path=summaries)
+    assert stats.avg_tokens == 2.0
+    assert stats.n_vocab == 2 and stats.avg_characters == len("One two.")
 
 
 def test_evaluate_and_mismatch(tmp_path):

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from chartkit.errors import (
     RaggedInput,
 )
 from chartkit.flatten import format_number
+from chartkit.jsonl import encode_row
 from chartkit.tables import (
     CATEGORICAL,
     NUMERIC,
@@ -139,7 +141,7 @@ def test_datatable_validation():
 
 def test_json_round_trip():
     t = infer_column_kinds([["x", "v"], ["a", "1"], ["b", "2"]])
-    assert DataTable.from_json(t.to_json()) == t
+    assert DataTable.from_json_dict(json.loads(encode_row(t.to_json_dict()))) == t
 
 
 def test_json_import_with_bare_column_names_infers_kinds():
@@ -150,6 +152,7 @@ def test_json_import_with_bare_column_names_infers_kinds():
 def test_json_import_rejects_what_is_not_a_table():
     for data in ([], {"rows": []}, {"columns": 5, "rows": []}, {"columns": [7], "rows": []},
                  {"columns": [{"kind": "numeric"}], "rows": []},
+                 {"columns": [{"name": True}], "rows": [["a"]]},
                  {"columns": [{"name": "v", "kind": "numeric"}], "rows": [["abc"]]},
                  {"columns": [{"name": "v", "kind": "numeric"}], "rows": [[None]]},
                  {"columns": ["x"], "rows": [5]}):

@@ -169,7 +169,7 @@ def test_generate_qa_matches_brute_force_sample():
             bindings = template.bindings(view)
             binding = bindings[rng.randrange(len(bindings))]
             assert template.answer(view, binding) == brute_answer(chart, tid, binding), (
-                tid, binding, chart.table.to_json()
+                tid, binding, chart.table.to_json_dict()
             )
             checked += 1
     assert checked > 500
@@ -195,7 +195,7 @@ def test_every_binding_matches_brute_force():
             for binding in template.bindings(view):
                 assert template.answer(view, binding) == brute_answer(
                     chart, tid, binding
-                ), (tid, binding, chart.table.to_json())
+                ), (tid, binding, chart.table.to_json_dict())
                 checked += 1
     assert checked > 3000
 
