@@ -8,9 +8,10 @@ import sys
 from pathlib import Path
 
 from . import pipeline
+from .distill import BackendClient
 from .errors import ChartKitError, InvalidConfig
 from .extract import load_profile
-from .jsonl import encode_row
+from .jsonl import encode_row, read_json_object
 from .metrics import METRIC_NAMES
 
 
@@ -81,13 +82,13 @@ def cmd_gen_tasks(args) -> int:
 
 
 def cmd_distill(args) -> int:
-    backend_config = args.backend
-    if backend_config is None and args.config and not args.fallback:
-        backend_config = pipeline.PipelineConfig.from_file(args.config).backend_config
+    backend = None
+    if args.backend and not args.fallback:
+        backend = BackendClient.from_config(read_json_object(args.backend))
     done, failures = pipeline.distill_corpus(
         args.corpus,
         args.out,
-        backend_config=None if args.fallback else backend_config,
+        backend=backend,
         budget=args.budget,
         checkpoint_path=args.checkpoint,
         log_path=args.log,
@@ -158,9 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--backend", help="backend config JSON")
-    p.add_argument("--config", help="pipeline config JSON (for backend_config)")
     p.add_argument("--fallback", action="store_true",
-                   help="use the offline deterministic summarizer")
+                   help="use the offline deterministic summarizer, even with --backend")
     p.add_argument("--budget", type=int, help="max new backend calls")
     p.add_argument("--checkpoint", help="resumable checkpoint JSONL")
     p.add_argument("--log", help="prompt/response audit JSONL")

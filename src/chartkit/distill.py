@@ -3,8 +3,9 @@
 One prompt shape: 1-shot table-to-summary, with the module's one exemplar
 as the demonstration and the chart's column units above its flattened
 table. The backend speaks the common HTTP JSON chat-completions shape and
-is configured by file, never by code; a deterministic rule-based fallback
-summarizer keeps every downstream consumer testable offline.
+is built from a config object (``BackendClient.from_config``), which the
+CLI reads from the file ``--backend`` names; a deterministic rule-based
+fallback summarizer keeps every downstream consumer testable offline.
 """
 
 from __future__ import annotations

@@ -33,10 +33,17 @@ from .errors import (
 from .jsonl import read_json_object
 from .palettes import rgb_distance
 from .synth import MarkRecord, Rect, sector_bbox
-from .tables import CATEGORICAL, NUMERIC, Column, DataTable, parse_number
+from .tables import (
+    CATEGORICAL,
+    EXP_NUMBER_RE,
+    NUMERIC,
+    UNIT_SUFFIX_RE,
+    Column,
+    DataTable,
+    parse_number,
+)
 
 _TRANSFORM_RE = re.compile(r"(\w+)\s*\(([^)]*)\)")
-_NUM_RE = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 _PATH_ARITY = {"M": 2, "L": 2, "A": 7}  # numbers each slice-path command needs
 
 AMBIGUOUS_COLOR_DISTANCE = 900  # squared RGB distance; beyond this, guesswork
@@ -202,7 +209,7 @@ def _parse_transform(text: str) -> tuple[float, float, bool]:
     clean = True
     for func, args in _TRANSFORM_RE.findall(text or ""):
         if func == "translate":
-            nums = [float(n) for n in _NUM_RE.findall(args)]
+            nums = [float(n) for n in EXP_NUMBER_RE.findall(args)]
             if nums:
                 dx += nums[0]
                 dy += nums[1] if len(nums) > 1 else 0.0
@@ -265,7 +272,7 @@ def _parse_slice_path(d: str, tx: float, ty: float):
     full circles written as two half arcs. Returns None when the path does
     not look like either.
     """
-    tokens = re.findall(r"[A-Za-z]|" + _NUM_RE.pattern, d)
+    tokens = re.findall(r"[A-Za-z]|" + EXP_NUMBER_RE.pattern, d)
     cmds: list[tuple[str, list[float]]] = []
     i = 0
     while i < len(tokens):
@@ -418,7 +425,7 @@ def _collect_legend(parsed, profile, elem):
 
 
 def _label_decimals(text: str) -> int:
-    m = _NUM_RE.search(text.replace(",", ""))
+    m = EXP_NUMBER_RE.search(text.replace(",", ""))
     if not m or "." not in m.group(0):
         return 0
     return len(m.group(0).split(".")[1])
@@ -568,7 +575,7 @@ def _column_names(parsed: ParsedChart):
     if y_name is None and "y" in parsed.axis_fields:
         y_name, unit = parsed.axis_fields["y"]
         y_unit = y_unit if y_unit is not None else unit
-        m = re.match(r"^(.+) \((.+)\)$", y_name)
+        m = UNIT_SUFFIX_RE.match(y_name)
         if m and y_unit is None:
             y_name, y_unit = m.group(1), m.group(2)
     return x_name or "label", y_name or "value", y_unit

@@ -9,16 +9,18 @@ table whose values carry more precision than that is lossy by design.
 
 from __future__ import annotations
 
-import re
-
 from .errors import MalformedTable, RaggedInput
-from .tables import CATEGORICAL, NUMERIC, Column, DataTable
+from .tables import (
+    CATEGORICAL,
+    NUMERIC,
+    PLAIN_NUMBER_RE,
+    UNIT_SUFFIX_RE,
+    Column,
+    DataTable,
+)
 
 CELL_SEP = " | "
 ROW_SEP = " & "
-
-_UNIT_SUFFIX = re.compile(r"^(.+) \((.+)\)$")
-_PLAIN_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)")
 
 
 def format_number(value: float) -> str:
@@ -84,7 +86,7 @@ def _split_flat(text: str) -> list[list[str]]:
 
 
 def _plain_float(cell: str) -> float | None:
-    if not _PLAIN_NUMBER.fullmatch(cell):
+    if not PLAIN_NUMBER_RE.fullmatch(cell):
         return None
     return float(cell)
 
@@ -111,7 +113,7 @@ def unflatten_table(text: str) -> DataTable:
         numeric = bool(values) and all(v is not None for v in values)
         name, unit = header[j], None
         if numeric:
-            m = _UNIT_SUFFIX.match(name)
+            m = UNIT_SUFFIX_RE.match(name)
             if m:
                 name, unit = m.group(1), m.group(2)
             columns.append((name, NUMERIC, unit))

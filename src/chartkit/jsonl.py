@@ -118,30 +118,35 @@ class Journal:
 
     ``rows`` starts as the file's rows by id, last wins (each must hold a
     string id). ``append`` writes and flushes one row, so a crashed process
-    loses at most that row. A last line without its newline is cut off the
-    file on open (a whole row there stays in ``rows``), so no row is ever
-    appended onto a fragment. ``compact`` ends a run: it closes the file
-    and atomically rewrites it sorted by id.
+    loses at most that row. The file is opened, and made if missing, by the
+    first ``append``, so a run that fails before its first row leaves no
+    file behind. A last line without its newline is cut off the file then
+    (a whole row there stays in ``rows``), so no row is ever appended onto
+    a fragment. ``compact`` ends a run: it closes the file and atomically
+    rewrites it sorted by id.
     """
 
     def __init__(self, path):
         self.path = Path(path)
-        rows, ended = _scan(self.path) if self.path.exists() else ([], 0)
+        rows, self._ended = _scan(self.path) if self.path.exists() else ([], 0)
         self.rows = {row["id"]: row for row in check_rows(self.path, rows, id=str)}
-        self._fh = open(self.path, "a", encoding="utf-8")
-        self._fh.truncate(ended)
+        self._fh = None
 
     def __enter__(self) -> "Journal":
         return self
 
     def __exit__(self, *exc):
-        self._fh.close()
+        if self._fh:
+            self._fh.close()
 
     def append(self, row: dict):
+        if self._fh is None:
+            self._fh = open(self.path, "a", encoding="utf-8")
+            self._fh.truncate(self._ended)
         self.rows[row["id"]] = row
         self._fh.write(encode_row(row))
         self._fh.flush()
 
     def compact(self, rows: Iterable[dict]):
-        self._fh.close()
+        self.__exit__()
         write_jsonl(self.path, sorted(rows, key=lambda row: row["id"]))

@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Union
 from .assignment import hungarian, pad_square
 from .errors import ChartKitError, InvalidConfig, LengthMismatch
 from .flatten import unflatten_table
-from .tables import CATEGORICAL, DataTable
+from .tables import CATEGORICAL, EXP_NUMBER_RE, DataTable
 
 EPS = 1e-9
 
@@ -45,7 +45,7 @@ def extract_numbers(text: str) -> list[float]:
 
 def _to_float(text: str) -> Optional[float]:
     token = text.strip().rstrip("%").replace(",", "")
-    if not re.fullmatch(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?", token):
+    if not EXP_NUMBER_RE.fullmatch(token):
         return None
     value = float(token)
     return value if math.isfinite(value) else None
@@ -212,15 +212,10 @@ def _levenshtein_walk(packed, texts) -> dict[str, list[int]]:
     return out
 
 
-def _levenshtein_many(packed, b: str) -> list[int]:
-    """Edit distance from every packed key to ``b``: the one-text walk."""
-    return _levenshtein_walk(packed, (b,))[b]
-
-
 def levenshtein(a: str, b: str) -> int:
     """Exact unit-cost edit distance between two strings, over code points:
-    the one-key case of ``_levenshtein_many``."""
-    return _levenshtein_many(_pack_keys([a]), b)[0]
+    the one-key, one-text case of ``_levenshtein_walk``."""
+    return _levenshtein_walk(_pack_keys([a]), (b,))[b][0]
 
 
 def _normalize_key(text: str) -> str:
@@ -385,6 +380,7 @@ def rms_f1(pred: DataTable, gold: DataTable) -> tuple[float, float, float]:
 
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
+_BLEU_N = 4  # the longest n-gram BLEU counts
 
 
 def bleu_tokenize(text: str) -> list[str]:
@@ -395,7 +391,7 @@ def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
     return Counter(zip(*[tokens[i:] for i in range(n)]))
 
 
-def corpus_bleu(preds: list[str], golds: list[list[str]], max_n: int = 4) -> float:
+def corpus_bleu(preds: list[str], golds: list[list[str]]) -> float:
     """Corpus BLEU-4 with add-epsilon smoothing, on a 0..100 scale.
 
     Tokenization lowercases and splits on whitespace and punctuation
@@ -409,8 +405,8 @@ def corpus_bleu(preds: list[str], golds: list[list[str]], max_n: int = 4) -> flo
         )
     if not preds:
         return 0.0
-    matched = [0] * max_n
-    guessed = [0] * max_n
+    matched = [0] * _BLEU_N
+    guessed = [0] * _BLEU_N
     pred_len = 0
     ref_len = 0
     for pred, refs in zip(preds, golds):
@@ -423,7 +419,7 @@ def corpus_bleu(preds: list[str], golds: list[list[str]], max_n: int = 4) -> flo
             (len(r) for r in r_token_lists),
             key=lambda n: (abs(n - len(p_tokens)), n),
         )
-        for n in range(1, max_n + 1):
+        for n in range(1, _BLEU_N + 1):
             p_counts = _ngram_counts(p_tokens, n)
             if not p_counts:
                 continue
@@ -435,12 +431,12 @@ def corpus_bleu(preds: list[str], golds: list[list[str]], max_n: int = 4) -> flo
     if pred_len == 0:
         return 0.0
     log_sum = 0.0
-    for n in range(max_n):
+    for n in range(_BLEU_N):
         precision = matched[n] / guessed[n] if guessed[n] else 0.0
         if precision == 0.0:
             precision = EPS
         log_sum += math.log(precision)
-    geo_mean = math.exp(log_sum / max_n)
+    geo_mean = math.exp(log_sum / _BLEU_N)
     bp = 1.0 if pred_len >= ref_len else math.exp(1.0 - ref_len / pred_len)
     return 100.0 * geo_mean * bp
 

@@ -34,7 +34,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
-from .distill import BackendClient, BatchDriver, build_table_summary_prompt
+from .distill import BatchDriver, build_table_summary_prompt
 from .errors import (
     ChartKitError,
     InvalidConfig,
@@ -73,7 +73,6 @@ from .tasks import (
     TASK_KINDS,
     TaskRecord,
     generate_qa,
-    records_to_jsonl,
     table_record,
     value_estimation_record,
 )
@@ -105,7 +104,6 @@ _FIELD_TYPES = (
     ("style_overrides", dict, "an object"),
     ("out", _PATH, "a path"),
     ("tables_path", (*_PATH, type(None)), "a path or null"),
-    ("backend_config", (*_PATH, type(None)), "a path or null"),
 )
 
 
@@ -131,7 +129,6 @@ class PipelineConfig:
     labels: str = "mixed"  # on | off | mixed
     out: str = "corpus"
     tables_path: Optional[str] = None
-    backend_config: Optional[str] = None
     workers: int = 1
     canvas: tuple[int, int] = DEFAULT_CANVAS
 
@@ -430,14 +427,14 @@ def gen_tasks(
         # Newline join: an answer sentence must sit inside one summary, not
         # straddle the boundary between two of them.
         joined = {cid: "\n".join(texts) for cid, texts in summaries.items()}
-        dropped, notes, per_chart = 0, [], {}
+        dropped, unchecked, per_chart = 0, {}, {}
         for pair in qa_pairs:
             cid, answer = pair["id"], pair["answer"]
             ref = ref_of.get(cid)
             if ref is None:
                 continue
             if cid not in joined:
-                notes.append(f"qa_open: {ref}: unchecked (no summary on file)")
+                unchecked[ref] = None  # one warning per chart, in first-seen order
             elif answer not in joined[cid]:
                 dropped += 1
                 continue
@@ -450,7 +447,8 @@ def gen_tasks(
             warnings.append(
                 f"qa_open: dropped {dropped} pairs whose answer is not in the summary"
             )
-        warnings.extend(notes)
+        warnings.extend(f"qa_open: {ref}: unchecked (no summary on file)"
+                        for ref in unchecked)
     elif counts["qa_open"] > 0:
         warnings.append("qa_open: no qa-pairs file supplied; emitted 0 records")
 
@@ -463,7 +461,7 @@ def gen_tasks(
         emitted[kind] = len(records[kind])
         if not records[kind]:
             continue  # configured but empty (e.g. no summaries supplied)
-        atomic_write_text(out / f"{kind}.jsonl", records_to_jsonl(records[kind]))
+        write_jsonl(out / f"{kind}.jsonl", (r.to_json_dict() for r in records[kind]))
     if counts["qa_reasoning"] > 0:
         atomic_write_text(
             out / "template_catalog.json",
@@ -590,9 +588,7 @@ def evaluate(pred_path, gold_path, metrics=METRIC_NAMES) -> MetricReport:
 def distill_corpus(
     corpus_dir,
     out_path,
-    backend: Optional[BackendClient] = None,
-    backend_config=None,
-    transport=None,
+    backend=None,
     budget: Optional[int] = None,
     checkpoint_path=None,
     log_path=None,
@@ -600,15 +596,13 @@ def distill_corpus(
     """Generate a summary per chart through a backend or the offline fallback.
 
     Returns (summary per finished id, ``{"id", "error"}`` per failed id).
-    ``backend=None`` and ``backend_config=None`` selects the deterministic
-    fallback; no network transport is ever constructed in that case.
+    ``backend`` is any object with ``complete(bundle) -> str``, such as a
+    ``distill.BackendClient``; ``None`` selects the deterministic fallback,
+    and no network transport is ever constructed in that case.
     ``checkpoint_path`` names the driver's append journal of finished
     summaries (see ``BatchDriver``); a rerun resumes from it and retries
     the failed ids.
     """
-    if backend is None and backend_config:
-        backend = BackendClient.from_config(read_json_object(backend_config),
-                                            transport=transport)
     items = [(row["id"], build_table_summary_prompt(
                  _from_sidecar(corpus_dir, row, _sidecar_table)))
              for row in load_manifest(corpus_dir)]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from dataclasses import asdict, dataclass
 from typing import Optional
 from xml.sax.saxutils import escape, quoteattr
@@ -203,23 +204,30 @@ class RenderedChart:
     @classmethod
     def from_sidecar_dict(cls, data: dict) -> "RenderedChart":
         """The chart (less its SVG text) a sidecar dict records; a key missing
-        or a value of the wrong type is ``MalformedTable``."""
+        or a value of the wrong type, nested ones included, is
+        ``MalformedTable``."""
         try:
             for key, kind in _SIDECAR_KINDS.items():
                 if not isinstance(data[key], kind):
                     raise TypeError(f"{key} {data[key]!r} is not a {kind.__name__}")
             if data["chart_type"] not in CHART_TYPES:
                 raise ValueError(f"unknown chart type {data['chart_type']!r}")
+            plot_area = _sidecar_rect(data["plot_area"], "plot_area")
+            if plot_area.w <= 0 or plot_area.h <= 0:
+                raise ValueError(f"plot_area {data['plot_area']!r} has no area")
+            marks = tuple(map(_sidecar_mark, data["marks"]))
+            legend = tuple(map(_sidecar_legend_entry, data["legend"]))
+            names = [name for name, _ in legend]
+            if len(set(names)) < len(names) or set(names) != {m.series for m in marks}:
+                raise ValueError(f"legend names {names!r} are not the marks' series")
             return cls(
                 svg="",
                 chart_type=data["chart_type"],
                 canvas=tuple(data["canvas"]),
-                plot_area=Rect(*data["plot_area"]),
-                marks=tuple(MarkRecord(m["series"], m["x_label"], float(m["value"]),
-                                       Rect(*m["bbox"]), m["color"])
-                            for m in data["marks"]),
+                plot_area=plot_area,
+                marks=marks,
                 axis_ticks=tuple((p, label, v) for p, label, v in data["axis_ticks"]),
-                legend=tuple((n, c) for n, c in data["legend"]),
+                legend=legend,
                 table=DataTable.from_json_dict(data["table"]),
                 style=StyleParams(**data["style"]),
                 id=data.get("id"),
@@ -235,6 +243,43 @@ class RenderedChart:
 _SIDECAR_KINDS = {"chart_type": str, "canvas": list, "plot_area": list,
                   "marks": list, "axis_ticks": list, "legend": list,
                   "table": dict, "style": dict}
+_HEX_RGB = re.compile(r"#[0-9a-fA-F]{6}")
+
+
+def _finite(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _sidecar_rect(value, what: str) -> Rect:
+    if not (isinstance(value, list) and len(value) == 4 and all(map(_finite, value))):
+        raise TypeError(f"{what} {value!r} is not four finite numbers")
+    return Rect(*value)
+
+
+def _sidecar_color(value, what: str) -> str:
+    if not (isinstance(value, str) and _HEX_RGB.fullmatch(value)):
+        raise TypeError(f"{what} {value!r} is not a #rrggbb color")
+    return value
+
+
+def _sidecar_mark(mark) -> MarkRecord:
+    if not isinstance(mark, dict):
+        raise TypeError(f"mark {mark!r} is not an object")
+    for key in ("series", "x_label"):
+        if not (isinstance(mark[key], str) and mark[key]):
+            raise TypeError(f"mark {key} {mark[key]!r} is not a non-empty string")
+    if not _finite(mark["value"]):
+        raise TypeError(f"mark value {mark['value']!r} is not a finite number")
+    return MarkRecord(mark["series"], mark["x_label"], float(mark["value"]),
+                      _sidecar_rect(mark["bbox"], "mark bbox"),
+                      _sidecar_color(mark["color"], "mark color"))
+
+
+def _sidecar_legend_entry(entry) -> tuple[str, str]:
+    if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)):
+        raise TypeError(f"legend entry {entry!r} is not a [name, color] pair")
+    return entry[0], _sidecar_color(entry[1], "legend color")
 
 
 def choose_chart_type(
@@ -395,13 +440,11 @@ class _SvgWriter:
     def add(self, fragment: str):
         self.parts.append(fragment)
 
-    def text(self, content, x, y, cls=None, attrs=None, anchor="middle", extra=""):
-        bits = [f'<text x="{_px(x)}" y="{_px(y)}"']
-        if cls:
-            bits.append(f' class="{cls}"')
-        for key, val in (attrs or {}).items():
+    def text(self, content, x, y, cls, attrs, extra=""):
+        bits = [f'<text x="{_px(x)}" y="{_px(y)}" class="{cls}"']
+        for key, val in attrs.items():
             bits.append(f" {key}={_attr(val)}")
-        bits.append(f' text-anchor="{anchor}"{extra}>{escape(str(content))}</text>')
+        bits.append(f' text-anchor="middle"{extra}>{escape(str(content))}</text>')
         self.add("".join(bits))
 
     def finish(self) -> str:

@@ -37,7 +37,11 @@ CURRENCY_SYMBOLS = "$€£¥₹"
 # Thousands separators are only stripped when they group digits in threes;
 # "1,2" is not a number.
 _GROUPED_RE = re.compile(r"[-+]?\d{1,3}(?:,\d{3})+(?:\.\d+)?")
-_PLAIN_RE = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)")
+# The text rules every module shares: a plain number, a number that may
+# carry an exponent, and a "name (unit)" header.
+PLAIN_NUMBER_RE = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)")
+EXP_NUMBER_RE = re.compile(PLAIN_NUMBER_RE.pattern + r"(?:[eE][-+]?\d+)?")
+UNIT_SUFFIX_RE = re.compile(r"^(.+) \((.+)\)$")
 
 
 def parse_number(text: str) -> Optional[tuple[float, Optional[str]]]:
@@ -61,7 +65,7 @@ def parse_number(text: str) -> Optional[tuple[float, Optional[str]]]:
         s = s[:-1].strip()
     if _GROUPED_RE.fullmatch(s):
         s = s.replace(",", "")
-    elif not _PLAIN_RE.fullmatch(s):
+    elif not PLAIN_NUMBER_RE.fullmatch(s):
         return None
     try:
         value = float(s)

@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional
 
 from .errors import UnsupportedChartType
 from .flatten import CELL_SEP, ROW_SEP, flatten_table, format_number
-from .jsonl import encode_row
 from .synth import PIE, RenderedChart
 from .templates import REGISTRY, ChartView
 
@@ -53,26 +51,11 @@ class TaskRecord:
             "kind": self.task_kind,
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "TaskRecord":
-        return cls(data["image"], data["prompt"], data["target"], data["kind"])
 
-
-def records_to_jsonl(records: Iterable[TaskRecord]) -> str:
-    return "".join(encode_row(r.to_json_dict()) for r in records)
-
-
-def _image_ref(chart: RenderedChart, override: Optional[str]) -> str:
-    ref = override if override is not None else chart.id
-    if not ref:
-        raise ValueError("chart has no id; pass image_ref explicitly")
-    return ref
-
-
-def table_record(chart: RenderedChart, image_ref: Optional[str] = None) -> TaskRecord:
+def table_record(chart: RenderedChart, image_ref: str) -> TaskRecord:
     """Flattened-table generation target for one chart."""
     return TaskRecord(
-        _image_ref(chart, image_ref),
+        image_ref,
         PROMPT_TOKENS["table"],
         flatten_table(chart.table),
         "table",
@@ -105,11 +88,9 @@ def value_estimation_target(chart: RenderedChart) -> str:
     return ROW_SEP.join(rows)
 
 
-def value_estimation_record(
-    chart: RenderedChart, image_ref: Optional[str] = None
-) -> TaskRecord:
+def value_estimation_record(chart: RenderedChart, image_ref: str) -> TaskRecord:
     return TaskRecord(
-        _image_ref(chart, image_ref),
+        image_ref,
         PROMPT_TOKENS["value_estimation"],
         value_estimation_target(chart),
         "value_estimation",
@@ -120,7 +101,7 @@ def generate_qa(
     chart: RenderedChart,
     count: int,
     rng_seed: int,
-    image_ref: Optional[str] = None,
+    image_ref: str,
 ) -> list[TaskRecord]:
     """Sample up to ``count`` template questions with oracle answers.
 
@@ -128,7 +109,6 @@ def generate_qa(
     (template, binding) pair is used at most once, so fewer records come
     back once applicability is exhausted.
     """
-    ref = _image_ref(chart, image_ref)
     view = ChartView(chart)
     rng = random.Random(rng_seed)
     remaining: dict[str, list[dict]] = {}
@@ -148,7 +128,7 @@ def generate_qa(
         answer = template.answer(view, binding)
         records.append(
             TaskRecord(
-                ref,
+                image_ref,
                 f"{PROMPT_TOKENS['qa_reasoning']} {question}",
                 answer,
                 "qa_reasoning",

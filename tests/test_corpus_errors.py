@@ -7,8 +7,10 @@ library call in a ``ChartKitError`` and the CLI in exit 2 with one
 """
 
 import json
+import operator
 import shutil
 import tempfile
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -49,6 +51,14 @@ def _edit_manifest_row(corpus, index, edit):
     path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
 
 
+def _sidecar_set(*keys, value):
+    """(file, damage) that sets the sidecar's value at a key path."""
+    def damage(corpus):
+        _edit_json(corpus / SIDECAR, lambda d: reduce(
+            operator.getitem, keys[:-1], d).__setitem__(keys[-1], value))
+    return SIDECAR, damage
+
+
 # (name, damaged file, damage): each case of a corpus that once ended a
 # command in a bare traceback.
 DAMAGE = {
@@ -57,6 +67,13 @@ DAMAGE = {
     "sidecar missing": (SIDECAR, lambda c: (c / SIDECAR).unlink()),
     "sidecar cell abc": (SIDECAR, lambda c: _edit_json(
         c / SIDECAR, lambda d: d["table"]["rows"][0].__setitem__(1, "abc"))),
+    "mark bbox null": _sidecar_set("marks", 0, "bbox", 0, value=None),
+    "mark color x": _sidecar_set("marks", 0, "color", value="x"),
+    "mark x_label empty": _sidecar_set("marks", 0, "x_label", value=""),
+    "legend name list": _sidecar_set("legend", 0, 0, value=[]),
+    "legend name x": _sidecar_set("legend", 0, 0, value="x"),
+    "legend color x": _sidecar_set("legend", 0, 1, value="x"),
+    "plot_area height 0": _sidecar_set("plot_area", 3, value=0),
     "row without sidecar": ("manifest.jsonl", lambda c: _edit_manifest_row(
         c, 1, lambda row: row.pop("sidecar"))),
     "row without id": ("manifest.jsonl", lambda c: _edit_manifest_row(
@@ -119,12 +136,26 @@ def test_distill_does_not_read_the_tables_copy(tmp_path, corpus):
 _VALUES = [None, True, 7, 2.5, "x", [], [1, 2], {}, {"a": 1}]
 
 
-@settings(max_examples=120, deadline=None)
+def _paths(value, prefix=()):
+    """The key path of every value nested in ``value``, outer ones first."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, inner in items:
+        yield prefix + (key,)
+        yield from _paths(inner, prefix + (key,))
+
+
+@settings(max_examples=250, deadline=None)
 @given(target=st.sampled_from(["manifest.jsonl", SIDECAR]),
        mutation=st.sampled_from(["delete", "retype", "cut", "remove"]),
-       pick=st.integers(0, 10**6), value=st.sampled_from(_VALUES))
+       nested=st.booleans(), pick=st.integers(0, 10**6),
+       value=st.sampled_from(_VALUES))
 def test_one_corpus_mutation_raises_only_chartkit_errors(corpus, target, mutation,
-                                                         pick, value):
+                                                         nested, pick, value):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp) / "corpus"
         shutil.copytree(corpus, root)
@@ -136,12 +167,16 @@ def test_one_corpus_mutation_raises_only_chartkit_errors(corpus, target, mutatio
             path.write_bytes(data[:pick % len(data)])
         else:
             def mutate(row):
-                key = sorted(row)[pick % len(row)]
+                # A top-level key, or in a sidecar any value nested in it.
+                paths = (list(_paths(row)) if nested and target == SIDECAR
+                         else [(key,) for key in sorted(row)])
+                *outer, key = paths[pick % len(paths)]
+                holder = reduce(operator.getitem, outer, row)
                 if mutation == "delete":
-                    del row[key]
+                    del holder[key]
                 else:
-                    assume(type(value) is not type(row[key]))
-                    row[key] = value
+                    assume(type(value) is not type(holder[key]))
+                    holder[key] = value
 
             if target == SIDECAR:
                 _edit_json(path, mutate)

@@ -203,8 +203,9 @@ def test_golden_eval_digest():
 # question, are good (the answer sits in one of the chart's texts, the
 # third included), bad (not in any text, or straddling two texts), for a
 # chart with no summary (unchecked), for an id not in the manifest, and
-# more than the cap of one per chart.
-SIDE_INPUT_SHA256 = "b48419e4bf9529432d7644afbaa31bff776d1e30297ced815223e79781f1a575"
+# more than the cap of one per chart. Each unchecked chart is warned about
+# once, however many of its pairs there are.
+SIDE_INPUT_SHA256 = "2ed320770b3b7c6b3b3878e7fc5d830f4f40bd586c8a8cd2789a19f183b4334d"
 
 SIDE_SUMMARIES = [
     ("chart-000000", "Sales rose in every quarter."),

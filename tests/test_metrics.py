@@ -13,7 +13,6 @@ from chartkit.flatten import flatten_table
 from chartkit.gen import random_plain_table
 from chartkit import metrics
 from chartkit.metrics import (
-    _levenshtein_many,
     _levenshtein_walk,
     _pack_keys,
     _transposed,
@@ -168,7 +167,7 @@ def test_levenshtein_matches_dp(a, b):
 @example(["ab é"] * 5, "ba é")
 @example(["abc", "", "\U0001F4C8"], "")
 def test_levenshtein_many_matches_dp(keys, b):
-    assert _levenshtein_many(_pack_keys(keys), b) == [
+    assert _levenshtein_walk(_pack_keys(keys), (b,))[b] == [
         dp_levenshtein(k, b) for k in keys
     ]
 

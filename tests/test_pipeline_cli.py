@@ -5,8 +5,9 @@ from pathlib import Path
 import pytest
 
 from chartkit.cli import main
+from chartkit.distill import BackendClient
 from chartkit.errors import InvalidConfig
-from chartkit.jsonl import read_jsonl, write_jsonl
+from chartkit.jsonl import read_json_object, read_jsonl, write_jsonl
 from chartkit.pipeline import (
     PipelineConfig,
     corpus_stats,
@@ -286,6 +287,22 @@ def test_gen_tasks_counts_a_chart_whose_texts_are_all_blank(tmp_path, capsys):
         "charts/chart-000001.svg"]
 
 
+def test_gen_tasks_warns_once_per_unchecked_chart(tmp_path, capsys):
+    qa = tmp_path / "qa.jsonl"
+    write_jsonl(qa, [
+        {"id": "chart-000001", "question": "q1", "answer": "a"},
+        {"id": "chart-000000", "question": "q2", "answer": "b"},
+        {"id": "chart-000001", "question": "q3", "answer": "c"},
+        {"id": "chart-000001", "question": "q4", "answer": "d"}])
+    assert _gen_tasks_cli(tmp_path, "--qa-pairs", str(qa)) == 0
+    unchecked = [line for line in capsys.readouterr().err.splitlines()
+                 if "unchecked" in line]
+    assert unchecked == [
+        "warning: qa_open: charts/chart-000001.svg: unchecked (no summary on file)",
+        "warning: qa_open: charts/chart-000000.svg: unchecked (no summary on file)"]
+    assert len(read_jsonl(tmp_path / "t" / "qa_open.jsonl")) == 2
+
+
 def test_gen_tasks_keeps_a_good_pair_beside_a_bad_one_with_its_question(tmp_path):
     config = _config(tmp_path, count=2, counts={"qa_open": 2})
     synthesize(config)
@@ -484,8 +501,9 @@ def test_distill_corpus_with_backend_config(tmp_path, monkeypatch):
         assert headers["Authorization"] == "Bearer k"
         return 200, replies
 
-    done, _ = distill_corpus(config.out, tmp_path / "s.jsonl",
-                             backend_config=str(backend_cfg), transport=transport)
+    backend = BackendClient.from_config(read_json_object(backend_cfg),
+                                        transport=transport)
+    done, _ = distill_corpus(config.out, tmp_path / "s.jsonl", backend=backend)
     assert set(done.values()) == {"A summary."}
 
 
@@ -494,6 +512,22 @@ def test_synthesize_count_zero_is_empty_manifest(tmp_path):
     rows = synthesize(config)
     assert rows == []
     assert (Path(config.out) / "manifest.jsonl").read_text(encoding="utf-8") == ""
+
+
+@pytest.mark.parametrize("name, content, flags", [
+    ("ragged.csv", "x,v\na,1\nb\n", ["--count", "1", "--tables"]),
+    ("config.json", '{"canvas": [120, 120]}', ["--config"]),
+], ids=["ragged-tables", "canvas-too-small"])
+def test_synthesize_failing_before_its_first_chart_leaves_no_manifest(
+        tmp_path, capsys, name, content, flags):
+    path = tmp_path / name
+    path.write_text(content, encoding="utf-8")
+    out = tmp_path / "corpus"
+    assert main(["synthesize", "--out", str(out), *flags, str(path)]) == 2
+    assert not (out / "manifest.jsonl").exists()
+    assert main(["gen-tasks", "--corpus", str(out), "--out", str(tmp_path / "t")]) == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        f"error: {out / 'manifest.jsonl'}: ")
 
 
 def test_gen_tasks_exports_template_catalog(tmp_path):
@@ -565,6 +599,18 @@ def test_cli_distill_fallback(tmp_path, capsys):
     assert "wrote 3 summaries" in capsys.readouterr().out
 
 
+def test_cli_distill_fallback_wins_over_backend_and_config_is_gone(tmp_path, capsys):
+    out = tmp_path / "corpus"
+    main(["synthesize", "--out", str(out), "--count", "2", "--seed", "1"])
+    capsys.readouterr()
+    argv = ["distill", "--corpus", str(out), "--out", str(tmp_path / "sums.jsonl")]
+    # The backend file is not read: it does not exist.
+    assert main([*argv, "--backend", str(tmp_path / "nope.json"), "--fallback"]) == 0
+    assert "wrote 2 summaries" in capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        main([*argv, "--config", str(tmp_path / "nope.json")])
+
+
 def test_cli_strict_extract_fails_on_garbage(tmp_path, capsys):
     bad = tmp_path / "svgs"
     bad.mkdir()
@@ -576,9 +622,8 @@ def test_cli_strict_extract_fails_on_garbage(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["synthesize", "--out", "{tmp}/corpus", "--config", "{path}"],
     ["extract", "--svg-dir", "{tmp}", "--profile", "{path}"],
-    ["distill", "--corpus", "{tmp}", "--out", "{tmp}/s.jsonl", "--config", "{path}"],
     ["distill", "--corpus", "{tmp}", "--out", "{tmp}/s.jsonl", "--backend", "{path}"],
-], ids=["synthesize-config", "extract-profile", "distill-config", "distill-backend"])
+], ids=["synthesize-config", "extract-profile", "distill-backend"])
 @pytest.mark.parametrize("content", [None, '{"bar": ', "\xff", "[1]"],
                          ids=["missing", "truncated", "not-utf8", "not-an-object"])
 def test_cli_config_file_missing_or_not_a_json_object(tmp_path, capsys, argv, content):

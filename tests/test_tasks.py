@@ -1,16 +1,15 @@
-import json
 import random
 
 import pytest
 
 from chartkit.errors import UnsupportedChartType
 from chartkit.gen import random_chart
+from chartkit.jsonl import read_jsonl, write_jsonl
 from chartkit.synth import GROUPED_BAR, LINE_SINGLE, PIE, SIMPLE_BAR
 from chartkit.tasks import (
     PROMPT_TOKENS,
     TaskRecord,
     generate_qa,
-    records_to_jsonl,
     table_record,
     value_estimation_record,
     value_estimation_target,
@@ -111,13 +110,14 @@ def test_generate_qa_exhausts_gracefully():
     assert 0 < len(records) < 10_000
 
 
-def test_records_jsonl_shape():
+def test_records_jsonl_shape(tmp_path):
     chart = bar_chart([3, 4])
-    text = records_to_jsonl([
+    records = [
         table_record(chart, image_ref="a.svg"),
         value_estimation_record(chart, image_ref="a.svg"),
-    ])
-    rows = [json.loads(line) for line in text.splitlines()]
+    ]
+    write_jsonl(tmp_path / "r.jsonl", (r.to_json_dict() for r in records))
+    rows = read_jsonl(tmp_path / "r.jsonl")
     assert set(rows[0]) == {"image", "prompt", "target", "kind"}
     assert rows[1]["kind"] == "value_estimation"
 
