@@ -4,13 +4,14 @@
 pure Python. Each augmentation grows a tree of columns and scans only the
 columns still off it, in ascending order, so a tie goes to the lowest
 column, as in the textbook loop over all columns. rnss and rms_f1 run it
-on matrices padded square (``pad_square``) to the larger side's number or
-entry count, which reaches tens of rows on wide tables and hundreds at
-real benchmark table sizes. A rectangular solver (Jonker-Volgenant) would
-skip the padding, but it may pick another optimum on a tie, which changes
-the summed float score; the eval workloads' matrices are mostly square
-already. ``exhaustive_assignment`` brute-forces every permutation and
-exists as the cross-check oracle for small instances.
+on cost matrices they build square, row by row, padding the smaller side
+at cost 1 up to the larger side's number or entry count, which reaches
+tens of rows on wide tables and hundreds at real benchmark table sizes. A
+rectangular solver (Jonker-Volgenant) would skip the padding, but it may
+pick another optimum on a tie, which changes the summed float score; the
+eval workloads' matrices are mostly square already.
+``exhaustive_assignment`` brute-forces every permutation and exists as
+the cross-check oracle for small instances.
 """
 
 from __future__ import annotations
@@ -107,15 +108,3 @@ def exhaustive_assignment(cost: list[list[float]]) -> tuple[list[int], float]:
         if total < best_total:
             best_perm, best_total = perm, total
     return list(best_perm), best_total
-
-
-def pad_square(
-    matrix: list[list[float]], n_rows: int, n_cols: int, fill: float
-) -> list[list[float]]:
-    """Embed a rectangular cost matrix into a square one, padding with fill."""
-    n = max(n_rows, n_cols)
-    out = [[fill] * n for _ in range(n)]
-    for i in range(n_rows):
-        for j in range(n_cols):
-            out[i][j] = matrix[i][j]
-    return out

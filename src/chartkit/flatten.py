@@ -9,6 +9,8 @@ table whose values carry more precision than that is lossy by design.
 
 from __future__ import annotations
 
+import re
+
 from .errors import MalformedTable, RaggedInput
 from .tables import (
     CATEGORICAL,
@@ -57,29 +59,32 @@ def flatten_table(table: DataTable) -> str:
     return ROW_SEP.join(out_rows)
 
 
+# One token of flattened text, tried in this order: a cell separator, a row
+# separator, an escape (a backslash and the character after it), a run of
+# characters that are neither a backslash nor a space, any one character
+# (a space that starts no separator, or a backslash that ends the text).
+_FLAT_TOKEN_RE = re.compile(r" \| | & |\\.|[^\\ ]+|.", re.DOTALL)
+
+
 def _split_flat(text: str) -> list[list[str]]:
     """Undo the escaping-aware joins; returns rows of raw cell strings."""
     rows: list[list[str]] = []
     cells: list[str] = []
     buf: list[str] = []
-    i, n = 0, len(text)
-    while i < n:
-        chunk = text[i : i + 3]
-        if chunk == CELL_SEP:
+    for token in _FLAT_TOKEN_RE.findall(text):
+        if token == CELL_SEP:
             cells.append("".join(buf))
             buf = []
-            i += 3
-        elif chunk == ROW_SEP:
+        elif token == ROW_SEP:
             cells.append("".join(buf))
             rows.append(cells)
             cells, buf = [], []
-            i += 3
-        elif text[i] == "\\" and i + 1 < n:
-            buf.append(text[i + 1])
-            i += 2
+        elif token[0] == "\\":
+            # An escape keeps the escaped character; a backslash that ends
+            # the text is itself the last character.
+            buf.append(token[-1])
         else:
-            buf.append(text[i])
-            i += 1
+            buf.append(token)
     cells.append("".join(buf))
     rows.append(cells)
     return rows

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence, Union
 
-from .assignment import hungarian, pad_square
+from .assignment import hungarian
 from .errors import ChartKitError, InvalidConfig, LengthMismatch
 from .flatten import unflatten_table
 from .tables import CATEGORICAL, EXP_NUMBER_RE, DataTable
@@ -128,11 +128,14 @@ def rnss(pred: TableLike, gold: TableLike) -> float:
         return 1.0
     if not p or not g:
         return 0.0
-    cost = [
-        [min(1.0, abs(pv - gv) / max(abs(gv), EPS)) for gv in g] for pv in p
-    ]
+    # The cost matrix padded square at cost 1, a row at a time.
     n = max(len(p), len(g))
-    _, total = hungarian(pad_square(cost, len(p), len(g), 1.0))
+    pad = [1.0] * (n - len(g))
+    cost = [
+        [min(1.0, abs(pv - gv) / max(abs(gv), EPS)) for gv in g] + pad for pv in p
+    ]
+    cost += [[1.0] * n for _ in range(n - len(p))]
+    _, total = hungarian(cost)
     return 1.0 - total / n
 
 
@@ -321,7 +324,12 @@ def _rms_once(
     distances = _levenshtein_walk(
         gold_keys, [p.key for p, row in zip(pred_entries, rows) if any(row)]
     )
+    n_p, n_g = len(pred_entries), len(gold_entries)
+    n = max(n_p, n_g)
+    pad = [1.0] * (n - n_g)
+    # The cost matrix 1 - score, padded square at cost 1, a row at a time.
     scores = []
+    cost = []
     for p, values in zip(pred_entries, rows):
         # Two empty keys are at distance 0: max(..., 1) gives them a key
         # similarity of 1.
@@ -332,9 +340,9 @@ def _rms_once(
                 for d, lg, v in zip(distances[p.key], gold_lens, values)
             ]
         scores.append(values)
-    cost = [[1.0 - s for s in row] for row in scores]
-    n_p, n_g = len(pred_entries), len(gold_entries)
-    assign, _ = hungarian(pad_square(cost, n_p, n_g, 1.0))
+        cost.append([1.0 - s for s in values] + pad)
+    cost += [[1.0] * n for _ in range(n - n_p)]
+    assign, _ = hungarian(cost)
     total = sum(
         scores[i][assign[i]] for i in range(n_p) if assign[i] < n_g
     )
@@ -392,12 +400,24 @@ def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
 
 
 def corpus_bleu(preds: list[str], golds: list[list[str]]) -> float:
-    """Corpus BLEU-4 with add-epsilon smoothing, on a 0..100 scale.
+    """Corpus BLEU-4 on a 0..100 scale (Papineni et al. 2002).
 
-    Tokenization lowercases and splits on whitespace and punctuation
-    boundaries. Brevity penalty uses the closest reference length (ties
-    toward the shorter). This is a desk-scale reference implementation;
-    parity with external scorers is out of scope.
+    Each prediction n-gram count is clipped by its maximum count in any one
+    reference, and the clipped counts and the prediction n-grams are summed
+    over the corpus before the modified precisions are taken, as in
+    Papineni et al. Where this deviates from them:
+
+    - add-epsilon smoothing: a modified precision of 0, or of an order with
+      no prediction n-gram in the corpus, counts as 1e-9, so a corpus with
+      no 4-gram match scores near 0 but not 0;
+    - the brevity penalty takes each prediction's closest reference length,
+      a tie going to the shorter reference;
+    - tokens are what ``bleu_tokenize`` finds: the runs of ``\\w+`` and the
+      single ``[^\\w\\s]`` characters of the lowercased text.
+
+    A reference group may be one string. An empty reference group raises
+    ``InvalidConfig`` naming it. This is a desk-scale reference
+    implementation; parity with external scorers is out of scope.
     """
     if len(preds) != len(golds):
         raise LengthMismatch(
@@ -409,9 +429,11 @@ def corpus_bleu(preds: list[str], golds: list[list[str]]) -> float:
     guessed = [0] * _BLEU_N
     pred_len = 0
     ref_len = 0
-    for pred, refs in zip(preds, golds):
+    for i, (pred, refs) in enumerate(zip(preds, golds)):
         if isinstance(refs, str):
             refs = [refs]
+        if not refs:
+            raise InvalidConfig(f"reference group {i} is empty")
         p_tokens = bleu_tokenize(pred)
         r_token_lists = [bleu_tokenize(r) for r in refs]
         pred_len += len(p_tokens)
@@ -419,15 +441,15 @@ def corpus_bleu(preds: list[str], golds: list[list[str]]) -> float:
             (len(r) for r in r_token_lists),
             key=lambda n: (abs(n - len(p_tokens)), n),
         )
-        for n in range(1, _BLEU_N + 1):
+        for n in range(1, min(_BLEU_N, len(p_tokens)) + 1):
             p_counts = _ngram_counts(p_tokens, n)
-            if not p_counts:
-                continue
-            max_ref = Counter()
-            for r_tokens in r_token_lists:
-                max_ref |= _ngram_counts(r_tokens, n)
+            ref_counts = _ngram_counts(r_token_lists[0], n)
+            for r_tokens in r_token_lists[1:]:
+                ref_counts |= _ngram_counts(r_tokens, n)
             guessed[n - 1] += len(p_tokens) - n + 1
-            matched[n - 1] += sum((p_counts & max_ref).values())
+            matched[n - 1] += sum(
+                min(c, ref_counts.get(g, 0)) for g, c in p_counts.items()
+            )
     if pred_len == 0:
         return 0.0
     log_sum = 0.0
@@ -479,7 +501,8 @@ def score_pairs(
 ) -> MetricReport:
     """Score aligned (id, prediction, [references]) triples.
 
-    "ra" and "rnss" use the first reference; "rms" parses both sides as
+    Every pair needs at least one reference (``InvalidConfig``). "ra" and
+    "rnss" use the first reference; "rms" parses both sides as
     flattened tables (malformed predictions score 0); "bleu" is computed
     corpus-level over all pairs. ``metrics`` must name at least one of
     ``METRIC_NAMES`` and nothing else (``InvalidConfig``).
@@ -492,6 +515,8 @@ def score_pairs(
     report = MetricReport()
     sums: dict[str, float] = {}
     for cid, pred, refs in pairs:
+        if not refs:
+            raise InvalidConfig(f"pair {cid!r} has no reference")
         row: dict = {"id": cid}
         gold = refs[0]
         if "ra" in metrics:

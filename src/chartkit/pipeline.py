@@ -51,6 +51,7 @@ from .jsonl import (
     encode_row,
     read_json_object,
     read_jsonl,
+    row_error,
     write_jsonl,
 )
 from .jsonl import read_jsonl as _load_jsonl  # perfbench times reads by this name
@@ -559,11 +560,16 @@ def corpus_stats(corpus_dir, summaries_path=None) -> CorpusStats:
     )
 
 
-def _gold_groups(rows: list[dict]) -> dict[str, list[str]]:
+def _gold_groups(path, rows: list[dict]) -> dict[str, list[str]]:
+    """The references of each id: an ``output`` list adds each of its
+    items, any other ``output`` adds itself; an empty list is
+    ``MalformedJsonl`` naming the file and line."""
     groups: dict[str, list[str]] = {}
-    for row in rows:
+    for i, row in enumerate(rows):
         value = row["output"]
         if isinstance(value, list):
+            if not value:
+                raise row_error(path, i, "output is an empty list of references")
             groups.setdefault(row["id"], []).extend(str(v) for v in value)
         else:
             groups.setdefault(row["id"], []).append(str(value))
@@ -574,7 +580,7 @@ def evaluate(pred_path, gold_path, metrics=METRIC_NAMES) -> MetricReport:
     """Score a predictions JSONL against a gold JSONL, aligned by id."""
     preds = {row["id"]: str(row["output"])
              for row in _checked_rows(pred_path, id=str, output=object)}
-    golds = _gold_groups(_checked_rows(gold_path, id=str, output=object))
+    golds = _gold_groups(gold_path, _checked_rows(gold_path, id=str, output=object))
     missing_gold = sorted(set(preds) - set(golds))
     missing_pred = sorted(set(golds) - set(preds))
     if missing_gold or missing_pred:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from chartkit.errors import ChartKitError
 from chartkit.flatten import (
+    _split_flat,
     escape_cell,
     flatten_table,
     format_number,
@@ -13,6 +14,7 @@ from chartkit.flatten import (
 )
 from chartkit.gen import random_plain_table
 from chartkit.tables import Column, DataTable, NUMERIC
+from eval_oracles import split_flat_scan
 
 
 def test_flatten_example():
@@ -95,6 +97,22 @@ def test_unflatten_raises_only_chartkit_errors(text):
         unflatten_table(text)
     except ChartKitError:
         pass
+
+
+_SPLIT_PIECES = [" ", "|", "&", "\\", "a", "é", " | ", " & ", "\\|"]
+
+
+def test_split_flat_matches_the_character_scanner():
+    fixed = [" | & ", " & | ", "a | b & c \\", "\\", "a\\ | b", " |  & ",
+             "a \\| b", "a \\& b \\\\ & c", "x\\\n | y", ""]
+    rng = random.Random(20)
+    drawn = ["".join(rng.choice(_SPLIT_PIECES) for _ in range(rng.randint(0, 24)))
+             for _ in range(20000)]
+    for text in fixed + drawn:
+        assert _split_flat(text) == split_flat_scan(text), text
+    assert _split_flat(" | & ") == [["", "& "]]
+    assert _split_flat(" & | ") == [[""], ["| "]]
+    assert _split_flat("a | b\\") == [["a", "b\\"]]
 
 
 def test_unflatten_names_a_bad_header():

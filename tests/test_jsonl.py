@@ -218,6 +218,18 @@ def test_cli_eval_reports_an_id_that_is_not_a_string(tmp_path, capsys):
     assert f"{gold}, line 2: " in capsys.readouterr().err
 
 
+def test_cli_eval_reports_an_empty_reference_list(tmp_path, capsys):
+    pred, gold = tmp_path / "pred.jsonl", tmp_path / "gold.jsonl"
+    write_jsonl(pred, [{"id": "a", "output": "1"}, {"id": "b", "output": "2"}])
+    write_jsonl(gold, [{"id": "a", "output": ["1"]}, {"id": "b", "output": []}])
+    assert main(["eval", "--pred", str(pred), "--gold", str(gold)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {gold}, line 2: ")
+    assert "empty list" in lines[0]
+
+
 def test_journal_never_appends_onto_a_fragment(tmp_path):
     path = tmp_path / "journal.jsonl"
     path.write_bytes(b'{"id": "b", "v": 1}\n{"id": "a", "v": 1}\n{"id": "c", "v')

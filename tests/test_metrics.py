@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chartkit.assignment import exhaustive_assignment, hungarian, pad_square
-from chartkit.errors import ChartKitError, LengthMismatch
+from chartkit.assignment import exhaustive_assignment, hungarian
+from chartkit.errors import ChartKitError, InvalidConfig, LengthMismatch
 from chartkit.flatten import flatten_table
 from chartkit.gen import random_plain_table
 from chartkit import metrics
@@ -26,6 +26,7 @@ from chartkit.metrics import (
     table_entries,
 )
 from chartkit.tables import CATEGORICAL, Column, DataTable, NUMERIC
+from eval_oracles import counter_bleu
 
 
 # -- relaxed accuracy -------------------------------------------------------
@@ -242,27 +243,29 @@ def test_rms_empty_prediction():
     assert rms_f1(pred, gold) == (0.0, 0.0, 0.0)
 
 
+def _entry_score(p, g):
+    """s(p, g) of RMS from its definition, with the DP edit distance."""
+    if isinstance(p.value, float) and isinstance(g.value, float):
+        v = 1.0 - min(1.0, abs(p.value - g.value) / max(abs(g.value), 1e-9))
+    else:
+        v = 1.0 if p.value == g.value else 0.0
+    if v == 0.0:
+        return 0.0
+    longest = max(len(p.key), len(g.key))
+    d = dp_levenshtein(p.key, g.key) / longest if longest else 0.0
+    return (1.0 - d) * v
+
+
 def _oracle_rms(pred, gold):
     """RMS from its definition: the DP edit distance for the key term, every
     permutation for the assignment, the transposed retry."""
-
-    def entry_score(p, g):
-        if isinstance(p.value, float) and isinstance(g.value, float):
-            v = 1.0 - min(1.0, abs(p.value - g.value) / max(abs(g.value), 1e-9))
-        else:
-            v = 1.0 if p.value == g.value else 0.0
-        if v == 0.0:
-            return 0.0
-        longest = max(len(p.key), len(g.key))
-        d = dp_levenshtein(p.key, g.key) / longest if longest else 0.0
-        return (1.0 - d) * v
 
     def once(pe, ge):
         if not pe and not ge:
             return 1.0, 1.0, 1.0
         if not pe or not ge:
             return 0.0, 0.0, 0.0
-        scores = [[entry_score(p, g) for g in ge] for p in pe]
+        scores = [[_entry_score(p, g) for g in ge] for p in pe]
         cost = [[1.0 - x for x in row] for row in scores]
         assign, _ = exhaustive_assignment(pad_square(cost, len(pe), len(ge), 1.0))
         total = sum(scores[i][assign[i]] for i in range(len(pe)) if assign[i] < len(ge))
@@ -373,11 +376,48 @@ def test_hungarian_names_a_cost_that_is_not_finite():
         hungarian([[1.0, 2.0], [3.0]])
 
 
-def test_pad_square():
-    padded = pad_square([[0.5]], 1, 1, 1.0)
-    assert padded == [[0.5]]
-    padded = pad_square([[0.5, 0.2]], 1, 2, 1.0)
-    assert padded == [[0.5, 0.2], [1.0, 1.0]]
+def pad_square(matrix, n_rows, n_cols, fill):
+    """Embed a rectangular cost matrix into a square one, padding with fill."""
+    n = max(n_rows, n_cols)
+    out = [[fill] * n for _ in range(n)]
+    for i in range(n_rows):
+        for j in range(n_cols):
+            out[i][j] = matrix[i][j]
+    return out
+
+
+def test_pad_square(monkeypatch):
+    assert pad_square([[0.5]], 1, 1, 1.0) == [[0.5]]
+    assert pad_square([[0.5, 0.2]], 1, 2, 1.0) == [[0.5, 0.2], [1.0, 1.0]]
+    # rnss and rms_f1 build their padded matrices row by row: hungarian
+    # must get pad_square of the rectangular costs, every float equal.
+    seen = []
+    real = metrics.hungarian
+
+    def recording(cost):
+        seen.append(cost)
+        return real(cost)
+
+    monkeypatch.setattr(metrics, "hungarian", recording)
+    rng = random.Random(31)
+    for _ in range(200):
+        p = [round(rng.uniform(-9, 9), rng.choice([0, 1])) for _ in range(rng.randint(1, 5))]
+        g = [round(rng.uniform(-9, 9), rng.choice([0, 1])) for _ in range(rng.randint(1, 5))]
+        seen.clear()
+        rnss(p, g)
+        cost = [[min(1.0, abs(pv - gv) / max(abs(gv), 1e-9)) for gv in g] for pv in p]
+        assert seen == [pad_square(cost, len(p), len(g), 1.0)]
+    labels, names = ["a", "b", "c", "dd"], ["v", "w", "vw"]
+    for _ in range(200):
+        pred, gold = _small_table(rng, labels, names), _small_table(rng, labels, names)
+        pe, ge = table_entries(pred), table_entries(gold)
+        if not pe or not ge:
+            continue
+        seen.clear()
+        rms_f1(pred, gold)
+        scores = [[_entry_score(e, f) for f in ge] for e in pe]
+        cost = [[1.0 - x for x in row] for row in scores]
+        assert seen[0] == pad_square(cost, len(pe), len(ge), 1.0)
 
 
 # -- bleu ---------------------------------------------------------------------
@@ -413,6 +453,71 @@ def test_bleu_multi_reference_and_length_mismatch():
 def test_bleu_tokenizes_punctuation():
     # "sat." must not merge token "sat" with the period.
     assert corpus_bleu(["the cat sat."], [["the cat sat ."]]) == pytest.approx(100.0)
+
+
+def test_bleu_clips_by_the_largest_reference_count():
+    # Unigram "a": 3 in the prediction, at most 2 in one reference (3 if
+    # the references' counts were summed); bigram "a a": 2, at most 1.
+    eps = 1e-9
+    expected = 100.0 * math.exp(
+        (math.log(2 / 3) + math.log(1 / 2) + 2 * math.log(eps)) / 4)
+    got = corpus_bleu(["a a a"], [["a a", "a"]])
+    assert got == pytest.approx(expected, rel=1e-12)
+    assert got == counter_bleu(["a a a"], [["a a", "a"]])
+
+
+def _bleu_text(rng, words):
+    return " ".join(rng.choice(words) for _ in range(rng.choice([0, 1, 2, 3, 5, 8, 13])))
+
+
+def test_bleu_matches_the_counter_oracle():
+    # Four tokens ("B" lowercases to "b", "c." is "c" and "."), so
+    # n-grams repeat within a text and the largest count in one reference
+    # differs from the sum over the references. Lengths 0-3 leave some
+    # orders without n-grams.
+    rng = random.Random(17)
+    words = ["a", "b", "c.", "B"]
+    for _ in range(300):
+        preds = [_bleu_text(rng, words) for _ in range(rng.randint(1, 6))]
+        golds = [[_bleu_text(rng, words) for _ in range(rng.randint(1, 3))]
+                 for _ in preds]
+        assert corpus_bleu(preds, golds) == counter_bleu(preds, golds)
+    preds = ["", "a", "a b", "a a b", "a a a a b"]
+    golds = [["a"], ["b", "a a"], ["a b a b", "b"], ["a a b a a b"], ["a a a", "b a a a a"]]
+    assert corpus_bleu(preds, golds) == counter_bleu(preds, golds)
+
+
+def test_bleu_names_an_empty_reference_group():
+    with pytest.raises(InvalidConfig, match="reference group 1 is empty"):
+        corpus_bleu(["a b", "a b"], [["a b"], []])
+
+
+_EVAL_TEXTS = ["", "a b", "x | v & a | 10", "x | v & a | 1e999", "a | b & 1 | 2 | 3",
+               "nan | nan & 1 | 2", "the peak is 5%", "x | v & a | 9 & b | 9", "\\"]
+_EVAL_PAIR = st.tuples(
+    st.sampled_from(_EVAL_TEXTS),
+    st.one_of(st.lists(st.sampled_from(_EVAL_TEXTS), max_size=3),
+              st.sampled_from(_EVAL_TEXTS)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_EVAL_PAIR, max_size=4))
+@example([("a b", [])])
+@example([("a b", ["a b"]), ("x | v & a | 10", [])])
+@example([("a b", "a b")])
+def test_eval_input_raises_only_chartkit_errors(pairs):
+    """Predictions and reference groups of any shape: an empty group, a
+    group given as one string, text that is or is not a table."""
+    triples = [(f"c{i}", pred, refs) for i, (pred, refs) in enumerate(pairs)]
+    try:
+        score_pairs(triples)
+    except ChartKitError:
+        pass
+    try:
+        corpus_bleu([pred for pred, _ in pairs], [refs for _, refs in pairs])
+    except ChartKitError:
+        pass
 
 
 # -- number extraction & report ----------------------------------------------
