@@ -1,15 +1,24 @@
-"""Minimum-cost assignment on square matrices.
+"""Minimum-cost assignment on square matrices, and a check that skips it.
 
 ``hungarian`` is the O(n^3) potentials-and-augmenting-paths formulation in
 pure Python. Each augmentation grows a tree of columns and scans only the
 columns still off it, in ascending order, so a tie goes to the lowest
-column, as in the textbook loop over all columns. rnss and rms_f1 run it
-on cost matrices they build square, row by row, padding the smaller side
-at cost 1 up to the larger side's number or entry count, which reaches
-tens of rows on wide tables and hundreds at real benchmark table sizes. A
-rectangular solver (Jonker-Volgenant) would skip the padding, but it may
-pick another optimum on a tie, which changes the summed float score; the
-eval workloads' matrices are mostly square already.
+column, as in the textbook loop over all columns.
+
+rnss and rms_f1 score a rectangular cost matrix padded at cost 1 up to the
+larger side. ``unique_optimum`` reads the rectangular part alone. When each
+line of the smaller side (the rows, or the columns when rows outnumber
+them) has a finite minimum below every other cell of the line by more
+than ``MARGIN``, and no two of those minima share a column (a row), every
+other assignment costs more by over ``MARGIN``: the padding costs the same
+whichever cells it takes. ``hungarian`` finds that optimum too, so the
+summed float is known without the O(n^3) search: the same cells, summed
+in the same row order. Only the padding column that a leftover row gets
+is ``hungarian``'s own tie-break, and nothing reads it. The padding is
+built only when the check fails, by ``metrics._assign``, which then runs
+``hungarian`` on the square. A rectangular solver (Jonker-Volgenant)
+would skip the padding always, but it may pick another optimum on a tie,
+which changes the summed float score.
 ``exhaustive_assignment`` brute-forces every permutation and exists as
 the cross-check oracle for small instances.
 """
@@ -18,10 +27,15 @@ from __future__ import annotations
 
 import math
 from itertools import permutations
+from typing import Optional
 
 from .errors import InvalidCostMatrix
 
 INF = float("inf")
+# How far a line's minimum must lie below the rest of it for
+# ``unique_optimum``: far above the rounding of the potentials
+# ``hungarian`` sums, for costs of order 1.
+MARGIN = 1e-9
 
 
 def hungarian(cost: list[list[float]]) -> tuple[list[int], float]:
@@ -86,6 +100,43 @@ def hungarian(cost: list[list[float]]) -> tuple[list[int], float]:
             assign[p[j] - 1] = j - 1
     total = sum(cost[i][assign[i]] for i in range(n))
     return assign, total
+
+
+def unique_optimum(
+    cost: list[list[float]], n_cols: int
+) -> Optional[list[Optional[int]]]:
+    """The assignment of a provably unique optimum, or None.
+
+    ``cost`` holds the rows of a matrix with ``n_cols`` columns that is
+    padded at a constant cost up to a square. The lines of its smaller side
+    are checked: the rows when ``len(cost) <= n_cols``, else the columns.
+    When every line has a finite minimum that beats the rest of the line by
+    more than ``MARGIN`` and holds no NaN, and the minima of no two lines
+    meet in one row or column, those cells are the optimum of the padded
+    square. The result gives the column of each row, or None for a row
+    that the optimum leaves to the padding. When the check fails, None is
+    returned and nothing is known.
+    """
+    n_rows = len(cost)
+    lines = cost if n_rows <= n_cols else list(zip(*cost))
+    picks = []
+    for line in lines:
+        ordered = sorted(line)
+        best = ordered[0]
+        second = ordered[1] if len(ordered) > 1 else INF
+        # ``sorted`` does not order a line holding a NaN, and a NaN makes
+        # the sum NaN: such a line fails.
+        if not (-INF < best < INF and second - best > MARGIN) or math.isnan(sum(line)):
+            return None
+        picks.append(line.index(best))
+    if len(set(picks)) < len(picks):
+        return None
+    if lines is cost:
+        return picks
+    assign: list[Optional[int]] = [None] * n_rows
+    for j, i in enumerate(picks):
+        assign[i] = j
+    return assign
 
 
 def _non_finite(cost: list[list[float]]) -> str:

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence, Union
 
-from .assignment import hungarian
+from .assignment import MARGIN, hungarian, unique_optimum
 from .errors import ChartKitError, InvalidConfig, LengthMismatch
 from .flatten import unflatten_table
 from .tables import CATEGORICAL, EXP_NUMBER_RE, DataTable
@@ -128,15 +128,35 @@ def rnss(pred: TableLike, gold: TableLike) -> float:
         return 1.0
     if not p or not g:
         return 0.0
-    # The cost matrix padded square at cost 1, a row at a time.
-    n = max(len(p), len(g))
-    pad = [1.0] * (n - len(g))
-    cost = [
-        [min(1.0, abs(pv - gv) / max(abs(gv), EPS)) for gv in g] + pad for pv in p
-    ]
-    cost += [[1.0] * n for _ in range(n - len(p))]
-    _, total = hungarian(cost)
-    return 1.0 - total / n
+    cost = [[min(1.0, abs(pv - gv) / max(abs(gv), EPS)) for gv in g] for pv in p]
+    _, total = _assign(cost, len(g))
+    return 1.0 - total / max(len(p), len(g))
+
+
+def _assign(
+    cost: list[list[float]], n_cols: int
+) -> tuple[list[Optional[int]], float]:
+    """Optimal assignment of a rectangular cost matrix padded at cost 1 up
+    to a square: ``(the column of each row, or None, and the padded total)``.
+
+    ``hungarian`` runs on the padded square only when ``unique_optimum``
+    cannot name the optimum. The total is summed as ``hungarian`` sums it,
+    in row order over the padded square, so it is the same float either way.
+    """
+    n_rows = len(cost)
+    n = max(n_rows, n_cols)
+    assign = unique_optimum(cost, n_cols)
+    if assign is None:
+        pad = [1.0] * (n - n_cols)
+        square = [row + pad for row in cost] + [[1.0] * n for _ in range(n - n_rows)]
+        full, total = hungarian(square)
+        return [j if j < n_cols else None for j in full[:n_rows]], total
+    total = sum(
+        [1.0 if j is None else row[j] for row, j in zip(cost, assign)]
+        + [1.0] * (n - n_rows),
+        0.0,
+    )
+    return assign, total
 
 
 def _pack_keys(keys: Sequence[str]) -> tuple[dict[str, int], int, int, list[int]]:
@@ -308,28 +328,17 @@ def _value_rows(gold_entries):
     return row_of
 
 
-def _rms_once(
-    pred_entries, gold_entries, gold_keys, value_row
-) -> tuple[float, float, float]:
-    """RMS of one orientation; ``gold_keys`` is ``_pack_keys`` of the gold
-    keys and ``value_row`` is ``_value_rows`` of the gold entries."""
-    if not pred_entries and not gold_entries:
-        return 1.0, 1.0, 1.0
-    if not pred_entries or not gold_entries:
-        return 0.0, 0.0, 0.0
-    gold_lens = [len(g.key) for g in gold_entries]
+def _score_rows(pred_entries, gold_keys, gold_lens, value_row) -> list[list[float]]:
+    """s(p, g) of every prediction entry against every gold entry:
+    ``gold_keys`` is ``_pack_keys`` of the gold keys, ``gold_lens`` their
+    lengths and ``value_row`` is ``_value_rows`` of the gold entries."""
     rows = [value_row(p.value) for p in pred_entries]
     # A value similarity of 0 zeroes the product whatever the key
     # similarity in [0, 1] is, so an all-zero row needs no key pass.
     distances = _levenshtein_walk(
         gold_keys, [p.key for p, row in zip(pred_entries, rows) if any(row)]
     )
-    n_p, n_g = len(pred_entries), len(gold_entries)
-    n = max(n_p, n_g)
-    pad = [1.0] * (n - n_g)
-    # The cost matrix 1 - score, padded square at cost 1, a row at a time.
     scores = []
-    cost = []
     for p, values in zip(pred_entries, rows):
         # Two empty keys are at distance 0: max(..., 1) gives them a key
         # similarity of 1.
@@ -340,16 +349,30 @@ def _rms_once(
                 for d, lg, v in zip(distances[p.key], gold_lens, values)
             ]
         scores.append(values)
-        cost.append([1.0 - s for s in values] + pad)
-    cost += [[1.0] * n for _ in range(n - n_p)]
-    assign, _ = hungarian(cost)
-    total = sum(
-        scores[i][assign[i]] for i in range(n_p) if assign[i] < n_g
-    )
+    return scores
+
+
+def _rms_once(scores, n_g) -> tuple[float, float, float]:
+    """RMS of one orientation from its score rows, one per prediction
+    entry with ``n_g`` scores each (neither side empty)."""
+    n_p = len(scores)
+    assign, _ = _assign([[1.0 - s for s in row] for row in scores], n_g)
+    total = sum(scores[i][j] for i, j in enumerate(assign) if j is not None)
     precision = total / n_p
     recall = total / n_g
     f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
     return precision, recall, f1
+
+
+def _cannot_beat(scores, n_g, f1) -> bool:
+    """Whether no assignment over ``scores`` reaches an F1 above ``f1``.
+
+    F1 is 2T / (n_p + n_g) for a matched total T, which is at most the sum
+    of the row maxima and at most the sum of the column maxima; ``MARGIN``
+    covers the rounding of the F1 actually computed.
+    """
+    bound = min(sum(map(max, scores)), sum(map(max, zip(*scores))))
+    return 2 * bound / (len(scores) + n_g) < f1 - MARGIN
 
 
 def rms_f1(pred: DataTable, gold: DataTable) -> tuple[float, float, float]:
@@ -367,7 +390,11 @@ def rms_f1(pred: DataTable, gold: DataTable) -> tuple[float, float, float]:
     the sum of s over an optimal 1:1 matching, precision = S / |pred|,
     recall = S / |gold| and F1 their harmonic mean. The transposed
     prediction is also tried (when its shape allows) and the better F1
-    wins, so a table transcribed sideways is not punished.
+    wins, so a table transcribed sideways is not punished. The try is
+    skipped when it cannot win: when the first F1 is 1.0, and when 2 *
+    min(sum of its score rows' maxima, sum of its score columns' maxima) /
+    (|pred| + |gold|), a bound on its F1, lies more than 1e-9 below the
+    first F1. Every score stays the float a full try would give.
 
     Where this may differ from DePlot's definition: no threshold is
     applied to either distance (a key or value distance is never rounded
@@ -375,15 +402,26 @@ def rms_f1(pred: DataTable, gold: DataTable) -> tuple[float, float, float]:
     above, and the transposed retry is this implementation's.
     """
     gold_entries = table_entries(gold)
+    pred_entries = table_entries(pred)
+    # A prediction without entries has no transposed form (``_transposed``).
+    if not pred_entries and not gold_entries:
+        return 1.0, 1.0, 1.0
+    if not pred_entries or not gold_entries:
+        return 0.0, 0.0, 0.0
+    n_g = len(gold_entries)
     gold_keys = _pack_keys([g.key for g in gold_entries])
+    gold_lens = [len(g.key) for g in gold_entries]
     # Both tries carry the same prediction values, so they share the rows.
     value_row = _value_rows(gold_entries)
-    best = _rms_once(table_entries(pred), gold_entries, gold_keys, value_row)
-    flipped = _transposed(pred)
+    best = _rms_once(_score_rows(pred_entries, gold_keys, gold_lens, value_row), n_g)
+    # Nothing beats an F1 of 1.0.
+    flipped = _transposed(pred) if best[2] != 1.0 else None
     if flipped is not None:
-        alt = _rms_once(table_entries(flipped), gold_entries, gold_keys, value_row)
-        if alt[2] > best[2]:
-            best = alt
+        scores = _score_rows(table_entries(flipped), gold_keys, gold_lens, value_row)
+        if not _cannot_beat(scores, n_g, best[2]):
+            alt = _rms_once(scores, n_g)
+            if alt[2] > best[2]:
+                best = alt
     return best
 
 
@@ -501,11 +539,12 @@ def score_pairs(
 ) -> MetricReport:
     """Score aligned (id, prediction, [references]) triples.
 
-    Every pair needs at least one reference (``InvalidConfig``). "ra" and
-    "rnss" use the first reference; "rms" parses both sides as
-    flattened tables (malformed predictions score 0); "bleu" is computed
-    corpus-level over all pairs. ``metrics`` must name at least one of
-    ``METRIC_NAMES`` and nothing else (``InvalidConfig``).
+    Every pair needs at least one reference (``InvalidConfig``); a
+    reference group given as one string is that one reference, as in
+    ``corpus_bleu``. "ra" and "rnss" use the first reference; "rms" parses
+    both sides as flattened tables (malformed predictions score 0); "bleu"
+    is computed corpus-level over all pairs. ``metrics`` must name at least
+    one of ``METRIC_NAMES`` and nothing else (``InvalidConfig``).
     """
     if not metrics or any(m not in METRIC_NAMES for m in metrics):
         raise InvalidConfig(
@@ -515,6 +554,8 @@ def score_pairs(
     report = MetricReport()
     sums: dict[str, float] = {}
     for cid, pred, refs in pairs:
+        if isinstance(refs, str):
+            refs = [refs]
         if not refs:
             raise InvalidConfig(f"pair {cid!r} has no reference")
         row: dict = {"id": cid}

@@ -7,8 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chartkit.assignment import exhaustive_assignment, hungarian
-from chartkit.errors import ChartKitError, InvalidConfig, LengthMismatch
+from chartkit.assignment import exhaustive_assignment, hungarian, unique_optimum
+from chartkit.errors import (
+    ChartKitError,
+    InvalidConfig,
+    InvalidCostMatrix,
+    LengthMismatch,
+)
 from chartkit.flatten import flatten_table
 from chartkit.gen import random_plain_table
 from chartkit import metrics
@@ -258,30 +263,41 @@ def _entry_score(p, g):
 
 def _oracle_rms(pred, gold):
     """RMS from its definition: the DP edit distance for the key term, every
-    permutation for the assignment, the transposed retry."""
+    permutation for the assignment, the transposed retry.
+
+    Returns the set of results that the optimal assignments give. It holds
+    more than one only when two assignments tie on their summed cost but
+    not on their summed score: ``1 - s`` rounds two scores below 0.5 that
+    differ in their last bits to one cost, and the solver's tie-break then
+    picks the score.
+    """
 
     def once(pe, ge):
         if not pe and not ge:
-            return 1.0, 1.0, 1.0
+            return {(1.0, 1.0, 1.0)}
         if not pe or not ge:
-            return 0.0, 0.0, 0.0
+            return {(0.0, 0.0, 0.0)}
         scores = [[_entry_score(p, g) for g in ge] for p in pe]
-        cost = [[1.0 - x for x in row] for row in scores]
-        assign, _ = exhaustive_assignment(pad_square(cost, len(pe), len(ge), 1.0))
-        total = sum(scores[i][assign[i]] for i in range(len(pe)) if assign[i] < len(ge))
-        precision, recall = total / len(pe), total / len(ge)
-        if precision + recall == 0:
-            return precision, recall, 0.0
-        return precision, recall, 2 * precision * recall / (precision + recall)
+        square = pad_square([[1.0 - x for x in row] for row in scores],
+                            len(pe), len(ge), 1.0)
+        totals = {perm: sum(square[i][perm[i]] for i in range(len(square)))
+                  for perm in permutations(range(len(square)))}
+        least = min(totals.values())
+        results = set()
+        for perm in (perm for perm, t in totals.items() if t == least):
+            total = sum(scores[i][perm[i]] for i in range(len(pe)) if perm[i] < len(ge))
+            precision, recall = total / len(pe), total / len(ge)
+            f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
+            results.add((precision, recall, f1))
+        return results
 
     gold_entries = table_entries(gold)
-    best = once(table_entries(pred), gold_entries)
+    results = once(table_entries(pred), gold_entries)
     flipped = _transposed(pred)
     if flipped is not None:
-        alt = once(table_entries(flipped), gold_entries)
-        if alt[2] > best[2]:
-            best = alt
-    return best
+        alts = once(table_entries(flipped), gold_entries)
+        results = {alt if alt[2] > best[2] else best for best in results for alt in alts}
+    return results
 
 
 def _small_table(rng, labels, names):
@@ -303,16 +319,45 @@ def _small_table(rng, labels, names):
     return DataTable(columns, rows)
 
 
+def _with_repeats(rng, table):
+    """``table`` with its numbers drawn from two of its own, so that entry
+    scores tie."""
+    numbers = [v for row in table.rows for v in row if isinstance(v, float)]
+    pool = rng.sample(numbers, min(2, len(numbers))) or [1.0]
+    return DataTable(table.columns, [
+        [rng.choice(pool) if isinstance(v, float) else v for v in row]
+        for row in table.rows
+    ])
+
+
 def test_rms_matches_definition():
     rng = random.Random(17)
     labels = ["north", "nort", "south", "", "north east", "\U0001F4C8 up"]
     names = ["sales", "sale", "cost", " "]
-    for _ in range(300):
+    kinds = {"drawn": 0, "more_pred_entries": 0, "transposed_repeats": 0}
+    ties = 0
+    for _ in range(2000):
         gold = _small_table(rng, labels, names)
         pred = _small_table(rng, labels, names) if rng.random() < 0.5 else gold
-        if rng.random() < 0.3 and _transposed(gold) is not None:
+        kind = "drawn"
+        r = rng.random()
+        if r < 0.4 and _transposed(gold) is not None:
             pred = _transposed(gold)
-        assert rms_f1(pred, gold) == _oracle_rms(pred, gold)
+            if rng.random() < 0.7:
+                pred, kind = _with_repeats(rng, pred), "transposed_repeats"
+        elif r < 0.6 and gold.n_rows > 1:
+            # More prediction entries than gold ones: the optimum is checked
+            # along the gold side.
+            pred = gold
+            gold = DataTable(gold.columns, gold.rows[:rng.randint(1, gold.n_rows - 1)])
+        if kind == "drawn" and len(table_entries(pred)) > len(table_entries(gold)) > 0:
+            kind = "more_pred_entries"
+        kinds[kind] += 1
+        expected = _oracle_rms(pred, gold)
+        assert rms_f1(pred, gold) in expected
+        ties += len(expected) > 1
+    assert min(kinds.values()) >= 150, kinds
+    assert ties <= 5
 
 
 def test_table_entries_keys_normalized():
@@ -386,38 +431,119 @@ def pad_square(matrix, n_rows, n_cols, fill):
     return out
 
 
+def _rectangular(result, n_rows, n_cols):
+    """An assignment of a padded square as ``metrics._assign`` gives it: the
+    column of each real row, or None for a padding column, and the total
+    as its bits."""
+    assign, total = result
+    return [j if j < n_cols else None for j in assign[:n_rows]], total.hex()
+
+
 def test_pad_square(monkeypatch):
     assert pad_square([[0.5]], 1, 1, 1.0) == [[0.5]]
     assert pad_square([[0.5, 0.2]], 1, 2, 1.0) == [[0.5, 0.2], [1.0, 1.0]]
-    # rnss and rms_f1 build their padded matrices row by row: hungarian
-    # must get pad_square of the rectangular costs, every float equal.
-    seen = []
-    real = metrics.hungarian
+    # rnss and rms_f1 hand _assign their rectangular costs. Where it runs
+    # hungarian, hungarian gets pad_square of them, every float equal; where
+    # unique_optimum names the optimum, _assign gives what hungarian would,
+    # bit for bit.
+    calls, inputs, checked = [], [], []
+    real_hungarian, real_assign = metrics.hungarian, metrics._assign
 
-    def recording(cost):
-        seen.append(cost)
-        return real(cost)
+    def recording_hungarian(cost):
+        inputs.append(cost)
+        return real_hungarian(cost)
 
-    monkeypatch.setattr(metrics, "hungarian", recording)
+    def recording_assign(cost, n_cols):
+        inputs.clear()
+        assign, total = real_assign(cost, n_cols)
+        calls.append((cost, n_cols, (assign, total.hex()), list(inputs)))
+        return assign, total
+
+    monkeypatch.setattr(metrics, "hungarian", recording_hungarian)
+    monkeypatch.setattr(metrics, "_assign", recording_assign)
     rng = random.Random(31)
     for _ in range(200):
         p = [round(rng.uniform(-9, 9), rng.choice([0, 1])) for _ in range(rng.randint(1, 5))]
         g = [round(rng.uniform(-9, 9), rng.choice([0, 1])) for _ in range(rng.randint(1, 5))]
-        seen.clear()
+        calls.clear()
         rnss(p, g)
         cost = [[min(1.0, abs(pv - gv) / max(abs(gv), 1e-9)) for gv in g] for pv in p]
-        assert seen == [pad_square(cost, len(p), len(g), 1.0)]
+        assert [(c, n) for c, n, _, _ in calls] == [(cost, len(g))]
+        checked += calls
     labels, names = ["a", "b", "c", "dd"], ["v", "w", "vw"]
     for _ in range(200):
         pred, gold = _small_table(rng, labels, names), _small_table(rng, labels, names)
         pe, ge = table_entries(pred), table_entries(gold)
         if not pe or not ge:
             continue
-        seen.clear()
+        calls.clear()
         rms_f1(pred, gold)
         scores = [[_entry_score(e, f) for f in ge] for e in pe]
         cost = [[1.0 - x for x in row] for row in scores]
-        assert seen[0] == pad_square(cost, len(pe), len(ge), 1.0)
+        assert calls[0][:2] == (cost, len(ge))
+        checked += calls
+    for cost, n_cols, got, solved in checked:
+        square = pad_square(cost, len(cost), n_cols, 1.0)
+        if solved:
+            assert solved == [square]
+        assert got == _rectangular(real_hungarian(square), len(cost), n_cols)
+    assert {bool(solved) for *_, solved in checked} == {True, False}
+
+
+def test_assign_matches_hungarian_fuzz():
+    # Costs drawn from a few values, so that ties are common, and now and
+    # then an inf, NaN or -inf cell. _assign must give hungarian's answer on
+    # the padded square, or raise the same error; where unique_optimum
+    # names the optimum, the exhaustive search finds that same one.
+    rng = random.Random(61)
+    inf, nan = float("inf"), float("nan")
+    named = solved = raised = 0
+    for _ in range(4000):
+        n_rows, n_cols = rng.randint(0, 5), rng.randint(0, 5)
+        values = rng.sample([0.0, 0.25, 0.5, 1.0, 2.0, -1.0], rng.randint(1, 4))
+        values.append(round(rng.random(), 3))
+        if rng.random() < 0.25:
+            values += rng.sample([inf, nan, -inf], rng.randint(1, 2))
+        cost = [[rng.choice(values) for _ in range(n_cols)] for _ in range(n_rows)]
+        square = pad_square(cost, n_rows, n_cols, 1.0)
+        try:
+            expected = _rectangular(hungarian(square), n_rows, n_cols)
+        except InvalidCostMatrix as e:
+            expected = repr(e)
+        try:
+            assign, total = metrics._assign(cost, n_cols)
+            got = assign, total.hex()
+        except InvalidCostMatrix as e:
+            got = repr(e)
+        assert got == expected, cost
+        picks = unique_optimum(cost, n_cols)
+        if picks is None:
+            solved += 1
+            raised += isinstance(got, str)
+            continue
+        named += 1
+        assert picks == got[0]
+        assert _rectangular(exhaustive_assignment(square), n_rows, n_cols) == got
+    assert min(named, solved - raised, raised) >= 200, (named, solved, raised)
+
+
+def test_unique_optimum_checks_the_smaller_side():
+    inf, nan = float("inf"), float("nan")
+    # Rows: each has its own strict minimum.
+    assert unique_optimum([[0.1, 0.5, 0.9], [0.5, 0.9, 0.1]], 3) == [0, 2]
+    # Columns, when rows outnumber them: row 1 is left to the padding.
+    assert unique_optimum([[0.1, 0.5], [0.4, 0.6], [0.9, 0.2]], 2) == [0, None, 1]
+    # A tie, two minima in one column, a margin of 1e-9 or less, a line
+    # whose minimum is not finite, and a line holding a NaN: nothing is
+    # known.
+    for cost, n_cols in [([[0.5, 0.5]], 2), ([[0.1, 0.9], [0.2, 0.9]], 2),
+                         ([[0.5, 0.5 + 1e-10]], 2), ([[inf, inf]], 2),
+                         ([[-inf, 0.5]], 2), ([[nan, 0.5]], 2), ([[0.5, nan]], 2),
+                         ([[0.5, 0.9], [nan, 0.1], [0.9, 0.9]], 2)]:
+        assert unique_optimum(cost, n_cols) is None, cost
+    # An inf cell that is not the minimum is passed over.
+    assert unique_optimum([[inf, 0.5, 0.7]], 3) == [1]
+    assert unique_optimum([[0.5, inf], [inf, 0.1], [0.9, 0.9]], 2) == [0, 1, None]
 
 
 # -- bleu ---------------------------------------------------------------------
@@ -524,6 +650,17 @@ def test_eval_input_raises_only_chartkit_errors(pairs):
 
 def test_extract_numbers():
     assert extract_numbers("It rose 1,200 points (12%) to -3.5") == [1200.0, 12.0, -3.5]
+
+
+def test_score_pairs_reads_a_string_reference_whole():
+    # A reference group given as one string is that one reference, as in
+    # corpus_bleu, not a group of its characters.
+    flat = "x | v & a | 10"
+    for pred, gold in [("10", "10"), (flat, flat), ("x | v & a | 9", flat)]:
+        as_string = score_pairs([("c", pred, gold)])
+        as_list = score_pairs([("c", pred, [gold])])
+        assert as_string.to_json_dict() == as_list.to_json_dict()
+    assert score_pairs([("c", "10", "10")], ["ra", "bleu"]).aggregate["ra"] == 1
 
 
 def test_score_pairs_report():
