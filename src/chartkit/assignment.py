@@ -5,22 +5,23 @@ pure Python. Each augmentation grows a tree of columns and scans only the
 columns still off it, in ascending order, so a tie goes to the lowest
 column, as in the textbook loop over all columns.
 
-rnss and rms_f1 score a rectangular cost matrix padded at cost 1 up to the
-larger side. ``unique_optimum`` reads the rectangular part alone. When each
-line of the smaller side (the rows, or the columns when rows outnumber
-them) has a finite minimum below every other cell of the line by more
-than ``MARGIN``, and no two of those minima share a column (a row), every
-other assignment costs more by over ``MARGIN``: the padding costs the same
-whichever cells it takes. ``hungarian`` finds that optimum too, so the
-summed float is known without the O(n^3) search: the same cells, summed
-in the same row order. Only the padding column that a leftover row gets
-is ``hungarian``'s own tie-break, and nothing reads it. The padding is
-built only when the check fails, by ``metrics._assign``, which then runs
-``hungarian`` on the square. A rectangular solver (Jonker-Volgenant)
-would skip the padding always, but it may pick another optimum on a tie,
-which changes the summed float score.
-``exhaustive_assignment`` brute-forces every permutation and exists as
-the cross-check oracle for small instances.
+rnss and rms_f1 score a rectangular cost matrix padded at a constant
+cost up to the larger side (rnss at 1; rms_f1 solves on the negated
+scores, padded at 0). ``unique_optimum`` reads the rectangular part
+alone. When each line of the smaller side (the rows, or the columns when
+rows outnumber them) has a finite minimum below every other cell of the
+line by more than ``MARGIN``, and no two of those minima share a column
+(a row), every other assignment costs more by over ``MARGIN``: the
+padding costs the same whichever cells it takes. ``hungarian`` finds
+that optimum too, so the summed float is known without the O(n^3)
+search: the same cells, summed in the same row order. Only the padding
+column that a leftover row gets is ``hungarian``'s own tie-break, and
+nothing reads it. The padding is built only when the check fails, by
+``metrics._assign``, which then runs ``hungarian`` on the square. A
+rectangular solver (Jonker-Volgenant) would skip the padding always, but
+it may pick another optimum on a tie, which changes the summed float
+score. ``exhaustive_assignment`` brute-forces every permutation and
+exists as the cross-check oracle for small instances.
 """
 
 from __future__ import annotations

@@ -134,10 +134,11 @@ def rnss(pred: TableLike, gold: TableLike) -> float:
 
 
 def _assign(
-    cost: list[list[float]], n_cols: int
+    cost: list[list[float]], n_cols: int, fill: float = 1.0
 ) -> tuple[list[Optional[int]], float]:
-    """Optimal assignment of a rectangular cost matrix padded at cost 1 up
-    to a square: ``(the column of each row, or None, and the padded total)``.
+    """Optimal assignment of a rectangular cost matrix padded at ``fill``
+    up to a square: ``(the column of each row, or None, and the padded
+    total)``.
 
     ``hungarian`` runs on the padded square only when ``unique_optimum``
     cannot name the optimum. The total is summed as ``hungarian`` sums it,
@@ -147,13 +148,13 @@ def _assign(
     n = max(n_rows, n_cols)
     assign = unique_optimum(cost, n_cols)
     if assign is None:
-        pad = [1.0] * (n - n_cols)
-        square = [row + pad for row in cost] + [[1.0] * n for _ in range(n - n_rows)]
+        pad = [fill] * (n - n_cols)
+        square = [row + pad for row in cost] + [[fill] * n for _ in range(n - n_rows)]
         full, total = hungarian(square)
         return [j if j < n_cols else None for j in full[:n_rows]], total
     total = sum(
-        [1.0 if j is None else row[j] for row, j in zip(cost, assign)]
-        + [1.0] * (n - n_rows),
+        [fill if j is None else row[j] for row, j in zip(cost, assign)]
+        + [fill] * (n - n_rows),
         0.0,
     )
     return assign, total
@@ -356,7 +357,10 @@ def _rms_once(scores, n_g) -> tuple[float, float, float]:
     """RMS of one orientation from its score rows, one per prediction
     entry with ``n_g`` scores each (neither side empty)."""
     n_p = len(scores)
-    assign, _ = _assign([[1.0 - s for s in row] for row in scores], n_g)
+    # The cost is -s, padded at 0: 1 - s would round two scores below 0.5
+    # that differ in their last bits to one cost, and the solver could
+    # then keep the smaller score.
+    assign, _ = _assign([[-s for s in row] for row in scores], n_g, 0.0)
     total = sum(scores[i][j] for i, j in enumerate(assign) if j is not None)
     precision = total / n_p
     recall = total / n_g
@@ -387,7 +391,8 @@ def rms_f1(pred: DataTable, gold: DataTable) -> tuple[float, float, float]:
 
     with NL the edit distance over the longer key's length (0 for two
     empty keys); a text value scores 1 when equal and 0 otherwise. With S
-    the sum of s over an optimal 1:1 matching, precision = S / |pred|,
+    the sum of s over a 1:1 matching that maximises it (the solver
+    minimises -s, which rounds no score), precision = S / |pred|,
     recall = S / |gold| and F1 their harmonic mean. The transposed
     prediction is also tried (when its shape allows) and the better F1
     wins, so a table transcribed sideways is not punished. The try is

@@ -263,41 +263,33 @@ def _entry_score(p, g):
 
 def _oracle_rms(pred, gold):
     """RMS from its definition: the DP edit distance for the key term, every
-    permutation for the assignment, the transposed retry.
-
-    Returns the set of results that the optimal assignments give. It holds
-    more than one only when two assignments tie on their summed cost but
-    not on their summed score: ``1 - s`` rounds two scores below 0.5 that
-    differ in their last bits to one cost, and the solver's tie-break then
-    picks the score.
-    """
+    permutation for the assignment, the transposed retry. The matched total
+    is the largest over all permutations, each summed in row order."""
 
     def once(pe, ge):
         if not pe and not ge:
-            return {(1.0, 1.0, 1.0)}
+            return 1.0, 1.0, 1.0
         if not pe or not ge:
-            return {(0.0, 0.0, 0.0)}
+            return 0.0, 0.0, 0.0
         scores = [[_entry_score(p, g) for g in ge] for p in pe]
-        square = pad_square([[1.0 - x for x in row] for row in scores],
-                            len(pe), len(ge), 1.0)
-        totals = {perm: sum(square[i][perm[i]] for i in range(len(square)))
-                  for perm in permutations(range(len(square)))}
-        least = min(totals.values())
-        results = set()
-        for perm in (perm for perm, t in totals.items() if t == least):
-            total = sum(scores[i][perm[i]] for i in range(len(pe)) if perm[i] < len(ge))
-            precision, recall = total / len(pe), total / len(ge)
-            f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
-            results.add((precision, recall, f1))
-        return results
+        n = max(len(pe), len(ge))
+        total = max(
+            sum(scores[i][perm[i]] for i in range(len(pe)) if perm[i] < len(ge))
+            for perm in permutations(range(n))
+        )
+        precision, recall = total / len(pe), total / len(ge)
+        if precision + recall == 0:
+            return precision, recall, 0.0
+        return precision, recall, 2 * precision * recall / (precision + recall)
 
     gold_entries = table_entries(gold)
-    results = once(table_entries(pred), gold_entries)
+    best = once(table_entries(pred), gold_entries)
     flipped = _transposed(pred)
     if flipped is not None:
-        alts = once(table_entries(flipped), gold_entries)
-        results = {alt if alt[2] > best[2] else best for best in results for alt in alts}
-    return results
+        alt = once(table_entries(flipped), gold_entries)
+        if alt[2] > best[2]:
+            best = alt
+    return best
 
 
 def _small_table(rng, labels, names):
@@ -335,7 +327,6 @@ def test_rms_matches_definition():
     labels = ["north", "nort", "south", "", "north east", "\U0001F4C8 up"]
     names = ["sales", "sale", "cost", " "]
     kinds = {"drawn": 0, "more_pred_entries": 0, "transposed_repeats": 0}
-    ties = 0
     for _ in range(2000):
         gold = _small_table(rng, labels, names)
         pred = _small_table(rng, labels, names) if rng.random() < 0.5 else gold
@@ -353,11 +344,20 @@ def test_rms_matches_definition():
         if kind == "drawn" and len(table_entries(pred)) > len(table_entries(gold)) > 0:
             kind = "more_pred_entries"
         kinds[kind] += 1
-        expected = _oracle_rms(pred, gold)
-        assert rms_f1(pred, gold) in expected
-        ties += len(expected) > 1
+        assert rms_f1(pred, gold) == _oracle_rms(pred, gold)
     assert min(kinds.values()) >= 150, kinds
-    assert ties <= 5
+    # Two entry scores below 0.5 that differ in their last bits give one
+    # cost 1 - s; the matching must still take the higher score.
+    pred = DataTable(
+        [Column("x"), Column("sales", NUMERIC), Column(" ", NUMERIC)],
+        [["north east", 27.48, -12.0], ["south", 39.03, 7.1]],
+    )
+    gold = DataTable(
+        [Column("x"), Column("cost", NUMERIC), Column(" ", NUMERIC)],
+        [["north east", 8.0, 12.0]],
+    )
+    assert rms_f1(pred, gold) == _oracle_rms(pred, gold)
+    assert rms_f1(pred, gold) == (0.044375, 0.08875, 0.059166666666666666)
 
 
 def test_table_entries_keys_normalized():
@@ -442,8 +442,9 @@ def _rectangular(result, n_rows, n_cols):
 def test_pad_square(monkeypatch):
     assert pad_square([[0.5]], 1, 1, 1.0) == [[0.5]]
     assert pad_square([[0.5, 0.2]], 1, 2, 1.0) == [[0.5, 0.2], [1.0, 1.0]]
-    # rnss and rms_f1 hand _assign their rectangular costs. Where it runs
-    # hungarian, hungarian gets pad_square of them, every float equal; where
+    # rnss and rms_f1 hand _assign their rectangular costs and the padding
+    # cost (1 for rnss, 0 for rms_f1's -s). Where it runs hungarian,
+    # hungarian gets pad_square of them, every float equal; where
     # unique_optimum names the optimum, _assign gives what hungarian would,
     # bit for bit.
     calls, inputs, checked = [], [], []
@@ -453,10 +454,10 @@ def test_pad_square(monkeypatch):
         inputs.append(cost)
         return real_hungarian(cost)
 
-    def recording_assign(cost, n_cols):
+    def recording_assign(cost, n_cols, fill=1.0):
         inputs.clear()
-        assign, total = real_assign(cost, n_cols)
-        calls.append((cost, n_cols, (assign, total.hex()), list(inputs)))
+        assign, total = real_assign(cost, n_cols, fill)
+        calls.append((cost, n_cols, fill, (assign, total.hex()), list(inputs)))
         return assign, total
 
     monkeypatch.setattr(metrics, "hungarian", recording_hungarian)
@@ -468,7 +469,7 @@ def test_pad_square(monkeypatch):
         calls.clear()
         rnss(p, g)
         cost = [[min(1.0, abs(pv - gv) / max(abs(gv), 1e-9)) for gv in g] for pv in p]
-        assert [(c, n) for c, n, _, _ in calls] == [(cost, len(g))]
+        assert [call[:3] for call in calls] == [(cost, len(g), 1.0)]
         checked += calls
     labels, names = ["a", "b", "c", "dd"], ["v", "w", "vw"]
     for _ in range(200):
@@ -479,11 +480,11 @@ def test_pad_square(monkeypatch):
         calls.clear()
         rms_f1(pred, gold)
         scores = [[_entry_score(e, f) for f in ge] for e in pe]
-        cost = [[1.0 - x for x in row] for row in scores]
-        assert calls[0][:2] == (cost, len(ge))
+        cost = [[-x for x in row] for row in scores]
+        assert calls[0][:3] == (cost, len(ge), 0.0)
         checked += calls
-    for cost, n_cols, got, solved in checked:
-        square = pad_square(cost, len(cost), n_cols, 1.0)
+    for cost, n_cols, fill, got, solved in checked:
+        square = pad_square(cost, len(cost), n_cols, fill)
         if solved:
             assert solved == [square]
         assert got == _rectangular(real_hungarian(square), len(cost), n_cols)
@@ -505,13 +506,14 @@ def test_assign_matches_hungarian_fuzz():
         if rng.random() < 0.25:
             values += rng.sample([inf, nan, -inf], rng.randint(1, 2))
         cost = [[rng.choice(values) for _ in range(n_cols)] for _ in range(n_rows)]
-        square = pad_square(cost, n_rows, n_cols, 1.0)
+        fill = rng.choice([0.0, 1.0])
+        square = pad_square(cost, n_rows, n_cols, fill)
         try:
             expected = _rectangular(hungarian(square), n_rows, n_cols)
         except InvalidCostMatrix as e:
             expected = repr(e)
         try:
-            assign, total = metrics._assign(cost, n_cols)
+            assign, total = metrics._assign(cost, n_cols, fill)
             got = assign, total.hex()
         except InvalidCostMatrix as e:
             got = repr(e)
