@@ -189,6 +189,9 @@ def main(argv=None) -> int:
     except ChartKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # readers raise ChartKitError, so this is an output path
+        print(f"error: {exc.filename}: cannot write: {exc.strerror}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,11 +1,11 @@
 """Reconstruct data tables and mark geometry from SVG charts.
 
-The parser walks the SVG tree with a profile of class selectors, composing
-``translate`` transform chains to get absolute bounding boxes for marks and
-ticks. Values come verbatim from data labels when present; otherwise a
-linear pixel-to-value map is least-squares fitted from the numeric y-tick
-labels and inverted over the mark geometry (bar tops, point centers). Pie
-slices without labels can only yield proportions of the whole.
+The parser walks the SVG tree once with a profile of class selectors,
+composing ``translate`` transform chains to get absolute bounding boxes for
+marks and ticks. Values come verbatim from data labels when present;
+otherwise a linear pixel-to-value map is least-squares fitted from the
+numeric y-tick labels and inverted over the mark geometry (bar tops, point
+centers). Pie slices without labels can only yield proportions of the whole.
 
 Selectors are ``tag.class``, ``.class`` or a bare ``tag`` (e.g.
 ``rect.mark-bar``, ``.mark-bar`` or ``rect``); an element is the first kind
@@ -207,7 +207,7 @@ def _parse_transform(text: str) -> tuple[float, float, bool]:
     """Returns (dx, dy, clean); clean is False when non-translate funcs occur."""
     dx = dy = 0.0
     clean = True
-    for func, args in _TRANSFORM_RE.findall(text or ""):
+    for func, args in _TRANSFORM_RE.findall(text):
         if func == "translate":
             nums = [float(n) for n in EXP_NUMBER_RE.findall(args)]
             if nums:
@@ -216,22 +216,6 @@ def _parse_transform(text: str) -> tuple[float, float, bool]:
         else:
             clean = False
     return dx, dy, clean
-
-
-def _placed(elem, tx=0.0, ty=0.0):
-    """``elem`` and every element under it, in document order.
-
-    Yields ``(element, tx, ty, tainted)``: the translate offset composed
-    from ``(tx, ty)`` down to the element, its own transform included, and
-    whether a non-translate transform sits on that path.
-    """
-    stack = [(elem, tx, ty, False)]
-    while stack:
-        elem, tx, ty, tainted = stack.pop()
-        dx, dy, clean = _parse_transform(elem.get("transform"))
-        tx, ty, tainted = tx + dx, ty + dy, tainted or not clean
-        yield elem, tx, ty, tainted
-        stack.extend((child, tx, ty, tainted) for child in reversed(elem))
 
 
 def _float_attr(elem, name) -> float:
@@ -309,6 +293,39 @@ def _parse_slice_path(d: str, tx: float, ty: float):
     return None
 
 
+class _Tick:
+    """A tick the walk is inside: its position and label come from its
+    first ``<text>``, itself included."""
+
+    def __init__(self, axis):
+        self.axis, self.entry = axis, None
+
+    def visit(self, elem, tx, ty, tainted):
+        if self.entry is None and _local_name(elem.tag) == "text":
+            if tainted:
+                raise MalformedSvg("tick text sits under a non-translate "
+                                   "transform; refusing to measure")
+            offset = tx if self.axis == "x" else ty
+            self.entry = (_float_attr(elem, self.axis) + offset, _text_content(elem))
+
+
+class _LegendItem:
+    """A legend item the walk is inside: named by the series attribute, else
+    its first text; colored by the first set, non-``none`` fill of a
+    ``rect``, ``circle`` or ``path`` in it, itself included."""
+
+    def __init__(self, name):
+        self.name, self.color = name, None
+
+    def visit(self, elem, tx, ty, tainted):
+        tag = _local_name(elem.tag)
+        if self.name is None and tag == "text":
+            self.name = _text_content(elem)
+        if (self.color is None and tag in ("rect", "circle", "path")
+                and elem.get("fill") not in (None, "none")):
+            self.color = elem.get("fill")
+
+
 def parse_chart_svg(svg: str, profile: SelectorProfile = BUILTIN_PROFILE) -> ParsedChart:
     """Pull marks, ticks, legend and titles out of an SVG document.
 
@@ -322,17 +339,23 @@ def parse_chart_svg(svg: str, profile: SelectorProfile = BUILTIN_PROFILE) -> Par
         raise MalformedSvg(f"not well-formed XML: {exc}") from exc
 
     parsed = ParsedChart()
-    for elem, tx, ty, tainted in _placed(root):
+    ticks: dict[str, list[_Tick]] = {"x_tick": [], "y_tick": []}
+    legend: list[_LegendItem] = []
+    # (element, translate offset composed from the root, whether a
+    # non-translate transform sits on that path, ticks and legend items above)
+    stack = [(root, 0.0, 0.0, False, ())]
+    while stack:
+        elem, tx, ty, tainted, owners = stack.pop()
+        transform = elem.get("transform")
+        if transform:
+            dx, dy, clean = _parse_transform(transform)
+            tx, ty, tainted = tx + dx, ty + dy, tainted or not clean
         kind = profile.kind_of(elem)
-        if kind is None:
-            continue
         if tainted and kind in MEASURED:
             raise MalformedSvg(f"{kind.replace('_', ' ')} sits under a "
                                "non-translate transform; refusing to measure")
         if kind in ("bar", "slice", "point"):
             _collect_mark(parsed, profile, elem, kind, tx, ty)
-        elif kind == "line":
-            continue  # a series' polyline: its points are the marks
         elif kind == "mark_label":
             parsed.labels.append(ValueLabel(
                 _text_content(elem),
@@ -342,25 +365,32 @@ def parse_chart_svg(svg: str, profile: SelectorProfile = BUILTIN_PROFILE) -> Par
                 _float_attr(elem, "y") + ty,
             ))
         elif kind in ("x_tick", "y_tick"):
-            pos = _tick_pixel(elem, tx, ty, axis=kind[0])
-            if pos is not None:
-                (parsed.x_ticks if kind == "x_tick" else parsed.y_ticks).append(pos)
+            ticks[kind].append(_Tick(kind[0]))
+            owners += (ticks[kind][-1],)
         elif kind == "legend_item":
-            _collect_legend(parsed, profile, elem)
+            legend.append(_LegendItem(elem.get(profile.series_attr)))
+            owners += (legend[-1],)
         elif kind == "chart_title":
             for key in ("data-x-field", "data-y-field", "data-y-unit",
                         "data-group-field"):
                 if elem.get(key) is not None:
                     parsed.chart_meta[key] = elem.get(key)
-        else:  # axis_title
+        elif kind == "axis_title":
             axis = elem.get("data-axis") or ""
             name = elem.get("data-field") or _text_content(elem)
             unit = elem.get("data-unit")
             if axis in ("x", "y"):
                 parsed.axis_fields[axis] = (name, unit)
+        for owner in owners:
+            owner.visit(elem, tx, ty, tainted)
+        stack.extend((child, tx, ty, tainted, owners) for child in reversed(elem))
 
     if not parsed.marks:
         raise NoMarksFound("no element matched a mark selector")
+    parsed.x_ticks = [t.entry for t in ticks["x_tick"] if t.entry is not None]
+    parsed.y_ticks = [t.entry for t in ticks["y_tick"] if t.entry is not None]
+    parsed.legend = [(item.name, item.color or "#000000")
+                     for item in legend if item.name]
     return parsed
 
 
@@ -388,40 +418,6 @@ def _collect_mark(parsed, profile, elem, kind, tx, ty):
         )
         return
     parsed.marks.append(RawMark(kind, bbox, series, x, fill, value))
-
-
-def _tick_pixel(elem, tx, ty, axis):
-    """(pixel, label) for a tick: the composed position of its text node,
-    the tick itself or else the first text under it in document order."""
-    if _local_name(elem.tag) == "text":
-        placed = [(elem, tx, ty, False)]
-    else:
-        placed = (p for child in elem for p in _placed(child, tx, ty))
-    for text, tx, ty, tainted in placed:
-        if _local_name(text.tag) == "text":
-            if tainted:
-                raise MalformedSvg("tick text sits under a non-translate "
-                                   "transform; refusing to measure")
-            label = _text_content(text)
-            if axis == "x":
-                return _float_attr(text, "x") + tx, label
-            return _float_attr(text, "y") + ty, label
-    return None
-
-
-def _collect_legend(parsed, profile, elem):
-    name = elem.get(profile.series_attr)
-    color = None
-    for child in elem.iter():
-        tag = _local_name(child.tag)
-        if tag in ("rect", "circle", "path") and child.get("fill") not in (None, "none"):
-            color = child.get("fill")
-            break
-    if name is None:
-        texts = [child for child in elem.iter() if _local_name(child.tag) == "text"]
-        name = _text_content(texts[0]) if texts else None
-    if name:
-        parsed.legend.append((name, color or "#000000"))
 
 
 def _label_decimals(text: str) -> int:

@@ -334,10 +334,13 @@ def extract_corpus(svg_dir, profile: Optional[SelectorProfile] = None,
     """Batch-extract every ``*.svg`` under a directory.
 
     Returns a summary dict with exact/recovered/failed counts; failures are
-    data (listed per file), not a process error.
+    data (listed per file), not a process error. A ``svg_dir`` that is not
+    a directory is ``InvalidConfig``.
     """
     profile = profile or BUILTIN_PROFILE
     svg_dir = Path(svg_dir)
+    if not svg_dir.is_dir():
+        raise InvalidConfig(f"{svg_dir}: not a directory")
     out = Path(out_dir) if out_dir else None
     if out:
         out.mkdir(parents=True, exist_ok=True)

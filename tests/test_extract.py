@@ -398,3 +398,74 @@ def test_slice_path_without_numbers_is_a_diagnostic():
     parsed = parse_chart_svg(svg)
     assert len(parsed.marks) == 1
     assert parsed.diagnostics == ["unrecognized slice path geometry"]
+
+
+# Ticks and legend items read their text and color in the one walk of the
+# tree; these pin the rules that walk keeps.
+
+_BAR = '<rect class="mark-bar" x="1" y="2" width="3" height="4"/>'
+
+
+def test_a_text_tick_takes_its_own_translate():
+    svg = _wrap('<g transform="translate(100,0)"><text class="axis-x-tick" '
+                'transform="translate(5,7)" x="10" y="20">a</text></g>' + _BAR)
+    assert parse_chart_svg(svg).x_ticks == [(115.0, "a")]
+
+
+def test_a_tick_takes_its_first_text_two_translates_deep():
+    svg = _wrap('<g class="axis-y-tick" transform="translate(0,1)">'
+                '<line y1="0"/>'
+                '<g transform="translate(0,10)"><g transform="translate(0,100)">'
+                '<text y="5">deep</text></g></g>'
+                '<text y="2">later</text></g>' + _BAR)
+    assert parse_chart_svg(svg).y_ticks == [(116.0, "deep")]
+
+
+def test_a_tick_without_text_is_dropped():
+    svg = _wrap('<g class="axis-x-tick"><line x1="5"/></g>'
+                '<g class="axis-x-tick"><text x="9">b</text></g>' + _BAR)
+    assert parse_chart_svg(svg).x_ticks == [(9.0, "b")]
+
+
+def test_a_tick_text_under_rotate_is_refused():
+    svg = _wrap('<g class="axis-x-tick"><g transform="rotate(-45)">'
+                '<text x="9">b</text></g></g>' + _BAR)
+    with pytest.raises(MalformedSvg, match="tick text"):
+        parse_chart_svg(svg)
+
+
+def test_nested_ticks_each_take_their_own_first_text():
+    svg = _wrap('<g class="axis-x-tick" transform="translate(1,0)"><line/>'
+                '<g class="axis-y-tick" transform="translate(0,2)">'
+                '<text x="10" y="20">inner</text></g>'
+                '<text x="30" y="40">outer</text></g>'
+                '<g class="axis-x-tick"><text x="50">last</text></g>' + _BAR)
+    parsed = parse_chart_svg(svg)
+    assert parsed.x_ticks == [(11.0, "inner"), (50.0, "last")]
+    assert parsed.y_ticks == [(22.0, "inner")]
+
+
+def test_a_legend_name_is_its_first_text_and_an_unset_fill_is_skipped():
+    svg = _wrap('<g class="legend-item" fill="#999999"><rect fill="none"/><line fill="#111111"/>'
+                '<circle fill="#e41a1c"/><text>hot</text><text>cold</text></g>' + _BAR)
+    assert parse_chart_svg(svg).legend == [("hot", "#e41a1c")]
+
+
+def test_a_legend_item_with_its_own_fill_takes_it():
+    svg = _wrap('<rect class="legend-item" data-series="s" fill="#377eb8"/>'
+                '<g class="legend-item" data-series="t"><text>ignored</text>'
+                '<path fill="#4daf4a"/></g>' + _BAR)
+    assert parse_chart_svg(svg).legend == [("s", "#377eb8"), ("t", "#4daf4a")]
+
+
+def test_unnamed_legend_items_are_dropped():
+    svg = _wrap('<g class="legend-item"><rect fill="#111111"/></g>'
+                '<g class="legend-item" data-series=""><text>n</text></g>'
+                '<g class="legend-item"><text>kept</text></g>' + _BAR)
+    assert parse_chart_svg(svg).legend == [("kept", "#000000")]
+
+
+def test_a_legend_item_without_fill_is_black():
+    svg = _wrap('<g class="legend-item"><rect/><circle fill="none"/>'
+                '<text>plain</text></g>' + _BAR)
+    assert parse_chart_svg(svg).legend == [("plain", "#000000")]

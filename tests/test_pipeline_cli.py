@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -203,6 +204,19 @@ def test_extract_corpus_counts_garbage_as_failed(tmp_path):
     assert summary["failed"] == 1
 
 
+@pytest.mark.parametrize("name", ["does-not-exist", "a-file.svg"])
+def test_extract_corpus_needs_a_directory(tmp_path, capsys, name):
+    path = tmp_path / name
+    if name.endswith(".svg"):
+        path.write_text("<svg/>", encoding="utf-8")
+    with pytest.raises(InvalidConfig, match=re.escape(f"{path}: not a directory")):
+        extract_corpus(path)
+    assert main(["extract", "--svg-dir", str(path), "--strict"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: not a directory\n"
+
+
 def test_gen_tasks_counts_and_files(tmp_path):
     config = _config(tmp_path, count=6,
                      counts={"table": 1, "value_estimation": 1,
@@ -395,6 +409,34 @@ def test_cli_synthesize_rejects_a_malformed_external_table(tmp_path, capsys, tab
     err = capsys.readouterr().err
     assert err.startswith(f"error: {tables}") and problem in err
     assert err.count(tables.name) == 1
+
+
+@pytest.mark.parametrize("command", ["synthesize", "extract", "gen-tasks",
+                                     "distill", "eval"])
+def test_cli_reports_an_output_it_cannot_write(tmp_path, capsys, command):
+    corpus = str(tmp_path / "corpus")
+    main(["synthesize", "--out", corpus, "--count", "1"])
+    a_file = tmp_path / "a-file"
+    a_file.write_text("", encoding="utf-8")
+    no_dir = tmp_path / "missing-dir"
+    pred = tmp_path / "pred.jsonl"
+    pred.write_text('{"id": "a", "output": "x | y & a | 1"}\n', encoding="utf-8")
+    argv, named = {
+        "synthesize": (["--out", str(a_file), "--count", "1"], a_file),
+        "extract": (["--svg-dir", f"{corpus}/charts", "--out", str(a_file)], a_file),
+        "gen-tasks": (["--corpus", corpus, "--out", str(a_file)], a_file),
+        "distill": (["--corpus", corpus, "--fallback", "--out",
+                     str(no_dir / "s.jsonl")], no_dir / "s.jsonl"),
+        "eval": (["--pred", str(pred), "--gold", str(pred), "--out",
+                  str(no_dir / "r.json")], no_dir / "r.json"),
+    }[command]
+    capsys.readouterr()
+    assert main([command, *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named}") and err.count("\n") == 1
+    if command == "distill":  # the library call itself still raises OSError
+        with pytest.raises(OSError):
+            distill_corpus(corpus, no_dir / "s.jsonl")
 
 
 def test_task_count_table_has_five_columns():
