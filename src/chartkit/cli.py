@@ -11,7 +11,7 @@ from . import pipeline
 from .distill import BackendClient
 from .errors import ChartKitError, InvalidConfig
 from .extract import load_profile
-from .jsonl import encode_row, read_json_object
+from .jsonl import atomic_write_text, encode_row, read_json_object
 from .metrics import METRIC_NAMES
 
 
@@ -112,7 +112,7 @@ def cmd_eval(args) -> int:
     metrics = tuple(m.strip() for m in args.metrics.split(",") if m.strip())
     report = pipeline.evaluate(args.pred, args.gold, metrics)
     if args.out:
-        Path(args.out).write_text(encode_row(report.to_json_dict()), encoding="utf-8")
+        atomic_write_text(args.out, encode_row(report.to_json_dict()))
     print(json.dumps(report.aggregate, ensure_ascii=False, sort_keys=True))
     return 0
 

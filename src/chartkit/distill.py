@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import time
 import urllib.error
@@ -21,6 +22,7 @@ from typing import Callable, Iterable, Optional
 
 from .errors import (
     BackendTimeout,
+    BackendUnreachable,
     ChartKitError,
     InvalidConfig,
     ParseFailure,
@@ -190,6 +192,10 @@ class RateLimiter:
 class BackendClient:
     """Chat-completions HTTP client with retries and a rate cap.
 
+    A request that times out or cannot reach the endpoint (an ``OSError``
+    from the transport) and a 429 or 5xx reply are failed attempts, retried
+    up to ``max_retries`` times; the last one's error is raised.
+
     The auth token is read from the environment variable named in the
     config at request time and is never serialized or logged.
     """
@@ -233,9 +239,9 @@ class BackendClient:
             endpoint=endpoint,
             model=model,
             auth_env=auth_env,
-            rpm=_config_number(config, "rpm", 60, float),
-            timeout_s=_config_number(config, "timeout_s", 30, float),
-            max_retries=_config_number(config, "max_retries", 3, int),
+            rpm=_config_number(config, "rpm", 60.0),
+            timeout_s=_config_number(config, "timeout_s", 30.0, positive=True),
+            max_retries=_config_number(config, "max_retries", 3, integer=True),
             transport=transport,
             sleep=sleep,
         )
@@ -271,6 +277,11 @@ class BackendClient:
             except TimeoutError as exc:
                 last_error = BackendTimeout(str(exc) or "request timed out")
                 continue
+            except OSError as exc:  # refused, reset, no route: worth a retry
+                last_error = BackendUnreachable(
+                    f"{self.endpoint}: cannot reach the backend: {_reason(exc)}"
+                )
+                continue
             if status == 429:
                 last_error = RateLimited("backend returned 429")
                 continue
@@ -283,14 +294,31 @@ class BackendClient:
         raise last_error if last_error else ParseFailure("no attempts made")
 
 
-def _config_number(config: dict, key: str, default, kind):
+def _config_number(config: dict, key: str, default, *, integer=False,
+                   positive=False):
+    """``config[key]``, or ``default`` when it is absent: a finite JSON
+    number that is not a bool, an integer where ``integer``, above 0 where
+    ``positive`` and at least 0 otherwise. Anything else is
+    ``InvalidConfig`` naming the key."""
     value = config.get(key, default)
     try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidConfig(
-            f"backend config {key!r} must be a number, not {value!r}"
-        ) from exc
+        ok = (isinstance(value, int if integer else (int, float))
+              and not isinstance(value, bool)
+              and math.isfinite(value)
+              and (value > 0 if positive else value >= 0))
+    except OverflowError:  # an int too large for a float
+        ok = False
+    if not ok:
+        what = "an integer" if integer else "a finite number"
+        bound = "> 0" if positive else ">= 0"
+        raise InvalidConfig(f"backend config {key!r} must be {what} {bound}, not {value!r}")
+    return value
+
+
+def _reason(exc: OSError) -> str:
+    """What went wrong with a request, from the error it raised."""
+    reason = getattr(exc, "reason", exc)  # a URLError wraps the socket error
+    return getattr(reason, "strerror", None) or str(reason) or type(reason).__name__
 
 
 def _parse_completion(text: str) -> str:

@@ -77,6 +77,10 @@ class BackendTimeout(ChartKitError):
     pass
 
 
+class BackendUnreachable(ChartKitError):
+    pass
+
+
 class RateLimited(ChartKitError):
     pass
 

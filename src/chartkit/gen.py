@@ -16,8 +16,7 @@ from typing import Optional
 from .synth import (
     CHART_TYPES,
     DEFAULT_CANVAS,
-    GROUPED_BAR,
-    LINE_MULTI,
+    GROUPED_TYPES,
     PIE,
     ChartSpec,
     RenderedChart,
@@ -115,7 +114,7 @@ def chart_table_for(
     rng: random.Random, chart_type: str, **kwargs
 ) -> ChartReadyTable:
     """A table admissible for the requested chart type."""
-    if chart_type in (GROUPED_BAR, LINE_MULTI):
+    if chart_type in GROUPED_TYPES:
         return random_chart_table(rng, grouped=True, **kwargs)
     if chart_type == PIE:
         kwargs.setdefault("rows", rng.randint(2, 8))

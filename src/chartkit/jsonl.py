@@ -11,6 +11,7 @@ selector profile, backend config).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from pathlib import Path
@@ -103,10 +104,17 @@ def check_rows(path, rows: list[dict], /, *, nonempty=(), **kinds) -> list[dict]
 
 
 def atomic_write_text(path, text: str):
+    """Replace ``path`` with ``text`` through ``<path>.tmp``. An ``OSError``
+    names ``path``, and the temp file does not outlive it."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
 
 
 def write_jsonl(path, rows: Iterable[dict]):

@@ -86,22 +86,12 @@ def _table_numbers(table: DataTable) -> list[float]:
     return numbers
 
 
-def _is_flat(text: str) -> bool:
-    """Whether ``rnss`` reads ``text`` as a flattened table, if it parses."""
-    return " | " in text or " & " in text
-
-
 def _numbers_of(value: TableLike) -> list[float]:
-    if isinstance(value, list):
-        return value
+    if isinstance(value, str):
+        value = _parse_side(value, False)[0]
     if isinstance(value, DataTable):
         return _table_numbers(value)
-    if _is_flat(value):
-        try:
-            return _table_numbers(unflatten_table(value))
-        except ChartKitError:
-            pass
-    return extract_numbers(value)
+    return value
 
 
 def rnss(pred: TableLike, gold: TableLike) -> float:
@@ -246,23 +236,14 @@ def _normalize_key(text: str) -> str:
     return " ".join(str(text).lower().split())
 
 
-@dataclass(frozen=True)
-class TableEntry:
-    """(row key, column key, value) decomposition of one table cell."""
-
-    row_key: str
-    col_key: str
-    value: Union[str, float]
-
-    @property
-    def key(self) -> str:
-        return f"{self.row_key} {self.col_key}".strip()
-
-
-def table_entries(table: DataTable) -> list[TableEntry]:
-    """Entries of a table: the first categorical column keys the rows."""
+def table_entries(table: DataTable) -> list[tuple[str, Union[str, float]]]:
+    """The ``(key, value)`` entries of a table, row by row: the first
+    categorical column keys the rows, and an entry's key is its row key, a
+    space and its column name, both normalized, then stripped (so a table
+    without a categorical column has bare column names as keys)."""
     cat = table.indices_of_kind(CATEGORICAL)
     key_col = cat[0] if cat else None
+    names = [_normalize_key(col.name) for col in table.columns]
     entries = []
     for row in table.rows:
         row_key = _normalize_key(row[key_col]) if key_col is not None else ""
@@ -270,35 +251,34 @@ def table_entries(table: DataTable) -> list[TableEntry]:
             if j == key_col:
                 continue
             value = row[j] if col.kind != CATEGORICAL else _normalize_key(row[j])
-            entries.append(TableEntry(row_key, _normalize_key(col.name), value))
+            entries.append((f"{row_key} {names[j]}".strip(), value))
     return entries
 
 
-def _transposed(table: DataTable) -> Optional[DataTable]:
-    cat = table.indices_of_kind(CATEGORICAL)
-    if len(cat) != 1 or cat[0] != 0 or table.n_cols < 2 or table.n_rows == 0:
+def _transposed_entries(table: DataTable) -> Optional[list[tuple[str, float]]]:
+    """The entries of ``table`` read sideways, as ``table_entries`` would
+    give them for its transpose: each value column in turn, then each row,
+    keyed by the column name and the row's x label. None when the table
+    has no transpose: when its one categorical column is not first or not
+    alone, when it has no value column or no row, and when an x label is
+    empty, repeated or the x column's name.
+    """
+    if table.indices_of_kind(CATEGORICAL) != [0] or table.n_cols < 2 or not table.rows:
         return None
-    from .tables import NUMERIC, Column
-
-    header = [str(row[0]) for row in table.rows]
-    if len(set(header)) != len(header) or any(not h for h in header):
+    labels = [row[0] for row in table.rows]
+    if len(set(labels)) != len(labels) or "" in labels or table.columns[0].name in labels:
         return None
-    x_name = table.columns[0].name
-    if x_name in header:
-        return None
-    columns = [Column(x_name, CATEGORICAL)] + [Column(h, NUMERIC) for h in header]
-    rows = []
+    xs = [_normalize_key(x) for x in labels]
+    entries = []
     for j in range(1, table.n_cols):
-        rows.append([table.columns[j].name] + [row[j] for row in table.rows])
-    try:
-        return DataTable(columns, rows)
-    except (ValueError, TypeError):
-        return None
+        name = _normalize_key(table.columns[j].name)
+        entries.extend((f"{name} {x}".strip(), row[j]) for x, row in zip(xs, table.rows))
+    return entries
 
 
-def _value_rows(gold_entries):
-    """A function from a prediction value to its value similarity with
-    every gold value, computing each distinct value's row once.
+def _value_rows(pred_values, gold_values) -> dict:
+    """The value similarity of each distinct prediction value with every
+    gold value, as ``{value: row}``.
 
     A number p against a number g scores 1 - min(1, |p - g| / max(|g|,
     eps)), written ``1.0 - d if d < 1.0 else 0.0`` (the same float); every
@@ -306,48 +286,45 @@ def _value_rows(gold_entries):
     ``str`` only (``DataTable`` coerces them), so a row is keyed by the
     value itself: 0.0 and -0.0 share a key, and give the same row.
     """
-    gold = [g.value for g in gold_entries]
-    scales = [max(abs(g), EPS) if isinstance(g, float) else None for g in gold]
+    scales = [max(abs(g), EPS) if isinstance(g, float) else None for g in gold_values]
     rows: dict = {}
-
-    def row_of(p):
-        row = rows.get(p)
-        if row is None:
-            if isinstance(p, float):
-                row = []
-                for g, scale in zip(gold, scales):
-                    if scale is None:
-                        row.append(0.0)
-                    else:
-                        d = abs(p - g) / scale
-                        row.append(1.0 - d if d < 1.0 else 0.0)
-            else:
-                row = [1.0 if p == g else 0.0 for g in gold]
-            rows[p] = row
-        return row
-
-    return row_of
+    for p in pred_values:
+        if p in rows:
+            continue
+        if isinstance(p, float):
+            row = []
+            for g, scale in zip(gold_values, scales):
+                if scale is None:
+                    row.append(0.0)
+                else:
+                    d = abs(p - g) / scale
+                    row.append(1.0 - d if d < 1.0 else 0.0)
+        else:
+            row = [1.0 if p == g else 0.0 for g in gold_values]
+        rows[p] = row
+    return rows
 
 
-def _score_rows(pred_entries, gold_keys, gold_lens, value_row) -> list[list[float]]:
+def _score_rows(pred_entries, gold_keys, gold_lens, value_rows) -> list[list[float]]:
     """s(p, g) of every prediction entry against every gold entry:
     ``gold_keys`` is ``_pack_keys`` of the gold keys, ``gold_lens`` their
-    lengths and ``value_row`` is ``_value_rows`` of the gold entries."""
-    rows = [value_row(p.value) for p in pred_entries]
+    lengths and ``value_rows`` is ``_value_rows`` of the prediction and
+    gold values."""
+    rows = [value_rows[value] for _, value in pred_entries]
     # A value similarity of 0 zeroes the product whatever the key
     # similarity in [0, 1] is, so an all-zero row needs no key pass.
     distances = _levenshtein_walk(
-        gold_keys, [p.key for p, row in zip(pred_entries, rows) if any(row)]
+        gold_keys, [key for (key, _), row in zip(pred_entries, rows) if any(row)]
     )
     scores = []
-    for p, values in zip(pred_entries, rows):
+    for (key, _), values in zip(pred_entries, rows):
         # Two empty keys are at distance 0: max(..., 1) gives them a key
         # similarity of 1.
         if any(values):
-            lp = len(p.key)
+            lp = len(key)
             values = [
                 (1.0 - d / max(lp, lg, 1)) * v
-                for d, lg, v in zip(distances[p.key], gold_lens, values)
+                for d, lg, v in zip(distances[key], gold_lens, values)
             ]
         scores.append(values)
     return scores
@@ -382,9 +359,9 @@ def _cannot_beat(scores, n_g, f1) -> bool:
 def rms_f1(pred: DataTable, gold: DataTable) -> tuple[float, float, float]:
     """Relative mapping similarity (precision, recall, F1) between tables.
 
-    RMS of DePlot (Liu et al. 2023). A table is the set of its entries
-    (``table_entries``): key = row key + column key, lowercased with
-    whitespace collapsed, and a value. Two entries score
+    RMS of DePlot (Liu et al. 2023). A table is the set of its ``(key,
+    value)`` entries (``table_entries``): key = row key + column key,
+    lowercased with whitespace collapsed. Two entries score
 
         s(p, g) = (1 - NL(p.key, g.key))
                   * (1 - min(1, |p.v - g.v| / max(|g.v|, eps)))
@@ -395,7 +372,9 @@ def rms_f1(pred: DataTable, gold: DataTable) -> tuple[float, float, float]:
     minimises -s, which rounds no score), precision = S / |pred|,
     recall = S / |gold| and F1 their harmonic mean. The transposed
     prediction is also tried (when its shape allows) and the better F1
-    wins, so a table transcribed sideways is not punished. The try is
+    wins, so a table transcribed sideways is not punished. That try swaps
+    the keys of each prediction entry, column key first, then row key
+    (``_transposed_entries``); the values stay as they are. The try is
     skipped when it cannot win: when the first F1 is 1.0, and when 2 *
     min(sum of its score rows' maxima, sum of its score columns' maxima) /
     (|pred| + |gold|), a bound on its F1, lies more than 1e-9 below the
@@ -408,21 +387,23 @@ def rms_f1(pred: DataTable, gold: DataTable) -> tuple[float, float, float]:
     """
     gold_entries = table_entries(gold)
     pred_entries = table_entries(pred)
-    # A prediction without entries has no transposed form (``_transposed``).
+    # A prediction without entries has no transposed form either.
     if not pred_entries and not gold_entries:
         return 1.0, 1.0, 1.0
     if not pred_entries or not gold_entries:
         return 0.0, 0.0, 0.0
     n_g = len(gold_entries)
-    gold_keys = _pack_keys([g.key for g in gold_entries])
-    gold_lens = [len(g.key) for g in gold_entries]
+    gold_keys = _pack_keys([key for key, _ in gold_entries])
+    gold_lens = [len(key) for key, _ in gold_entries]
     # Both tries carry the same prediction values, so they share the rows.
-    value_row = _value_rows(gold_entries)
-    best = _rms_once(_score_rows(pred_entries, gold_keys, gold_lens, value_row), n_g)
+    value_rows = _value_rows(
+        [value for _, value in pred_entries], [value for _, value in gold_entries]
+    )
+    best = _rms_once(_score_rows(pred_entries, gold_keys, gold_lens, value_rows), n_g)
     # Nothing beats an F1 of 1.0.
-    flipped = _transposed(pred) if best[2] != 1.0 else None
+    flipped = _transposed_entries(pred) if best[2] != 1.0 else None
     if flipped is not None:
-        scores = _score_rows(table_entries(flipped), gold_keys, gold_lens, value_row)
+        scores = _score_rows(flipped, gold_keys, gold_lens, value_rows)
         if not _cannot_beat(scores, n_g, best[2]):
             alt = _rms_once(scores, n_g)
             if alt[2] > best[2]:
@@ -524,11 +505,11 @@ def _parse_side(text: str, for_rms: bool) -> tuple[TableLike, Optional[DataTable
     """One side of a pair, unflattened at most once for both table metrics.
 
     Returns ``(what rnss reads, the parsed table or None)``. ``rnss`` reads
-    what it would read itself: the table of ``_is_flat`` text that parses,
-    and otherwise the numbers in the text. Text that is not flat is parsed
-    only ``for_rms``, which parses every side.
+    the table of flat text (text holding ``" | "`` or ``" & "``) that
+    parses, and otherwise the numbers in the text. Text that is not flat
+    is parsed only ``for_rms``, which parses every side.
     """
-    flat = _is_flat(text)
+    flat = " | " in text or " & " in text
     table = None
     if flat or for_rms:
         try:

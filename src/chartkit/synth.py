@@ -43,6 +43,9 @@ FAMILY = {
 
 FAMILIES = ("bar", "line", "pie")
 
+# The chart types drawn from a grouped table, one series per group.
+GROUPED_TYPES = frozenset({GROUPED_BAR, LINE_MULTI})
+
 # Corpus mix used as the default: bars dominate, pies are rare.
 DEFAULT_TYPE_WEIGHTS = {"bar": 58.51, "line": 32.94, "pie": 9.39}
 
@@ -137,7 +140,7 @@ class ChartSpec:
     def __post_init__(self):
         if self.chart_type not in CHART_TYPES:
             raise ValueError(f"unknown chart type {self.chart_type!r}")
-        grouped_type = self.chart_type in (GROUPED_BAR, LINE_MULTI)
+        grouped_type = self.chart_type in GROUPED_TYPES
         if grouped_type and not self.table.grouped:
             raise ValueError(f"{self.chart_type} requires a group column")
         if not grouped_type and self.table.grouped:
@@ -545,7 +548,7 @@ def _render_legend(svg, spec, series, series_colors, plot):
 def _render_xy(svg, spec, series, series_colors, xs, plot):
     style, table = spec.style, spec.table
     values = [v for row in table.wide.rows for v in row[1:]]
-    is_bar = spec.chart_type in (SIMPLE_BAR, GROUPED_BAR)
+    is_bar = FAMILY[spec.chart_type] == "bar"
     if is_bar:
         lo, hi = min(0.0, min(values)), max(values)
     else:

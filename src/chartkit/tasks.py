@@ -78,7 +78,7 @@ def value_estimation_target(chart: RenderedChart) -> str:
     for series in view.series_names:
         cells = []
         for mark in view.series_marks(series):
-            if chart.chart_type.startswith("line"):
+            if view.is_line:
                 center = mark.bbox.y + mark.bbox.h / 2
                 frac = (plot.bottom - center) / plot.h
             else:

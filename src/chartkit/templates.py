@@ -28,10 +28,9 @@ from typing import Callable
 from .flatten import format_number as fmt
 from .palettes import color_name
 from .synth import (
+    FAMILY,
     GROUPED_BAR,
-    LINE_MULTI,
-    LINE_SINGLE,
-    PIE,
+    GROUPED_TYPES,
     SIMPLE_BAR,
     MarkRecord,
     RenderedChart,
@@ -70,10 +69,11 @@ class ChartView:
     def __init__(self, chart: RenderedChart):
         self.chart = chart
         self.chart_type = chart.chart_type
-        self.is_pie = chart.chart_type == PIE
-        self.is_bar = chart.chart_type in (SIMPLE_BAR, GROUPED_BAR)
-        self.is_line = chart.chart_type in (LINE_SINGLE, LINE_MULTI)
-        self.grouped = chart.chart_type in (GROUPED_BAR, LINE_MULTI)
+        family = FAMILY.get(chart.chart_type)
+        self.is_pie = family == "pie"
+        self.is_bar = family == "bar"
+        self.is_line = family == "line"
+        self.grouped = chart.chart_type in GROUPED_TYPES
         self.marks = list(chart.marks)
         self.series_names = [name for name, _ in chart.legend]
         self.series_color = dict(chart.legend)

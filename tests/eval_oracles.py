@@ -4,7 +4,10 @@
 and ``counter_bleu`` clips BLEU n-gram counts with ``Counter`` algebra.
 Both are the straightforward forms of what ``chartkit.flatten._split_flat``
 and ``chartkit.metrics.corpus_bleu`` compute, kept here only as test
-oracles: the tests require equal rows and equal floats.
+oracles: the tests require equal rows and equal floats. ``rms_entries``
+and ``transpose_table`` read a table as the RMS definition does, by
+building the transposed ``DataTable``, not by swapping entry keys as
+``chartkit.metrics`` does.
 """
 
 import math
@@ -12,6 +15,51 @@ from collections import Counter
 
 from chartkit.flatten import CELL_SEP, ROW_SEP
 from chartkit.metrics import EPS, bleu_tokenize
+from chartkit.tables import CATEGORICAL, NUMERIC, Column, DataTable
+
+
+def _normalized(text):
+    return " ".join(text.lower().split())
+
+
+def rms_entries(table):
+    """RMS's ``(key, value)`` entries of a table: one per cell outside the
+    first categorical column, which keys the rows. The key is the row key
+    and the column name, lowercased with whitespace collapsed, joined by a
+    space where both are non-empty; a text value is normalized as well."""
+    kinds = [c.kind for c in table.columns]
+    key_col = kinds.index(CATEGORICAL) if CATEGORICAL in kinds else None
+    entries = []
+    for row in table.rows:
+        row_key = _normalized(row[key_col]) if key_col is not None else ""
+        for j, col in enumerate(table.columns):
+            if j != key_col:
+                key = " ".join(k for k in (row_key, _normalized(col.name)) if k)
+                value = _normalized(row[j]) if col.kind == CATEGORICAL else row[j]
+                entries.append((key, value))
+    return entries
+
+
+def transpose_table(table):
+    """The table read sideways: the x column keeps its name and holds the
+    value columns' names, and each row becomes a numeric column named by
+    its x label. None when the table is not an x column followed by value
+    columns with at least one row, or when the sideways table is no
+    ``DataTable`` (an x label empty, repeated or the x column's name)."""
+    kinds = [c.kind for c in table.columns]
+    if kinds[:1] != [CATEGORICAL] or CATEGORICAL in kinds[1:]:
+        return None
+    if len(kinds) < 2 or not table.rows:
+        return None
+    x = table.columns[0]
+    try:
+        return DataTable(
+            [Column(x.name)] + [Column(row[0], NUMERIC) for row in table.rows],
+            [[c.name] + [row[j] for row in table.rows]
+             for j, c in enumerate(table.columns) if j],
+        )
+    except ValueError:
+        return None
 
 
 def split_flat_scan(text):

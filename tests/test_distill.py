@@ -1,4 +1,6 @@
 import json
+import re
+import urllib.error
 
 import pytest
 
@@ -10,7 +12,7 @@ from chartkit.distill import (
     build_table_summary_prompt,
     fallback_summary,
 )
-from chartkit.errors import InvalidConfig, ParseFailure, RateLimited
+from chartkit.errors import BackendUnreachable, InvalidConfig, ParseFailure, RateLimited
 from chartkit.jsonl import read_jsonl
 from chartkit.metrics import extract_numbers
 from chartkit.tables import Column, DataTable, NUMERIC
@@ -147,6 +149,26 @@ def test_backend_retries_then_succeeds():
     client = _client(transport, retries=3)
     bundle = build_table_summary_prompt(_table())
     assert client.complete(bundle) == "A fine summary."
+
+
+def test_backend_unreachable_is_a_failed_attempt_then_a_recorded_failure():
+    calls = []
+
+    def refused(url, headers, body, timeout):
+        calls.append(url)
+        raise urllib.error.URLError(ConnectionRefusedError())
+
+    client = _client(refused, retries=2)
+    bundle = build_table_summary_prompt(_table())
+    with pytest.raises(BackendUnreachable, match=re.escape(
+            "https://example.invalid/v1/chat: cannot reach the backend: "
+            "ConnectionRefusedError")):
+        client.complete(bundle)
+    assert len(calls) == 3  # initial + 2 retries
+    driver = BatchDriver(backend=client)
+    assert driver.run([("c0", bundle)]) == {}
+    assert [f["id"] for f in driver.failures] == ["c0"]
+    assert "cannot reach the backend" in driver.failures[0]["error"]
 
 
 def test_backend_bad_shape_raises_parse_failure():

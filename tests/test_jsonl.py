@@ -18,7 +18,13 @@ from chartkit.distill import (
     build_table_summary_prompt,
 )
 from chartkit.errors import ChartKitError, ParseFailure
-from chartkit.jsonl import Journal, encode_row, read_jsonl, write_jsonl
+from chartkit.jsonl import (
+    Journal,
+    atomic_write_text,
+    encode_row,
+    read_jsonl,
+    write_jsonl,
+)
 from chartkit.pipeline import PipelineConfig, distill_corpus, synthesize
 from chartkit.tables import Column, DataTable, NUMERIC
 from test_golden import tree_digest
@@ -157,6 +163,20 @@ def test_encoding_and_reads(tmp_path):
                                 "y": {"id": "y", "v": 3}}
     with Journal(tmp_path / "missing.jsonl") as journal:
         assert journal.rows == {}
+
+
+def test_a_failed_atomic_write_names_the_path_and_leaves_no_temp_file(tmp_path):
+    # os.replace cannot put a file over a directory: the temp file is
+    # written whole and must still go.
+    target = tmp_path / "a-dir"
+    target.mkdir()
+    with pytest.raises(IsADirectoryError) as caught:
+        atomic_write_text(target, "text")
+    assert caught.value.filename == str(target)
+    assert os.listdir(tmp_path) == ["a-dir"]
+    with pytest.raises(FileNotFoundError) as caught:
+        atomic_write_text(tmp_path / "missing" / "f", "text")
+    assert caught.value.filename == str(tmp_path / "missing" / "f")
 
 
 def test_read_drops_only_a_torn_last_line(tmp_path):

@@ -20,7 +20,7 @@ from chartkit import metrics
 from chartkit.metrics import (
     _levenshtein_walk,
     _pack_keys,
-    _transposed,
+    _transposed_entries,
     corpus_bleu,
     extract_numbers,
     levenshtein,
@@ -31,7 +31,7 @@ from chartkit.metrics import (
     table_entries,
 )
 from chartkit.tables import CATEGORICAL, Column, DataTable, NUMERIC
-from eval_oracles import counter_bleu
+from eval_oracles import counter_bleu, rms_entries, transpose_table
 
 
 # -- relaxed accuracy -------------------------------------------------------
@@ -250,21 +250,23 @@ def test_rms_empty_prediction():
 
 def _entry_score(p, g):
     """s(p, g) of RMS from its definition, with the DP edit distance."""
-    if isinstance(p.value, float) and isinstance(g.value, float):
-        v = 1.0 - min(1.0, abs(p.value - g.value) / max(abs(g.value), 1e-9))
+    (p_key, p_value), (g_key, g_value) = p, g
+    if isinstance(p_value, float) and isinstance(g_value, float):
+        v = 1.0 - min(1.0, abs(p_value - g_value) / max(abs(g_value), 1e-9))
     else:
-        v = 1.0 if p.value == g.value else 0.0
+        v = 1.0 if p_value == g_value else 0.0
     if v == 0.0:
         return 0.0
-    longest = max(len(p.key), len(g.key))
-    d = dp_levenshtein(p.key, g.key) / longest if longest else 0.0
+    longest = max(len(p_key), len(g_key))
+    d = dp_levenshtein(p_key, g_key) / longest if longest else 0.0
     return (1.0 - d) * v
 
 
 def _oracle_rms(pred, gold):
-    """RMS from its definition: the DP edit distance for the key term, every
-    permutation for the assignment, the transposed retry. The matched total
-    is the largest over all permutations, each summed in row order."""
+    """RMS from its definition: the entries of ``rms_entries``, the DP edit
+    distance for the key term, every permutation for the assignment, the
+    retry on ``transpose_table``. The matched total is the largest over all
+    permutations, each summed in row order."""
 
     def once(pe, ge):
         if not pe and not ge:
@@ -282,11 +284,11 @@ def _oracle_rms(pred, gold):
             return precision, recall, 0.0
         return precision, recall, 2 * precision * recall / (precision + recall)
 
-    gold_entries = table_entries(gold)
-    best = once(table_entries(pred), gold_entries)
-    flipped = _transposed(pred)
+    gold_entries = rms_entries(gold)
+    best = once(rms_entries(pred), gold_entries)
+    flipped = transpose_table(pred)
     if flipped is not None:
-        alt = once(table_entries(flipped), gold_entries)
+        alt = once(rms_entries(flipped), gold_entries)
         if alt[2] > best[2]:
             best = alt
     return best
@@ -332,8 +334,8 @@ def test_rms_matches_definition():
         pred = _small_table(rng, labels, names) if rng.random() < 0.5 else gold
         kind = "drawn"
         r = rng.random()
-        if r < 0.4 and _transposed(gold) is not None:
-            pred = _transposed(gold)
+        if r < 0.4 and transpose_table(gold) is not None:
+            pred = transpose_table(gold)
             if rng.random() < 0.7:
                 pred, kind = _with_repeats(rng, pred), "transposed_repeats"
         elif r < 0.6 and gold.n_rows > 1:
@@ -341,7 +343,7 @@ def test_rms_matches_definition():
             # along the gold side.
             pred = gold
             gold = DataTable(gold.columns, gold.rows[:rng.randint(1, gold.n_rows - 1)])
-        if kind == "drawn" and len(table_entries(pred)) > len(table_entries(gold)) > 0:
+        if kind == "drawn" and len(rms_entries(pred)) > len(rms_entries(gold)) > 0:
             kind = "more_pred_entries"
         kinds[kind] += 1
         assert rms_f1(pred, gold) == _oracle_rms(pred, gold)
@@ -364,9 +366,33 @@ def test_table_entries_keys_normalized():
     t = DataTable(
         [Column("Country"), Column("GDP", NUMERIC)], [["  New  Zealand ", 5.0]]
     )
-    entry = table_entries(t)[0]
-    assert entry.row_key == "new zealand"
-    assert entry.col_key == "gdp"
+    assert table_entries(t) == [("new zealand gdp", 5.0)]
+
+
+def test_transposed_entries_match_the_transposed_table():
+    # The sideways entries are the entries of the transposed table, and
+    # there are none exactly where that table cannot be built.
+    rng = random.Random(23)
+    labels = ["north", "nort", "south", "", "north east", "\U0001F4C8 up"]
+    names = ["sales", "sale", "cost", " "]
+    x, v, w = Column("x"), Column("v", NUMERIC), Column("w", NUMERIC)
+    tables = [_small_table(rng, labels, names) for _ in range(500)] + [
+        DataTable([x, v], [["a", 1.0], ["a", 2.0]]),  # a repeated label
+        DataTable([x, v], [["b", 1.0], ["x", 2.0]]),  # a label named as x
+        DataTable([x, v], [["", 1.0]]),  # an empty label
+        DataTable([x, v], []),  # no row
+        DataTable([x], [["a"]]),  # no value column
+        DataTable([v, x], [[1.0, "a"]]),  # the x column not first
+        DataTable([v, w], [[1.0, 2.0]]),  # no x column
+        DataTable([x, v, w], [["A  B", -0.0, 3.5], ["c", 2.0, 4.0]]),
+    ]
+    shapes = set()
+    for t in tables:
+        flipped = transpose_table(t)
+        expected = None if flipped is None else rms_entries(flipped)
+        assert _transposed_entries(t) == expected
+        shapes.add(expected is None)
+    assert shapes == {True, False}
 
 
 # -- assignment solver -------------------------------------------------------
@@ -474,7 +500,7 @@ def test_pad_square(monkeypatch):
     labels, names = ["a", "b", "c", "dd"], ["v", "w", "vw"]
     for _ in range(200):
         pred, gold = _small_table(rng, labels, names), _small_table(rng, labels, names)
-        pe, ge = table_entries(pred), table_entries(gold)
+        pe, ge = rms_entries(pred), rms_entries(gold)
         if not pe or not ge:
             continue
         calls.clear()

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import socket
 from pathlib import Path
 
 import pytest
@@ -422,7 +423,7 @@ def test_cli_reports_an_output_it_cannot_write(tmp_path, capsys, command):
     pred = tmp_path / "pred.jsonl"
     pred.write_text('{"id": "a", "output": "x | y & a | 1"}\n', encoding="utf-8")
     argv, named = {
-        "synthesize": (["--out", str(a_file), "--count", "1"], a_file),
+        "synthesize": (["--out", str(a_file), "--count", "1"], a_file / "charts"),
         "extract": (["--svg-dir", f"{corpus}/charts", "--out", str(a_file)], a_file),
         "gen-tasks": (["--corpus", corpus, "--out", str(a_file)], a_file),
         "distill": (["--corpus", corpus, "--fallback", "--out",
@@ -433,7 +434,8 @@ def test_cli_reports_an_output_it_cannot_write(tmp_path, capsys, command):
     capsys.readouterr()
     assert main([command, *argv]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {named}") and err.count("\n") == 1
+    assert re.fullmatch(re.escape(f"error: {named}: cannot write: ") + r"[^\n]+\n", err)
+    assert not named.with_name(f"{named.name}.tmp").exists()
     if command == "distill":  # the library call itself still raises OSError
         with pytest.raises(OSError):
             distill_corpus(corpus, no_dir / "s.jsonl")
@@ -691,6 +693,9 @@ def test_extract_unreadable_svg_is_a_recorded_failure(tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value", [
     ("rpm", "fast"), ("rpm", None), ("max_retries", [1]),
+    ("rpm", True), ("rpm", "60"), ("rpm", -1), ("rpm", float("inf")), ("rpm", 10**400),
+    ("max_retries", 2.9), ("max_retries", -1), ("max_retries", False),
+    ("timeout_s", -1), ("timeout_s", 0), ("timeout_s", float("nan")),
     ("endpoint", 5), ("endpoint", None), ("endpoint", "not a url"),
     ("model", ""), ("model", 5), ("auth_env", 5),
 ])
@@ -713,6 +718,30 @@ def test_cli_distill_backend_value_of_the_wrong_type(tmp_path, capsys, monkeypat
     assert err.startswith("error:")
     assert key in err
     assert requests == []
+
+
+def test_cli_distill_unreachable_backend_fails_items(tmp_path, capsys, monkeypatch):
+    for var in ("http_proxy", "HTTP_PROXY", "https_proxy", "HTTPS_PROXY", "all_proxy",
+                "ALL_PROXY"):
+        monkeypatch.delenv(var, raising=False)
+    with socket.socket() as sock:  # a port that was just free: nothing listens
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    synthesize(_config(tmp_path, count=2))
+    cfg = tmp_path / "backend.json"
+    endpoint = f"http://127.0.0.1:{port}/v1"
+    cfg.write_text(json.dumps({"endpoint": endpoint, "model": "m", "rpm": 0,
+                               "max_retries": 0}), encoding="utf-8")
+    rc = main(["distill", "--corpus", str(tmp_path / "corpus"), "--out",
+               str(tmp_path / "s.jsonl"), "--backend", str(cfg)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "cannot write" not in err
+    lines = err.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "  failed chart-000000", "  failed chart-000001"]
+    assert all(f"{endpoint}: cannot reach the backend: " in line for line in lines)
+    assert read_jsonl(tmp_path / "s.jsonl") == []
 
 
 _SYNTHESIZE = ["synthesize", "--out", "{tmp}/corpus", "--config", "{path}"]
