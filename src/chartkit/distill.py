@@ -11,6 +11,7 @@ fallback summarizer keeps every downstream consumer testable offline.
 from __future__ import annotations
 
 import contextlib
+import http.client
 import json
 import math
 import os
@@ -193,7 +194,8 @@ class BackendClient:
     """Chat-completions HTTP client with retries and a rate cap.
 
     A request that times out or cannot reach the endpoint (an ``OSError``
-    from the transport) and a 429 or 5xx reply are failed attempts, retried
+    from the transport), a malformed reply (one that is not HTTP, or a body
+    that is not UTF-8) and a 429 or 5xx reply are failed attempts, retried
     up to ``max_retries`` times; the last one's error is raised.
 
     The auth token is read from the environment variable named in the
@@ -280,6 +282,12 @@ class BackendClient:
             except OSError as exc:  # refused, reset, no route: worth a retry
                 last_error = BackendUnreachable(
                     f"{self.endpoint}: cannot reach the backend: {_reason(exc)}"
+                )
+                continue
+            except (http.client.HTTPException, UnicodeDecodeError) as exc:
+                last_error = ParseFailure(
+                    f"{self.endpoint}: malformed reply from the backend: "
+                    f"{type(exc).__name__}"
                 )
                 continue
             if status == 429:

@@ -111,6 +111,11 @@ def rnss(pred: TableLike, gold: TableLike) -> float:
     not a flattened table), which all count, and a number too large for a
     float, which does not count (so two identical texts whose one number
     overflows score 1, not 0).
+
+    Two finite lists that are the same multiset (a copy, or a copy read in
+    another order, such as a transposed table) score 1.0 without an
+    assignment: pairing each number with its equal costs an exact 0 (0.0
+    against -0.0 included), so the full path's total is 0.0 too.
     """
     p = _numbers_of(pred)
     g = _numbers_of(gold)
@@ -118,6 +123,9 @@ def rnss(pred: TableLike, gold: TableLike) -> float:
         return 1.0
     if not p or not g:
         return 0.0
+    # The sum is not finite when a number is inf or nan, whose cost is 1.
+    if len(p) == len(g) and sorted(p) == sorted(g) and math.isfinite(sum(g)):
+        return 1.0
     cost = [[min(1.0, abs(pv - gv) / max(abs(gv), EPS)) for gv in g] for pv in p]
     _, total = _assign(cost, len(g))
     return 1.0 - total / max(len(p), len(g))
@@ -380,6 +388,13 @@ def rms_f1(pred: DataTable, gold: DataTable) -> tuple[float, float, float]:
     (|pred| + |gold|), a bound on its F1, lies more than 1e-9 below the
     first F1. Every score stays the float a full try would give.
 
+    A prediction whose entries equal the gold's, in order, scores (1.0,
+    1.0, 1.0) without scoring work, and so does a transposed try whose
+    entries do: each entry then scores exactly 1.0 against its equal, and
+    no score exceeds 1.0, so the full path's total is the entry count and
+    every ratio 1.0. The straight try still runs first, so a straight F1
+    that rounds to 1.0 is the one kept, as the full path keeps it.
+
     Where this may differ from DePlot's definition: no threshold is
     applied to either distance (a key or value distance is never rounded
     up to 1), text values are compared by equality, keys are normalized as
@@ -392,6 +407,8 @@ def rms_f1(pred: DataTable, gold: DataTable) -> tuple[float, float, float]:
         return 1.0, 1.0, 1.0
     if not pred_entries or not gold_entries:
         return 0.0, 0.0, 0.0
+    if pred_entries == gold_entries:
+        return 1.0, 1.0, 1.0
     n_g = len(gold_entries)
     gold_keys = _pack_keys([key for key, _ in gold_entries])
     gold_lens = [len(key) for key, _ in gold_entries]
@@ -402,6 +419,8 @@ def rms_f1(pred: DataTable, gold: DataTable) -> tuple[float, float, float]:
     best = _rms_once(_score_rows(pred_entries, gold_keys, gold_lens, value_rows), n_g)
     # Nothing beats an F1 of 1.0.
     flipped = _transposed_entries(pred) if best[2] != 1.0 else None
+    if flipped == gold_entries:
+        return 1.0, 1.0, 1.0
     if flipped is not None:
         scores = _score_rows(flipped, gold_keys, gold_lens, value_rows)
         if not _cannot_beat(scores, n_g, best[2]):
@@ -439,6 +458,11 @@ def corpus_bleu(preds: list[str], golds: list[list[str]]) -> float:
     - tokens are what ``bleu_tokenize`` finds: the runs of ``\\w+`` and the
       single ``[^\\w\\s]`` characters of the lowercased text.
 
+    A prediction whose tokens equal one reference's adds each of its
+    n-grams to both the matched and the guessed count without counting
+    n-grams: every count is clipped by at least its own count in that
+    reference, so the full path adds the same integers.
+
     A reference group may be one string. An empty reference group raises
     ``InvalidConfig`` naming it. This is a desk-scale reference
     implementation; parity with external scorers is out of scope.
@@ -465,12 +489,16 @@ def corpus_bleu(preds: list[str], golds: list[list[str]]) -> float:
             (len(r) for r in r_token_lists),
             key=lambda n: (abs(n - len(p_tokens)), n),
         )
+        exact = p_tokens in r_token_lists
         for n in range(1, min(_BLEU_N, len(p_tokens)) + 1):
+            guessed[n - 1] += len(p_tokens) - n + 1
+            if exact:
+                matched[n - 1] += len(p_tokens) - n + 1
+                continue
             p_counts = _ngram_counts(p_tokens, n)
             ref_counts = _ngram_counts(r_token_lists[0], n)
             for r_tokens in r_token_lists[1:]:
                 ref_counts |= _ngram_counts(r_tokens, n)
-            guessed[n - 1] += len(p_tokens) - n + 1
             matched[n - 1] += sum(
                 min(c, ref_counts.get(g, 0)) for g, c in p_counts.items()
             )

@@ -1,5 +1,7 @@
 import json
 import re
+import socket
+import threading
 import urllib.error
 
 import pytest
@@ -169,6 +171,59 @@ def test_backend_unreachable_is_a_failed_attempt_then_a_recorded_failure():
     assert driver.run([("c0", bundle)]) == {}
     assert [f["id"] for f in driver.failures] == ["c0"]
     assert "cannot reach the backend" in driver.failures[0]["error"]
+
+
+def _serve_replies(reply: bytes, connections: int):
+    """A 127.0.0.1 server that reads ``connections`` requests, answers each
+    with ``reply`` and closes: ``(its port, a list of the requests read,
+    the serving thread)``."""
+    server = socket.create_server(("127.0.0.1", 0))
+    server.settimeout(5)
+    requests = []
+
+    def serve():
+        with server:
+            for _ in range(connections):
+                conn, _ = server.accept()
+                with conn:
+                    conn.settimeout(5)
+                    data = b""
+                    while b"\r\n\r\n" not in data:
+                        data += conn.recv(4096)
+                    head, _, body = data.partition(b"\r\n\r\n")
+                    length = int(re.search(rb"(?i)content-length: *(\d+)", head)[1])
+                    while len(body) < length:
+                        body += conn.recv(4096)
+                    requests.append(head.split(b"\r\n")[0])
+                    conn.sendall(reply)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return server.getsockname()[1], requests, thread
+
+
+@pytest.mark.parametrize("reply, reason", [
+    (b"garbage\r\n\r\n", "BadStatusLine"),
+    (b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+     b"Content-Length: 4\r\nConnection: close\r\n\r\n\xff\xfe\xfd{", "UnicodeDecodeError"),
+], ids=["not-http", "body-not-utf8"])
+def test_backend_malformed_reply_is_a_failed_attempt_then_a_recorded_failure(
+        monkeypatch, reply, reason):
+    for var in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY"):
+        monkeypatch.delenv(var, raising=False)
+    port, requests, thread = _serve_replies(reply, connections=2)
+    endpoint = f"http://127.0.0.1:{port}/v1"
+    client = BackendClient(endpoint=endpoint, model="m", rpm=0, timeout_s=5,
+                           max_retries=1, sleep=lambda _s: None)
+    driver = BatchDriver(backend=client)
+    assert driver.run([("c0", build_table_summary_prompt(_table()))]) == {}
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert requests == [b"POST /v1 HTTP/1.1"] * 2  # initial + 1 retry
+    assert driver.failures == [{
+        "id": "c0",
+        "error": f"{endpoint}: malformed reply from the backend: {reason}",
+    }]
 
 
 def test_backend_bad_shape_raises_parse_failure():

@@ -296,7 +296,8 @@ def _oracle_rms(pred, gold):
 
 def _small_table(rng, labels, names):
     """1-3 rows keyed by ``labels``, 1-2 numeric columns and, sometimes, a
-    categorical one: at most 6 entries, so every permutation can be tried."""
+    categorical one whose cells are spelled so that some need normalizing:
+    at most 6 entries, so every permutation can be tried."""
     n_rows = rng.randint(0, 3)
     columns = [Column("x")] + [
         Column(name, NUMERIC) for name in rng.sample(names, rng.randint(1, 2))
@@ -306,7 +307,7 @@ def _small_table(rng, labels, names):
     rows = []
     for label in rng.sample(labels, n_rows):
         rows.append([label] + [
-            rng.choice(["a", "b"]) if c.kind == CATEGORICAL
+            rng.choice(["a", "b", "A", " a  b", "a b"]) if c.kind == CATEGORICAL
             else round(rng.uniform(-50, 50), rng.choice([0, 2]))
             for c in columns[1:]
         ])
@@ -644,6 +645,108 @@ def test_bleu_matches_the_counter_oracle():
 def test_bleu_names_an_empty_reference_group():
     with pytest.raises(InvalidConfig, match="reference group 1 is empty"):
         corpus_bleu(["a b", "a b"], [["a b"], []])
+
+
+# -- a prediction equal to its gold --------------------------------------------
+
+def _oracle_rnss(p, g):
+    """RNSS from its definition: the smaller list padded at cost 1, the
+    smallest padded total over every assignment."""
+    n = max(len(p), len(g))
+    cost = [[min(1.0, abs(pv - gv) / max(abs(gv), 1e-9)) for gv in g] for pv in p]
+    _, total = exhaustive_assignment(pad_square(cost, len(p), len(g), 1.0))
+    return 1.0 - total / n
+
+
+def _copies():
+    """Tables paired with a copy: identical, rows permuted, a repeated
+    entry, 0.0 against -0.0, and text cells spelled differently."""
+    x, v, w, kind = Column("x"), Column("v", NUMERIC), Column("w", NUMERIC), Column("kind")
+    gold = DataTable([x, v, w], [["a", 1.5, -2.0], ["b", 0.0, 3.0], ["c", 7.25, 1e-12]])
+    return [
+        (gold, gold),
+        (DataTable([x, v, w], [gold.rows[2], gold.rows[0], gold.rows[1]]), gold),
+        (DataTable([x, v], [["a", 2.0], ["a", 2.0], ["b", 2.0]]),
+         DataTable([x, v], [["a", 2.0], ["a", 2.0], ["b", 2.0]])),
+        (DataTable([x, v], [["a", -0.0], ["b", 0.0]]),
+         DataTable([x, v], [["a", 0.0], ["b", -0.0]])),
+        (DataTable([x, v, kind], [[" A", 1.0, "Up  Down"]]),
+         DataTable([x, v, kind], [["a ", 1.0, "up down"]])),
+    ]
+
+
+def test_an_exact_copy_scores_the_full_definitions_floats():
+    for pred, gold in _copies():
+        p, g = metrics._table_numbers(pred), metrics._table_numbers(gold)
+        assert rnss(pred, gold) == _oracle_rnss(p, g) == 1.0
+        assert rnss(p[::-1], g) == _oracle_rnss(p[::-1], g) == 1.0
+        assert rms_f1(pred, gold) == _oracle_rms(pred, gold)
+    gold = DataTable(
+        [Column("Year"), Column("North", NUMERIC), Column("South", NUMERIC)],
+        [["early", 1.0, 2.0], ["late", 3.0, -0.0]],
+    )
+    flipped = transpose_table(gold)
+    assert rnss(flipped, gold) == 1.0
+    assert rms_f1(flipped, gold) == _oracle_rms(flipped, gold) == (1.0, 1.0, 1.0)
+    # A number that is not finite costs 1 against its equal, so the copy is
+    # scored in full.
+    for bad in (math.inf, math.nan):
+        assert rnss([bad, 2.0], [2.0, bad]) == _oracle_rnss([bad, 2.0], [2.0, bad]) == 0.5
+    preds = ["the cat sat .", "a b a b a", "", "one"]
+    golds = [["the dog sat .", "The cat  sat."], ["a b a b a"], ["x"], ["two", "one", "three"]]
+    assert corpus_bleu(preds, golds) == counter_bleu(preds, golds)
+    rng = random.Random(29)
+    words = ["a", "b", "c.", "B"]
+    for _ in range(200):
+        golds = [[_bleu_text(rng, words) for _ in range(rng.randint(1, 3))]
+                 for _ in range(rng.randint(1, 4))]
+        preds = [rng.choice(refs) if rng.random() < 0.6 else _bleu_text(rng, words)
+                 for refs in golds]
+        assert corpus_bleu(preds, golds) == counter_bleu(preds, golds)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("an exact copy must be scored without this call")
+
+
+def test_an_exact_copy_does_no_scoring_work(monkeypatch):
+    monkeypatch.setattr(metrics, "_assign", _refuse)
+    monkeypatch.setattr(metrics, "_levenshtein_walk", _refuse)
+    monkeypatch.setattr(metrics, "_ngram_counts", _refuse)
+    for pred, gold in _copies():
+        assert rnss(pred, gold) == 1.0
+        if table_entries(pred) == table_entries(gold):  # not the permuted rows
+            assert rms_f1(pred, gold) == (1.0, 1.0, 1.0)
+    assert rnss([3.0, 1.0, 1.0], [1.0, 3.0, 1.0]) == 1.0
+    assert corpus_bleu(["the cat sat .", "a b"], [["x y", "The cat sat."], "a b"]) == 100.0
+
+
+_NORTH_SOUTH = DataTable(
+    [Column("Year"), Column("North", NUMERIC), Column("South", NUMERIC)],
+    [["2001", 1.0, 2.0], ["2002", 3.0, 4.0]],
+)
+
+
+def test_a_transposed_copy_is_scored_once(monkeypatch):
+    calls = []
+    score_rows = metrics._score_rows
+
+    def counting(*args):
+        calls.append(args[0])
+        return score_rows(*args)
+
+    monkeypatch.setattr(metrics, "_score_rows", counting)
+    flipped = transpose_table(_NORTH_SOUTH)
+    assert rms_f1(flipped, _NORTH_SOUTH) == (1.0, 1.0, 1.0)
+    assert calls == [table_entries(flipped)]  # the straight try only
+
+
+def test_a_straight_f1_of_one_wins_over_a_transposed_copy(monkeypatch):
+    # A straight try whose F1 rounds to 1.0 is kept, with its own precision
+    # and recall, before the transposed entries are compared.
+    rounded = (1.0 - 2 ** -53, 1.0, 1.0)
+    monkeypatch.setattr(metrics, "_rms_once", lambda scores, n_g: rounded)
+    assert rms_f1(transpose_table(_NORTH_SOUTH), _NORTH_SOUTH) == rounded
 
 
 _EVAL_TEXTS = ["", "a b", "x | v & a | 10", "x | v & a | 1e999", "a | b & 1 | 2 | 3",
