@@ -31,6 +31,7 @@ from itertools import permutations
 from typing import Optional
 
 from .errors import InvalidCostMatrix
+from .tables import left_sum
 
 INF = float("inf")
 # How far a line's minimum must lie below the rest of it for
@@ -99,7 +100,7 @@ def hungarian(cost: list[list[float]]) -> tuple[list[int], float]:
     for j in range(1, n + 1):
         if p[j]:
             assign[p[j] - 1] = j - 1
-    total = sum(cost[i][assign[i]] for i in range(n))
+    total = left_sum(cost[i][assign[i]] for i in range(n))
     return assign, total
 
 
@@ -156,7 +157,7 @@ def exhaustive_assignment(cost: list[list[float]]) -> tuple[list[int], float]:
         return [], 0.0
     best_perm, best_total = None, INF
     for perm in permutations(range(n)):
-        total = sum(cost[i][perm[i]] for i in range(n))
+        total = left_sum(cost[i][perm[i]] for i in range(n))
         if total < best_total:
             best_perm, best_total = perm, total
     return list(best_perm), best_total

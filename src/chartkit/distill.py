@@ -2,10 +2,12 @@
 
 One prompt shape: 1-shot table-to-summary, with the module's one exemplar
 as the demonstration and the chart's column units above its flattened
-table. The backend speaks the common HTTP JSON chat-completions shape and
-is built from a config object (``BackendClient.from_config``), which the
-CLI reads from the file ``--backend`` names; a deterministic rule-based
-fallback summarizer keeps every downstream consumer testable offline.
+table. A prompt bundle is the chart's table; its message text is worked
+out from that table. The backend speaks the common HTTP JSON
+chat-completions shape and is built from a config object
+(``BackendClient.from_config``), which the CLI reads from the file
+``--backend`` names; a deterministic rule-based fallback summarizer reads
+the bundle's table and keeps every downstream consumer testable offline.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ from .errors import (
     ParseFailure,
     RateLimited,
 )
-from .flatten import flatten_table, format_number, unflatten_table
+from .flatten import flatten_table, format_number
 from .jsonl import Journal, encode_row
-from .tables import CATEGORICAL, DataTable
+from .tables import CATEGORICAL, DataTable, left_sum
 
 
 SUMMARY_PREAMBLE = (
@@ -50,14 +52,20 @@ DEMONSTRATION = (
 
 @dataclass(frozen=True)
 class PromptBundle:
-    """A 1-shot prompt: ``SUMMARY_PREAMBLE`` as the system message, then
-    ``DEMONSTRATION`` and the payload as the user message."""
+    """A 1-shot prompt for one chart's table: ``SUMMARY_PREAMBLE`` as the
+    system message, then ``DEMONSTRATION`` and the payload, worked out
+    from the table, as the user message."""
 
-    target_payload: str
+    table: DataTable
 
-    def __post_init__(self):
-        if not self.target_payload.strip():
-            raise ValueError("target payload must be non-empty")
+    @property
+    def target_payload(self) -> str:
+        """The column units, the flattened table and ``Summary:``; the units
+        are repeated so the model sees the same context a reader would."""
+        lines = [f"Unit of {c.name}: {c.unit}" for c in self.table.columns if c.unit]
+        lines.append(f"Table:\n{flatten_table(self.table)}")
+        lines.append("Summary:")
+        return "\n".join(lines)
 
     def user_text(self) -> str:
         return DEMONSTRATION + self.target_payload
@@ -70,15 +78,8 @@ class PromptBundle:
 
 
 def build_table_summary_prompt(table: DataTable) -> PromptBundle:
-    """1-shot prompt asking for a summary of a table.
-
-    The payload repeats any column units above the flattened table, so the
-    model sees the same context a reader would.
-    """
-    lines = [f"Unit of {c.name}: {c.unit}" for c in table.columns if c.unit]
-    lines.append(f"Table:\n{flatten_table(table)}")
-    lines.append("Summary:")
-    return PromptBundle("\n".join(lines))
+    """1-shot prompt asking for a summary of a table."""
+    return PromptBundle(table)
 
 
 # -- deterministic offline fallback ---------------------------------------
@@ -127,28 +128,21 @@ def fallback_summary(table: DataTable) -> str:
         sentences.append(
             f"The lowest value is {format_number(lo[0])} for {lo_where}."
         )
-        mean = sum(c[0] for c in cells) / len(cells)
+        mean = left_sum(c[0] for c in cells) / len(cells)
         nearest = min(cells, key=lambda c: (abs(c[0] - mean), c[1]))
         sentences.append(f"Overall, {nearest[1]} comes closest to the average.")
     return " ".join(sentences)
 
 
 class FallbackBackend:
-    """Offline summarizer: recovers the table from the prompt payload.
+    """Offline summarizer: ``fallback_summary`` of the bundle's table.
 
     Never touches the network; downstream pipelines run unchanged against
-    it. Only understands payloads produced by build_table_summary_prompt.
+    it.
     """
 
     def complete(self, bundle: PromptBundle) -> str:
-        lines = bundle.target_payload.split("\n")
-        if "Table:" not in lines[:-1]:
-            raise ParseFailure("fallback cannot find a flattened table in the payload")
-        try:
-            table = unflatten_table(lines[lines.index("Table:") + 1])
-        except ChartKitError as exc:
-            raise ParseFailure(f"fallback cannot recover a table: {exc}") from exc
-        return fallback_summary(table)
+        return fallback_summary(bundle.table)
 
 
 # -- HTTP backend ----------------------------------------------------------

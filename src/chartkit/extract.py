@@ -40,6 +40,7 @@ from .tables import (
     UNIT_SUFFIX_RE,
     Column,
     DataTable,
+    left_sum,
     parse_number,
 )
 
@@ -448,10 +449,10 @@ def fit_axis_scale(ticks: list[tuple[float, str]]) -> AxisScale:
         )
     n = len(points)
     try:
-        mean_p = sum(p for p, _ in points) / n
-        mean_v = sum(v for _, v in points) / n
-        var_p = sum((p - mean_p) ** 2 for p, _ in points)
-        cov = sum((p - mean_p) * (v - mean_v) for p, v in points)
+        mean_p = left_sum(p for p, _ in points) / n
+        mean_v = left_sum(v for _, v in points) / n
+        var_p = left_sum((p - mean_p) ** 2 for p, _ in points)
+        cov = left_sum((p - mean_p) * (v - mean_v) for p, v in points)
         a = cov / var_p
     except (OverflowError, ZeroDivisionError) as exc:
         raise NonLinearAxis(f"tick pixels out of numeric range: {exc}") from exc
@@ -688,7 +689,7 @@ def _reconstruct_pie(parsed: ParsedChart) -> ExtractionResult:
     if all_exact:
         values = [value for _, value, _, _ in resolved]
     elif anchored:
-        total = sum(v for v, _ in anchored) / sum(s for _, s in anchored)
+        total = left_sum(v for v, _ in anchored) / left_sum(s for _, s in anchored)
         values = [
             value if value is not None else round(share * total, 4)
             for _, value, share, _ in resolved

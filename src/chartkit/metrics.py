@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Union
 from .assignment import MARGIN, hungarian, unique_optimum
 from .errors import ChartKitError, InvalidConfig, LengthMismatch
 from .flatten import unflatten_table
-from .tables import CATEGORICAL, EXP_NUMBER_RE, DataTable
+from .tables import CATEGORICAL, EXP_NUMBER_RE, DataTable, left_sum
 
 EPS = 1e-9
 
@@ -33,11 +33,7 @@ def extract_numbers(text: str) -> list[float]:
     large for a float is left out."""
     out = []
     for token in _NUMBER_RE.findall(text):
-        token = token.rstrip("%").replace(",", "")
-        try:
-            value = float(token)
-        except ValueError:  # pragma: no cover - regex should prevent this
-            continue
+        value = float(token.rstrip("%").replace(",", ""))
         if math.isfinite(value):
             out.append(value)
     return out
@@ -150,10 +146,10 @@ def _assign(
         square = [row + pad for row in cost] + [[fill] * n for _ in range(n - n_rows)]
         full, total = hungarian(square)
         return [j if j < n_cols else None for j in full[:n_rows]], total
-    total = sum(
-        [fill if j is None else row[j] for row, j in zip(cost, assign)]
-        + [fill] * (n - n_rows),
-        0.0,
+    total = left_sum(
+        [0.0]  # as hungarian's total, a float when the square is empty
+        + [fill if j is None else row[j] for row, j in zip(cost, assign)]
+        + [fill] * (n - n_rows)
     )
     return assign, total
 
@@ -318,24 +314,14 @@ def _score_rows(pred_entries, gold_keys, gold_lens, value_rows) -> list[list[flo
     ``gold_keys`` is ``_pack_keys`` of the gold keys, ``gold_lens`` their
     lengths and ``value_rows`` is ``_value_rows`` of the prediction and
     gold values."""
-    rows = [value_rows[value] for _, value in pred_entries]
-    # A value similarity of 0 zeroes the product whatever the key
-    # similarity in [0, 1] is, so an all-zero row needs no key pass.
-    distances = _levenshtein_walk(
-        gold_keys, [key for (key, _), row in zip(pred_entries, rows) if any(row)]
-    )
-    scores = []
-    for (key, _), values in zip(pred_entries, rows):
-        # Two empty keys are at distance 0: max(..., 1) gives them a key
-        # similarity of 1.
-        if any(values):
-            lp = len(key)
-            values = [
-                (1.0 - d / max(lp, lg, 1)) * v
-                for d, lg, v in zip(distances[key], gold_lens, values)
-            ]
-        scores.append(values)
-    return scores
+    distances = _levenshtein_walk(gold_keys, [key for key, _ in pred_entries])
+    # Two empty keys are at distance 0: max(..., 1) gives them a key
+    # similarity of 1.
+    return [
+        [(1.0 - d / max(len(key), lg, 1)) * v
+         for d, lg, v in zip(distances[key], gold_lens, value_rows[value])]
+        for key, value in pred_entries
+    ]
 
 
 def _rms_once(scores, n_g) -> tuple[float, float, float]:
@@ -346,7 +332,7 @@ def _rms_once(scores, n_g) -> tuple[float, float, float]:
     # that differ in their last bits to one cost, and the solver could
     # then keep the smaller score.
     assign, _ = _assign([[-s for s in row] for row in scores], n_g, 0.0)
-    total = sum(scores[i][j] for i, j in enumerate(assign) if j is not None)
+    total = left_sum(scores[i][j] for i, j in enumerate(assign) if j is not None)
     precision = total / n_p
     recall = total / n_g
     f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
@@ -360,7 +346,7 @@ def _cannot_beat(scores, n_g, f1) -> bool:
     of the row maxima and at most the sum of the column maxima; ``MARGIN``
     covers the rounding of the F1 actually computed.
     """
-    bound = min(sum(map(max, scores)), sum(map(max, zip(*scores))))
+    bound = min(left_sum(map(max, scores)), left_sum(map(max, zip(*scores))))
     return 2 * bound / (len(scores) + n_g) < f1 - MARGIN
 
 

@@ -23,7 +23,7 @@ from xml.sax.saxutils import escape, quoteattr
 from .errors import CanvasTooSmall, MalformedTable
 from .flatten import format_number
 from .palettes import PALETTE_NAMES, palette_colors
-from .tables import ChartReadyTable, DataTable
+from .tables import ChartReadyTable, DataTable, left_sum
 
 SIMPLE_BAR = "simple_bar"
 GROUPED_BAR = "grouped_bar"
@@ -702,7 +702,7 @@ def _render_lines(svg, spec, series, series_colors, centers, y_px):
 
 def _render_pie(svg, spec, series_colors, plot):
     style, rows = spec.style, spec.table.wide.rows
-    total = sum(value for _x, value in rows)
+    total = left_sum(value for _x, value in rows)
     cx, cy = plot.cx, plot.cy
     radius = 0.42 * min(plot.w, plot.h)
 

@@ -13,10 +13,12 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 import random
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
@@ -44,6 +46,16 @@ EXP_NUMBER_RE = re.compile(PLAIN_NUMBER_RE.pattern + r"(?:[eE][-+]?\d+)?")
 UNIT_SUFFIX_RE = re.compile(r"^(.+) \((.+)\)$")
 
 
+def left_sum(values: Iterable) -> Union[int, float]:
+    """``sum(values)`` added left to right, as Python 3.11 adds it.
+
+    From 3.12 on ``sum`` compensates float rounding, which moves the last
+    bits of some totals, so every float total that reaches an output byte
+    or a score is added here instead.
+    """
+    return reduce(operator.add, values, 0)
+
+
 def parse_number(text: str) -> Optional[tuple[float, Optional[str]]]:
     """Parse one cell as a number, tolerating one unit decoration.
 
@@ -67,10 +79,7 @@ def parse_number(text: str) -> Optional[tuple[float, Optional[str]]]:
         s = s.replace(",", "")
     elif not PLAIN_NUMBER_RE.fullmatch(s):
         return None
-    try:
-        value = float(s)
-    except ValueError:
-        return None
+    value = float(s)  # the patterns above match only text float parses
     if not math.isfinite(value):
         return None
     return value, unit

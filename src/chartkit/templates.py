@@ -35,6 +35,7 @@ from .synth import (
     MarkRecord,
     RenderedChart,
 )
+from .tables import left_sum
 
 
 def _cx(m: MarkRecord) -> float:
@@ -204,16 +205,18 @@ def _alts(name, options, predicate):
     return _times(_no_slots(predicate), name, options)
 
 
+def _colored_legend(view: ChartView, min_len: int = 1) -> list[tuple[str, str]]:
+    """(color word, legend name), in legend order, for the legend entries
+    whose color word is unambiguous and that have at least ``min_len``
+    marks. A pie's legend entries are its segments, in slice order and
+    with the slices' colors."""
+    return [(w, name) for w, name in view.unique_color.items()
+            if len(view.series_marks(name)) >= min_len]
+
+
 def _colored_series(view: ChartView, min_len: int = 1) -> list[tuple[str, str]]:
     """(color word, series name) for series whose color word is unambiguous."""
-    if view.is_pie:
-        return []
-    out = []
-    for name in view.series_names:
-        word = view.color_word[name]
-        if view.unique_color.get(word) == name and len(view.values(name)) >= min_len:
-            out.append((word, name))
-    return out
+    return [] if view.is_pie else _colored_legend(view, min_len)
 
 
 def _colored_pairs(view: ChartView, min_len: int = 1, aligned: bool = False):
@@ -235,18 +238,6 @@ def _series_pairs(view: ChartView, aligned: bool = False):
         (s1, s2)
         for s1, s2 in permutations(_series_slot(view), 2)
         if not aligned or view.aligned(s1, s2)
-    ]
-
-
-def _colored_segments(view: ChartView) -> list[tuple[str, str, float]]:
-    """(color word, segment label, value) for unambiguous pie segment colors."""
-    if not view.is_pie:
-        return []
-    words = Counter(color_name(m.color) for m in view.marks)
-    return [
-        (color_name(m.color), m.x_label, m.value)
-        for m in view.marks
-        if words[color_name(m.color)] == 1
     ]
 
 
@@ -273,6 +264,10 @@ def _bars_only(view: ChartView) -> bool:
 
 def _lines_only(view: ChartView) -> bool:
     return view.is_line
+
+
+def _pies_only(view: ChartView) -> bool:
+    return view.is_pie
 
 
 def _grouped_bars(view: ChartView) -> bool:
@@ -308,8 +303,9 @@ def _bind_series_pairs(aligned=False):
     ]
 
 
-def _bind_segments(view):
-    return [{"color": w, "_series": label} for w, label, _ in _colored_segments(view)]
+def _bind_legend_colors(view):
+    """One binding per unambiguous legend color: a series, or a pie's segment."""
+    return [{"color": w, "_series": name} for w, name in _colored_legend(view)]
 
 
 def _bind_exceeded(view):
@@ -539,16 +535,16 @@ _register(
 
 _register(
     "T23", "Sum pie segments above <value>", ("value",),
-    _when(lambda v: v.is_pie, _bind_exceeded),
+    _when(_pies_only, _bind_exceeded),
     lambda b: f"Sum pie segments above {fmt(b['value'])}",
-    lambda v, b: fmt(sum(x for x in v.all_values() if x > b["value"])),
+    lambda v, b: fmt(left_sum(x for x in v.all_values() if x > b["value"])),
 )
 
 _register(
     "T24", "What is the sum of top three values?", (),
     _no_slots(lambda v: len(v.marks) >= 3),
     lambda b: "What is the sum of top three values?",
-    lambda v, b: fmt(sum(sorted(v.all_values(), reverse=True)[:3])),
+    lambda v, b: fmt(left_sum(sorted(v.all_values(), reverse=True)[:3])),
 )
 
 # -- T25..T43: single- and two-series statistics ---------------------------
@@ -654,7 +650,7 @@ _register(
     ]),
     lambda b: f"What is the average of {b['legend_label']} from {b['x1']} to {b['x2']}?",
     lambda v, b: fmt(
-        sum(v.values(b["legend_label"])[b["_i"] : b["_j"] + 1]) / (b["_j"] - b["_i"] + 1)
+        left_sum(v.values(b["legend_label"])[b["_i"] : b["_j"] + 1]) / (b["_j"] - b["_i"] + 1)
     ),
 )
 
@@ -678,8 +674,8 @@ _register(
         f"and average of {b['legend_label_2']}?"
     ),
     lambda v, b: fmt(
-        sum(v.values(b["legend_label_1"])) / len(v.values(b["legend_label_1"]))
-        + sum(v.values(b["legend_label_2"])) / len(v.values(b["legend_label_2"]))
+        left_sum(v.values(b["legend_label_1"])) / len(v.values(b["legend_label_1"]))
+        + left_sum(v.values(b["legend_label_2"])) / len(v.values(b["legend_label_2"]))
     ),
 )
 
@@ -751,7 +747,7 @@ _register(
     "T40", "Sum up the medians of all the data series in this chart", (),
     _no_slots(lambda v: not v.is_pie and len(v.series_names) >= 2),
     lambda b: "Sum up the medians of all the data series in this chart",
-    lambda v, b: fmt(sum(median(v.values(s)) for s in v.series_names)),
+    lambda v, b: fmt(left_sum(median(v.values(s)) for s in v.series_names)),
 )
 
 _register(
@@ -759,7 +755,7 @@ _register(
     _bind_exceeded,
     lambda b: f"What is the average of all values above {fmt(b['value'])}?",
     lambda v, b: fmt(
-        sum(x for x in v.all_values() if x > b["value"])
+        left_sum(x for x in v.all_values() if x > b["value"])
         / len([x for x in v.all_values() if x > b["value"]])
     ),
 )
@@ -842,14 +838,14 @@ _register(
     "T47", "What is the sum of the bars in the second group from the left?", (),
     _no_slots(lambda v: _grouped_bars(v) and len(v.x_labels) >= 2),
     lambda b: "What is the sum of the bars in the second group from the left?",
-    lambda v, b: fmt(sum(m.value for m in v.cluster(v.x_labels[1]))),
+    lambda v, b: fmt(left_sum(m.value for m in v.cluster(v.x_labels[1]))),
 )
 
 _register(
     "T48", "What is the sum of the bars in the first group from the right?", (),
     _no_slots(lambda v: _grouped_bars(v)),
     lambda b: "What is the sum of the bars in the first group from the right?",
-    lambda v, b: fmt(sum(m.value for m in v.cluster(v.x_labels[-1]))),
+    lambda v, b: fmt(left_sum(m.value for m in v.cluster(v.x_labels[-1]))),
 )
 
 _register(
@@ -880,7 +876,7 @@ _register(
     _when(_bars_only, _bind_colored()),
     lambda b: f"What is the average of the {b['color']} bars values?",
     lambda v, b: fmt(
-        sum(v.values(b["_series"])) / len(v.values(b["_series"]))
+        left_sum(v.values(b["_series"])) / len(v.values(b["_series"]))
     ),
 )
 
@@ -896,7 +892,7 @@ _register(
     _no_slots(lambda v: _grouped_bars(v) and len(v.x_labels) >= 2),
     lambda b: "What is the average of the bars in the second group from the right?",
     lambda v, b: fmt(
-        sum(m.value for m in v.cluster(v.x_labels[-2]))
+        left_sum(m.value for m in v.cluster(v.x_labels[-2]))
         / len(v.cluster(v.x_labels[-2]))
     ),
 )
@@ -916,7 +912,7 @@ _register(
 
 _register(
     "T55", "What does the <color> represent?", ("color",),
-    lambda v: _bind_segments(v) if v.is_pie else _bind_colored()(v),
+    _bind_legend_colors,
     lambda b: f"What does the {b['color']} color represent?",
     lambda v, b: b["_series"],
 )
@@ -934,7 +930,7 @@ _register(
     _bind_colored_pairs(),
     lambda b: f"What is the average of the {b['color_1']} sum and the {b['color_2']} sum?",
     lambda v, b: fmt(
-        (sum(v.values(b["_series_1"])) + sum(v.values(b["_series_2"]))) / 2
+        (left_sum(v.values(b["_series_1"])) + left_sum(v.values(b["_series_2"]))) / 2
     ),
 )
 
@@ -997,7 +993,7 @@ _register(
     "T63", "What is the sum of <color> bars/line?", ("color",),
     _bind_colored(),
     lambda b: f"What is the sum of the {b['color']} series?",
-    lambda v, b: fmt(sum(v.values(b["_series"]))),
+    lambda v, b: fmt(left_sum(v.values(b["_series"]))),
 )
 
 # -- T64..T79: mixed positional/color arithmetic ----------------------------
@@ -1144,7 +1140,7 @@ _register(
     ("color",),
     _when(_lines_only, _bind_colored(min_len=3)),
     lambda b: f"What is the average of the rightmost three points of the {b['color']} line?",
-    lambda v, b: fmt(sum(v.values(b["_series"])[-3:]) / 3),
+    lambda v, b: fmt(left_sum(v.values(b["_series"])[-3:]) / 3),
 )
 
 _register(
@@ -1286,7 +1282,7 @@ _register(
         f"the total of all {b['color_2']} bars?"
     ),
     lambda v, b: yes_no(
-        sum(v.values(b["_series_1"])) > sum(v.values(b["_series_2"]))
+        left_sum(v.values(b["_series_1"])) > left_sum(v.values(b["_series_2"]))
     ),
 )
 
@@ -1303,8 +1299,8 @@ _register(
     ),
     lambda v, b: fmt(
         abs(
-            sum(sorted(v.values(b["_series_1"]))[:2])
-            - sum(sorted(v.values(b["_series_2"]))[:2])
+            left_sum(sorted(v.values(b["_series_1"]))[:2])
+            - left_sum(sorted(v.values(b["_series_2"]))[:2])
         )
     ),
 )
@@ -1313,7 +1309,7 @@ _register(
 def _t88_oracle(view, b):
     vals = sorted(view.values(b["_series"]))
     two = vals[:2] if b["which"] == "smallest" else vals[-2:]
-    total = sum(two)
+    total = left_sum(two)
     return fmt(total if b["alt"] == "sum" else total / 2)
 
 
@@ -1331,18 +1327,18 @@ _register(
 _register(
     "T89", "What is the ratio of <color-1> and <color-2> segments?",
     ("color_1", "color_2"),
-    lambda v: [
+    _when(_pies_only, lambda v: [
         {"color_1": w1, "color_2": w2, "_x1": x1, "_x2": x2}
-        for (w1, x1, _), (w2, x2, value) in permutations(_colored_segments(v), 2)
-        if value != 0
-    ],
+        for (w1, x1), (w2, x2) in permutations(_colored_legend(v), 2)
+        if v.single_value(x2) != 0
+    ]),
     lambda b: f"What is the ratio of the {b['color_1']} and {b['color_2']} segments?",
     lambda v, b: _ratio(v.single_value(b["_x1"]), v.single_value(b["_x2"])),
 )
 
 _register(
     "T90", "What segment is represented by <color>?", ("color",),
-    _bind_segments,
+    _when(_pies_only, _bind_legend_colors),
     lambda b: f"What segment is represented by the {b['color']} color?",
     lambda v, b: b["_series"],
 )

@@ -9,11 +9,17 @@ production path; only the number formatter and the color-word mapping are
 reused, since those are presentation, not computation.
 """
 
+import operator
 from collections import Counter
+from functools import reduce
 
 from chartkit.flatten import format_number as fmt
 from chartkit.palettes import color_name
 from chartkit.synth import PIE
+
+
+def _left_sum(values):
+    return reduce(operator.add, values, 0)  # left to right, as Python 3.11's sum
 
 
 class TableFacts:
@@ -189,9 +195,9 @@ def brute_answer(chart, template_id, binding):
         vals = t.values(b["legend_label"])
         return fmt(max(vals) - min(vals))
     if template_id == "T23":
-        return fmt(sum(v for v in t.seg_values if v > b["value"]))
+        return fmt(_left_sum(v for v in t.seg_values if v > b["value"]))
     if template_id == "T24":
-        return fmt(sum(sorted(t.all_values(), reverse=True)[:3]))
+        return fmt(_left_sum(sorted(t.all_values(), reverse=True)[:3]))
     if template_id == "T25":
         vals = t.values(b["legend_label"])
         return fmt(_median(vals) if b["alt"] == "median" else _mode(vals))
@@ -212,14 +218,14 @@ def brute_answer(chart, template_id, binding):
         return fmt(s[len(s) // 2 - 1] + s[len(s) // 2])
     if template_id == "T33":
         vals = t.values(b["legend_label"])[b["_i"] : b["_j"] + 1]
-        return fmt(sum(vals) / len(vals))
+        return fmt(_left_sum(vals) / len(vals))
     if template_id == "T34":
         vals = t.values(b["legend_label"])
         return fmt((max(vals) + min(vals)) / 2)
     if template_id == "T35":
         v1 = t.values(b["legend_label_1"])
         v2 = t.values(b["legend_label_2"])
-        return fmt(sum(v1) / len(v1) + sum(v2) / len(v2))
+        return fmt(_left_sum(v1) / len(v1) + _left_sum(v2) / len(v2))
     if template_id == "T36":
         hi = max(t.values(b["legend_label_1"]))
         lo = min(t.values(b["legend_label_2"]))
@@ -239,10 +245,10 @@ def brute_answer(chart, template_id, binding):
             else _argmin_reading(triples)
         return pick[0]
     if template_id == "T40":
-        return fmt(sum(_median(t.values(s)) for s in t.series))
+        return fmt(_left_sum(_median(t.values(s)) for s in t.series))
     if template_id == "T41":
         above = [v for v in t.all_values() if v > b["value"]]
-        return fmt(sum(above) / len(above))
+        return fmt(_left_sum(above) / len(above))
     if template_id in ("T42", "T43"):
         v1 = t.values(b["legend_label_1"])
         v2 = t.values(b["legend_label_2"])
@@ -261,9 +267,9 @@ def brute_answer(chart, template_id, binding):
         vals = t.all_values()
         return fmt(abs(vals[0] - vals[-1]))
     if template_id == "T47":
-        return fmt(sum(t.cluster_values(xs[1])))
+        return fmt(_left_sum(t.cluster_values(xs[1])))
     if template_id == "T48":
-        return fmt(sum(t.cluster_values(xs[-1])))
+        return fmt(_left_sum(t.cluster_values(xs[-1])))
     if template_id == "T49":
         vals = t.all_values()
         return _ratio(vals[0], vals[1])
@@ -271,18 +277,18 @@ def brute_answer(chart, template_id, binding):
         return fmt(abs(t.values(b["_series_1"])[-1] - t.values(b["_series_2"])[0]))
     if template_id == "T51":
         vals = t.values(b["_series"])
-        return fmt(sum(vals) / len(vals))
+        return fmt(_left_sum(vals) / len(vals))
     if template_id == "T52":
         return str(sum(1 for v in t.values(b["_series"]) if v > b["N"]))
     if template_id == "T53":
         vals = t.cluster_values(xs[-2])
-        return fmt(sum(vals) / len(vals))
+        return fmt(_left_sum(vals) / len(vals))
     if template_id == "T54":
         return str(sum(1 for v in t.cluster_values(xs[0]) if v > b["N"]))
     if template_id == "T56":
         return fmt(_median(t.values(b["_series"])))
     if template_id == "T57":
-        return fmt((sum(t.values(b["_series_1"])) + sum(t.values(b["_series_2"]))) / 2)
+        return fmt((_left_sum(t.values(b["_series_1"])) + _left_sum(t.values(b["_series_2"]))) / 2)
     if template_id == "T58":
         return fmt(
             (_median(t.values(b["_series_1"])) + _median(t.values(b["_series_2"]))) / 2
@@ -298,7 +304,7 @@ def brute_answer(chart, template_id, binding):
     if template_id == "T62":
         return fmt(min(t.values(b["_series"])))
     if template_id == "T63":
-        return fmt(sum(t.values(b["_series"])))
+        return fmt(_left_sum(t.values(b["_series"])))
     if template_id == "T64":
         return fmt(abs(max(t.cluster_values(xs[0])) - max(t.cluster_values(xs[1]))))
     if template_id == "T65":
@@ -340,7 +346,7 @@ def brute_answer(chart, template_id, binding):
         return fmt(min(vals) + _median(vals))
     if template_id == "T77":
         vals = t.values(b["_series"])[-3:]
-        return fmt(sum(vals) / 3)
+        return fmt(_left_sum(vals) / 3)
     if template_id == "T78":
         return str(sum(1 for v in t.values(b["_series"]) if v > b["value"]))
     if template_id == "T79":
@@ -371,15 +377,15 @@ def brute_answer(chart, template_id, binding):
             t.value_at(b["_series_1"], b["x1"]), t.value_at(b["_series_2"], b["x2"])
         )
     if template_id == "T86":
-        return _yn(sum(t.values(b["_series_1"])) > sum(t.values(b["_series_2"])))
+        return _yn(_left_sum(t.values(b["_series_1"])) > _left_sum(t.values(b["_series_2"])))
     if template_id == "T87":
-        a = sum(sorted(t.values(b["_series_1"]))[:2])
-        c = sum(sorted(t.values(b["_series_2"]))[:2])
+        a = _left_sum(sorted(t.values(b["_series_1"]))[:2])
+        c = _left_sum(sorted(t.values(b["_series_2"]))[:2])
         return fmt(abs(a - c))
     if template_id == "T88":
         s = sorted(t.values(b["_series"]))
         two = s[:2] if b["which"] == "smallest" else s[-2:]
-        total = sum(two)
+        total = _left_sum(two)
         return fmt(total if b["alt"] == "sum" else total / 2)
     if template_id == "T89":
         return _ratio(t.single(b["_x1"]), t.single(b["_x2"]))

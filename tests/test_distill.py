@@ -10,7 +10,6 @@ from chartkit.distill import (
     BackendClient,
     BatchDriver,
     FallbackBackend,
-    PromptBundle,
     build_table_summary_prompt,
     fallback_summary,
 )
@@ -25,11 +24,6 @@ def _table():
         [Column("Year"), Column("Sales", NUMERIC, "%")],
         [["2001", 5.0], ["2002", 9.0], ["2003", 7.0]],
     )
-
-
-def test_bundle_validation():
-    with pytest.raises(ValueError):
-        PromptBundle("  ")
 
 
 PINNED_SYSTEM_TEXT = (

@@ -20,6 +20,7 @@ from chartkit.errors import (
 )
 from chartkit.extract import (
     BUILTIN_PROFILE,
+    ParsedChart,
     SelectorProfile,
     extract_chart,
     fit_axis_scale,
@@ -35,7 +36,7 @@ from chartkit.synth import (
     PIE,
     SIMPLE_BAR,
 )
-from chartkit.tables import DataTable, NUMERIC
+from chartkit.tables import Column, DataTable, NUMERIC
 
 SVG_NS = 'xmlns="http://www.w3.org/2000/svg"'
 
@@ -469,3 +470,165 @@ def test_a_legend_item_without_fill_is_black():
     svg = _wrap('<g class="legend-item"><rect/><circle fill="none"/>'
                 '<text>plain</text></g>' + _BAR)
     assert parse_chart_svg(svg).legend == [("plain", "#000000")]
+
+
+# Third-party SVGs: marks without chartkit's data-* attributes, read through
+# the shipped plotly_like and chartblocks_like profiles.
+
+PLOTLY = load_profile("plotly_like")
+CHARTBLOCKS = load_profile("chartblocks_like")
+_Y_TICKS = ('<g class="{0}"><text x="20" y="250">0</text></g>'
+            '<g class="{0}"><text x="20" y="50">100</text></g>')
+
+
+def _table_of(*rows, x_name="label", y_name="value", unit=None):
+    return DataTable([Column(x_name), Column(y_name, NUMERIC, unit)], [list(r) for r in rows])
+
+
+def test_value_attr_values_are_exact_and_an_unparsed_one_is_recovered():
+    bars = ('<rect class="series" data-series="s" data-label="a" data-value="12.5" '
+            'x="40" y="150" width="20" height="100" fill="#e41a1c"/>'
+            '<rect class="series" data-series="s" data-label="b" data-value="$7" '
+            'x="70" y="150" width="20" height="100" fill="#e41a1c"/>')
+    result = extract_chart(_wrap(bars), CHARTBLOCKS)
+    assert result.table == _table_of(["a", 12.5], ["b", 7.0])
+    assert (result.confidence, result.diagnostics) == ("exact", [])
+
+    unparsed = bars.replace('data-value="$7"', 'data-value="n/a"')
+    result = extract_chart(_wrap(_Y_TICKS.format("y-tick") + unparsed), CHARTBLOCKS)
+    assert result.table == _table_of(["a", 12.5], ["b", 50.0])
+    assert (result.confidence, result.diagnostics) == ("recovered", [])
+
+
+def test_a_mark_with_no_usable_geometry_is_a_diagnostic():
+    # plotly_like's point selector is path.point, a shape without a box; a
+    # rect without an x attribute sits at 0 plus its translate.
+    svg = _wrap(_Y_TICKS.format("ytick")
+                + '<path class="point" data-name="s" data-category="a" d="M 1 2"/>'
+                '<g transform="translate(40,0)"><rect class="point" data-name="s" '
+                'data-category="b" y="150" width="20" height="100"/></g>')
+    result = extract_chart(svg, PLOTLY)
+    assert result.table == _table_of(["b", 50.0])
+    assert result.marks[0].bbox.x == 40.0
+    assert result.confidence == "recovered"
+    assert result.diagnostics == ["mark element <path> has no usable geometry"]
+
+
+def test_loose_value_labels_go_to_the_nearest_mark():
+    svg = _wrap('<rect class="point" data-name="s" data-category="a" '
+                'x="40" y="100" width="20" height="150"/>'
+                '<rect class="point" data-name="s" data-category="b" '
+                'x="70" y="150" width="20" height="100"/>'
+                '<text class="bartext" x="80" y="145">7.5</text>'
+                '<text class="bartext" x="50" y="95">12</text>'
+                '<text class="bartext" x="60" y="120">n/a</text>')
+    result = extract_chart(svg, PLOTLY)
+    assert result.table == _table_of(["a", 12.0], ["b", 7.5])
+    assert (result.confidence, result.diagnostics) == ("exact", [])
+
+
+def test_a_mark_with_neither_series_nor_fill_takes_the_first_legend_entry():
+    svg = _wrap('<g class="legend-entry"><rect fill="#e41a1c"/><text>hot</text></g>'
+                '<g class="legend-entry"><rect fill="#377eb8"/><text>cold</text></g>'
+                '<rect class="series" data-label="a" data-value="3" '
+                'x="40" y="150" width="20" height="100"/>'
+                '<rect class="series" data-label="a" data-value="4" '
+                'x="60" y="150" width="20" height="100" fill="#377eb8"/>')
+    result = extract_chart(svg, CHARTBLOCKS)
+    assert result.table == DataTable(
+        [Column("label"), Column("hot", NUMERIC), Column("cold", NUMERIC)],
+        [["a", 3.0, 4.0]],
+    )
+    assert [m.series for m in result.marks] == ["hot", "cold"]
+    assert result.confidence == "exact"
+    assert result.diagnostics == ["mark without series attribute or fill color"]
+
+
+def test_x_labels_come_from_the_nearest_tick():
+    svg = _wrap(_Y_TICKS.format("ytick")
+                + '<g class="xtick"><text x="50" y="280">Q1</text></g>'
+                '<g class="xtick"><text x="80" y="280">Q2</text></g>'
+                '<rect class="point" data-name="s" x="68" y="100" width="20" height="150"/>'
+                '<rect class="point" data-name="s" x="41" y="150" width="20" height="100"/>')
+    result = extract_chart(svg, PLOTLY)
+    assert result.table == _table_of(["Q1", 50.0], ["Q2", 75.0])
+    assert (result.confidence, result.diagnostics) == ("recovered", [])
+
+
+@pytest.mark.parametrize("y_title, name, unit", [
+    ('<text class="axis-label" data-axis="y">Revenue ($)</text>', "Revenue", "$"),
+    ('<text class="axis-label" data-axis="y" data-unit="%">Share (old)</text>',
+     "Share (old)", "%"),
+    ('<text class="axis-label" data-axis="y" data-field="Units (k)">Units sold</text>',
+     "Units", "k"),
+])
+def test_column_names_come_from_the_axis_titles(y_title, name, unit):
+    svg = _wrap('<text class="axis-label" data-axis="x">Quarter</text>' + y_title
+                + '<rect class="series" data-series="s" data-label="Q1" data-value="5" '
+                'x="40" y="150" width="20" height="100"/>')
+    result = extract_chart(svg, CHARTBLOCKS)
+    assert result.table == _table_of(["Q1", 5.0], x_name="Quarter", y_name=name, unit=unit)
+    assert (result.confidence, result.diagnostics) == ("exact", [])
+
+
+def test_mixed_bar_and_point_marks_keep_the_majority_kind():
+    svg = _wrap('<rect class="series" data-series="s" data-label="a" data-value="1" '
+                'x="40" y="150" width="20" height="100"/>'
+                '<circle class="datapoint" data-series="s" data-label="b" data-value="2" '
+                'cx="80" cy="100" r="3"/>'
+                '<rect class="series" data-series="s" data-label="c" data-value="3" '
+                'x="100" y="150" width="20" height="100"/>')
+    result = extract_chart(svg, CHARTBLOCKS)
+    assert result.table == _table_of(["a", 1.0], ["c", 3.0])
+    assert result.confidence == "exact"
+    assert result.diagnostics == ["mixed bar/point marks; reconstructing the majority kind"]
+
+
+def test_an_incomplete_x_category_is_dropped():
+    def bar(series, x, left):
+        return (f'<rect class="series" data-series="{series}" data-label="{x}" '
+                f'data-value="{left}" x="{left}" y="150" width="10" height="100"/>')
+
+    svg = _wrap(bar("u", "a", 40) + bar("v", "a", 50) + bar("u", "b", 70))
+    result = extract_chart(svg, CHARTBLOCKS)
+    assert result.table == DataTable(
+        [Column("label"), Column("u", NUMERIC), Column("v", NUMERIC)], [["a", 40.0, 50.0]]
+    )
+    assert result.confidence == "exact"
+    assert result.diagnostics == ["dropping x category 'b': missing series values"]
+
+    with pytest.raises(ScaleRequired, match="no complete row"):
+        extract_chart(_wrap(bar("u", "a", 40) + bar("v", "b", 50)), CHARTBLOCKS)
+
+
+def test_a_series_named_like_the_x_column_is_malformed():
+    svg = _wrap('<rect class="series" data-series="label" data-label="a" data-value="1" '
+                'x="40" y="150" width="10" height="100"/>'
+                '<rect class="series" data-series="v" data-label="a" data-value="2" '
+                'x="50" y="150" width="10" height="100"/>')
+    with pytest.raises(MalformedSvg, match="chart does not form a table: duplicate column"):
+        extract_chart(svg, CHARTBLOCKS)
+    with pytest.raises(NoMarksFound):
+        reconstruct_table(ParsedChart())
+
+
+def test_pie_slices_are_named_by_legend_color_or_position():
+    # Quarter, half and quarter of a circle of radius 100 at (200, 150),
+    # clockwise from 12 o'clock, written in another order.
+    svg = _wrap('<g class="traces"><rect fill="#e41a1c"/><text>North</text></g>'
+                '<g class="traces"><rect fill="#377eb8"/><text>South</text></g>'
+                '<path class="surface" d="M 200 150 L 100 150 A 100 100 0 0 1 200 50 Z" '
+                'fill="#999999"/>'
+                '<path class="surface" d="M 200 150 L 300 150 A 100 100 0 0 1 100 150 Z" '
+                'fill="#377eb8"/>'
+                '<path class="surface" d="M 200 150 L 200 50 A 100 100 0 0 1 300 150 Z" '
+                'fill="#E41A1C"/>')
+    result = extract_chart(svg, PLOTLY)
+    assert result.table == DataTable(
+        [Column("label"), Column("proportion", NUMERIC)],
+        [["North", 0.25], ["South", 0.5], ["slice2", 0.25]],
+    )
+    assert result.confidence == "recovered"
+    assert result.diagnostics == [
+        "pie without value labels: values are proportions of the whole"
+    ]

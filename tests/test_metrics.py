@@ -1,6 +1,8 @@
 import math
+import operator
 import random
 import re
+from functools import reduce
 from itertools import permutations
 
 import pytest
@@ -276,7 +278,8 @@ def _oracle_rms(pred, gold):
         scores = [[_entry_score(p, g) for g in ge] for p in pe]
         n = max(len(pe), len(ge))
         total = max(
-            sum(scores[i][perm[i]] for i in range(len(pe)) if perm[i] < len(ge))
+            reduce(operator.add, (scores[i][perm[i]] for i in range(len(pe))
+                                  if perm[i] < len(ge)), 0)
             for perm in permutations(range(n))
         )
         precision, recall = total / len(pe), total / len(ge)

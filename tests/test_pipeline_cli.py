@@ -412,6 +412,36 @@ def test_cli_synthesize_rejects_a_malformed_external_table(tmp_path, capsys, tab
     assert err.count(tables.name) == 1
 
 
+def _fallback_summaries(tmp_path, csv_text):
+    """The fallback summaries of a corpus synthesized from one CSV table."""
+    tables = tmp_path / "tables.csv"
+    tables.write_text(csv_text, encoding="utf-8")
+    corpus, out = str(tmp_path / "corpus"), tmp_path / "summaries.jsonl"
+    assert main(["synthesize", "--out", corpus, "--count", "2", "--seed", "1",
+                 "--tables", str(tables)]) == 0
+    assert main(["distill", "--corpus", corpus, "--fallback", "--out", str(out)]) == 0
+    return [row["summary"] for row in read_jsonl(out)]
+
+
+def test_fallback_summary_names_a_column_whose_name_ends_in_parentheses(tmp_path):
+    summaries = _fallback_summaries(tmp_path, "Country,GDP (bn)\nA,10\nB,20\nC,15\n")
+    assert len(summaries) == 2
+    for summary in summaries:
+        assert summary.startswith("This chart shows GDP (bn) by Country.")
+
+
+def test_fallback_summarizes_columns_that_differ_only_in_parentheses(tmp_path):
+    summaries = _fallback_summaries(
+        tmp_path,
+        "Region,Period,Amount\nNorth,Sales (old),1\nNorth,Sales (new),2\n"
+        "South,Sales (old),3\nSouth,Sales (new),4\n",
+    )
+    assert len(summaries) == 2
+    for summary in summaries:
+        assert summary.startswith("This chart shows Sales (old), Sales (new) by Region.")
+        assert "The highest value is 4 for South (Sales (new))." in summary
+
+
 @pytest.mark.parametrize("command", ["synthesize", "extract", "gen-tasks",
                                      "distill", "eval"])
 def test_cli_reports_an_output_it_cannot_write(tmp_path, capsys, command):
