@@ -13,13 +13,10 @@ the bundle's table and keeps every downstream consumer testable offline.
 from __future__ import annotations
 
 import contextlib
-import http.client
 import json
 import math
 import os
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -151,6 +148,11 @@ Transport = Callable[[str, dict, bytes, float], tuple[int, str]]
 
 
 def default_transport(url: str, headers: dict, body: bytes, timeout: float):
+    # Imported here, not at the top: they load ``email`` and ``ssl``, which
+    # only a run that sends a request needs.
+    import urllib.error
+    import urllib.request
+
     request = urllib.request.Request(url, data=body, headers=headers, method="POST")
     try:
         with urllib.request.urlopen(request, timeout=timeout) as response:
@@ -254,6 +256,8 @@ class BackendClient:
         return headers
 
     def complete(self, bundle: PromptBundle) -> str:
+        import http.client  # as in ``default_transport``
+
         body = json.dumps({
             "model": self.model,
             "messages": bundle.messages(),

@@ -671,21 +671,19 @@ def _reconstruct_pie(parsed: ParsedChart) -> ExtractionResult:
     x_name, y_name, y_unit = _column_names(parsed)
     color_names = {color.lower(): name for name, color in parsed.legend}
 
-    resolved = []  # (x label, labeled value or None, share of whole or None)
+    resolved = []  # (x label, labeled value or None, share of whole)
     for i, mark in enumerate(slices):
         x = mark.x or mark.series
         if x is None and mark.fill and mark.fill.lower() in color_names:
             x = color_names[mark.fill.lower()]
         if x is None:
             x = f"slice{i}"
-        value = _labeled_value(mark, keyed, loose)
-        share = None if mark.sweep_deg is None else mark.sweep_deg / 360.0
-        if value is None and share is None:
-            raise ScaleRequired(f"slice {x!r} has neither label nor geometry")
-        resolved.append((x, value, share, mark))
+        # ``_collect_mark`` keeps only slices whose sweep it could read.
+        share = mark.sweep_deg / 360.0
+        resolved.append((x, _labeled_value(mark, keyed, loose), share, mark))
 
     all_exact = all(value is not None for _, value, _, _ in resolved)
-    anchored = [(v, s) for _, v, s, _ in resolved if v is not None and s and s > 0]
+    anchored = [(v, s) for _, v, s, _ in resolved if v is not None and s > 0]
     if all_exact:
         values = [value for _, value, _, _ in resolved]
     elif anchored:

@@ -13,7 +13,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .assignment import MARGIN, hungarian, unique_optimum
 from .errors import ChartKitError, InvalidConfig, LengthMismatch
@@ -122,7 +122,10 @@ def rnss(pred: TableLike, gold: TableLike) -> float:
     # The sum is not finite when a number is inf or nan, whose cost is 1.
     if len(p) == len(g) and sorted(p) == sorted(g) and math.isfinite(sum(g)):
         return 1.0
-    cost = [[min(1.0, abs(pv - gv) / max(abs(gv), EPS)) for gv in g] for pv in p]
+    scales = [max(abs(gv), EPS) for gv in g]
+    # ``d if d < 1.0 else 1.0`` is min(1.0, d), a NaN included.
+    cost = [[d if (d := abs(pv - gv) / s) < 1.0 else 1.0 for gv, s in zip(g, scales)]
+            for pv in p]
     _, total = _assign(cost, len(g))
     return 1.0 - total / max(len(p), len(g))
 
@@ -177,18 +180,20 @@ def _pack_keys(keys: Sequence[str]) -> tuple[dict[str, int], int, int, list[int]
     return peq, mask, mask & ~(mask << 1), segs
 
 
-def _levenshtein_walk(packed, texts) -> dict[str, list[int]]:
+def _levenshtein_walk(packed, texts) -> Iterator[tuple[str, list[int]]]:
     """Exact unit-cost edit distance from every packed key to each text.
 
-    Returns ``{text: [distance to each key]}``. Bit-parallel: the global
-    form (Hyyrö 2003) of Myers' algorithm (JACM 1999), run on all keys at
-    once as in Hyyrö, Fredriksson and Navarro, "Increased bit-parallelism
-    for approximate and multiple string matching" (ACM JEA 2005). Column
-    ``j`` of every key's DP matrix is held as two bit-vectors of its
-    vertical +1 and -1 deltas and is advanced one character of a text at a
-    time. No carry of the addition crosses a guard, since both addends are
-    0 there. Python ints make the vectors as long as the keys, so any
-    length is exact.
+    Yields ``(text, [distance to each key])`` once per distinct text, in
+    sorted order, as soon as that text is walked, so a caller that stops
+    iterating walks no further text. Bit-parallel: the global form (Hyyrö
+    2003) of Myers' algorithm (JACM 1999), run on all keys at once as in
+    Hyyrö, Fredriksson and Navarro, "Increased bit-parallelism for
+    approximate and multiple string matching" (ACM JEA 2005). Column ``j``
+    of every key's DP matrix is held as two bit-vectors of its vertical +1
+    and -1 deltas and is advanced one character of a text at a time. No
+    carry of the addition crosses a guard, since both addends are 0 there.
+    Python ints make the vectors as long as the keys, so any length is
+    exact.
 
     The column after a prefix of a text depends only on that prefix, so
     the texts are walked in sorted order and each resumes from the column
@@ -198,7 +203,6 @@ def _levenshtein_walk(packed, texts) -> dict[str, list[int]]:
     peq, mask, firsts, segs = packed
     states = [(mask, 0)]
     prev = ""
-    out = {}
     for b in sorted(set(texts)):
         k = 0
         for x, y in zip(prev, b):
@@ -226,14 +230,13 @@ def _levenshtein_walk(packed, texts) -> dict[str, list[int]]:
         prev = b
         # The last column: row 0 holds len(b), plus each key's vertical deltas.
         n = len(b)
-        out[b] = [n + (pv & seg).bit_count() - (mv & seg).bit_count() for seg in segs]
-    return out
+        yield b, [n + (pv & seg).bit_count() - (mv & seg).bit_count() for seg in segs]
 
 
 def levenshtein(a: str, b: str) -> int:
     """Exact unit-cost edit distance between two strings, over code points:
     the one-key, one-text case of ``_levenshtein_walk``."""
-    return _levenshtein_walk(_pack_keys([a]), (b,))[b][0]
+    return next(_levenshtein_walk(_pack_keys([a]), (b,)))[1][0]
 
 
 def _normalize_key(text: str) -> str:
@@ -309,19 +312,44 @@ def _value_rows(pred_values, gold_values) -> dict:
     return rows
 
 
-def _score_rows(pred_entries, gold_keys, gold_lens, value_rows) -> list[list[float]]:
-    """s(p, g) of every prediction entry against every gold entry:
-    ``gold_keys`` is ``_pack_keys`` of the gold keys, ``gold_lens`` their
-    lengths and ``value_rows`` is ``_value_rows`` of the prediction and
-    gold values."""
-    distances = _levenshtein_walk(gold_keys, [key for key, _ in pred_entries])
-    # Two empty keys are at distance 0: max(..., 1) gives them a key
-    # similarity of 1.
-    return [
-        [(1.0 - d / max(len(key), lg, 1)) * v
-         for d, lg, v in zip(distances[key], gold_lens, value_rows[value])]
-        for key, value in pred_entries
-    ]
+def _score_rows(pred_entries, gold_keys, gold_lens, value_rows, f1=None):
+    """s(p, g) of every prediction entry against every gold entry, one row
+    per prediction entry: ``gold_keys`` is ``_pack_keys`` of the gold keys,
+    ``gold_lens`` their lengths and ``value_rows`` is ``_value_rows`` of
+    the prediction and gold values.
+
+    Given an ``f1`` to beat, returns None as soon as the rows cannot beat
+    it. The bound is ``_cannot_beat``'s sum of row maxima, with each row
+    not yet scored counted at the maximum of its value row, which no score
+    of the row exceeds (a score is its value similarity times a key
+    similarity of at most 1). Float addition is monotone, so this sum is
+    never below the full rows' one, and every try dropped here is one
+    ``_cannot_beat`` drops too.
+    """
+    rows = [None] * len(pred_entries)
+    at: dict[str, list[int]] = {}
+    for i, (key, _) in enumerate(pred_entries):
+        at.setdefault(key, []).append(i)
+    if f1 is not None:
+        n = len(pred_entries) + len(gold_lens)
+        caps = [max(value_rows[value]) for _, value in pred_entries]
+        if _loses(left_sum(caps), n, f1):
+            return None
+    scales = {}
+    for key, distances in _levenshtein_walk(gold_keys, at):
+        scale = scales.get(len(key))
+        if scale is None:
+            # Two empty keys are at distance 0: max(..., 1) gives them a
+            # key similarity of 1.
+            scale = scales[len(key)] = [max(len(key), lg, 1) for lg in gold_lens]
+        for i in at[key]:
+            rows[i] = [(1.0 - d / m) * v
+                       for d, m, v in zip(distances, scale, value_rows[pred_entries[i][1]])]
+            if f1 is not None:
+                caps[i] = max(rows[i])
+        if f1 is not None and _loses(left_sum(caps), n, f1):
+            return None
+    return rows
 
 
 def _rms_once(scores, n_g) -> tuple[float, float, float]:
@@ -339,15 +367,21 @@ def _rms_once(scores, n_g) -> tuple[float, float, float]:
     return precision, recall, f1
 
 
+def _loses(bound, n, f1) -> bool:
+    """Whether an F1 of at most 2 * ``bound`` / ``n`` lies more than
+    ``MARGIN`` below ``f1``; ``MARGIN`` covers the rounding of the F1
+    actually computed."""
+    return 2 * bound / n < f1 - MARGIN
+
+
 def _cannot_beat(scores, n_g, f1) -> bool:
     """Whether no assignment over ``scores`` reaches an F1 above ``f1``.
 
     F1 is 2T / (n_p + n_g) for a matched total T, which is at most the sum
-    of the row maxima and at most the sum of the column maxima; ``MARGIN``
-    covers the rounding of the F1 actually computed.
+    of the row maxima and at most the sum of the column maxima.
     """
     bound = min(left_sum(map(max, scores)), left_sum(map(max, zip(*scores))))
-    return 2 * bound / (len(scores) + n_g) < f1 - MARGIN
+    return _loses(bound, len(scores) + n_g, f1)
 
 
 def rms_f1(pred: DataTable, gold: DataTable) -> tuple[float, float, float]:
@@ -369,10 +403,13 @@ def rms_f1(pred: DataTable, gold: DataTable) -> tuple[float, float, float]:
     wins, so a table transcribed sideways is not punished. That try swaps
     the keys of each prediction entry, column key first, then row key
     (``_transposed_entries``); the values stay as they are. The try is
-    skipped when it cannot win: when the first F1 is 1.0, and when 2 *
-    min(sum of its score rows' maxima, sum of its score columns' maxima) /
-    (|pred| + |gold|), a bound on its F1, lies more than 1e-9 below the
-    first F1. Every score stays the float a full try would give.
+    dropped as soon as it cannot win. It is not made when the first F1 is
+    1.0. Otherwise its keys are scored one at a time, and it stops when 2 *
+    (sum of its score rows' maxima, a row not yet scored counted at its
+    best value similarity) / (|pred| + |gold|), a bound on its F1, lies
+    more than 1e-9 below the first F1. With every row scored, the sum of
+    the score columns' maxima bounds it as well. Every score stays the
+    float a full try would give.
 
     A prediction whose entries equal the gold's, in order, scores (1.0,
     1.0, 1.0) without scoring work, and so does a transposed try whose
@@ -408,8 +445,8 @@ def rms_f1(pred: DataTable, gold: DataTable) -> tuple[float, float, float]:
     if flipped == gold_entries:
         return 1.0, 1.0, 1.0
     if flipped is not None:
-        scores = _score_rows(flipped, gold_keys, gold_lens, value_rows)
-        if not _cannot_beat(scores, n_g, best[2]):
+        scores = _score_rows(flipped, gold_keys, gold_lens, value_rows, best[2])
+        if scores is not None and not _cannot_beat(scores, n_g, best[2]):
             alt = _rms_once(scores, n_g)
             if alt[2] > best[2]:
                 best = alt

@@ -28,7 +28,6 @@ import json
 import os
 import random
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
@@ -288,6 +287,10 @@ def synthesize(config: PipelineConfig) -> list[dict]:
     with Journal(out / "manifest.jsonl") as manifest:
         todo = [cid for cid in wanted if cid not in manifest.rows]
         if config.workers > 1 and todo:
+            # Imported here: it loads ``multiprocessing``, which a
+            # one-worker run never uses.
+            from concurrent.futures import ProcessPoolExecutor
+
             jobs = [(config, str(out), cid) for cid in todo]
             with ProcessPoolExecutor(max_workers=config.workers) as pool:
                 for row in pool.map(_synthesize_one, jobs):

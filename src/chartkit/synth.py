@@ -18,7 +18,6 @@ import random
 import re
 from dataclasses import asdict, dataclass
 from typing import Optional
-from xml.sax.saxutils import escape, quoteattr
 
 from .errors import CanvasTooSmall, MalformedTable
 from .flatten import format_number
@@ -427,8 +426,24 @@ def _px(value: float) -> str:
     return s if s not in ("", "-0") else "0"
 
 
+def _escape(text: str) -> str:
+    """``xml.sax.saxutils.escape``: ``&``, ``<`` and ``>`` as entities.
+    Written out, since importing ``xml.sax`` also imports ``urllib.request``."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
 def _attr(value: str) -> str:
-    return quoteattr(str(value))
+    """``xml.sax.saxutils.quoteattr``: the escaped value, with newline,
+    return and tab as character references, in double quotes, or in single
+    quotes when it holds a double quote and no single quote (when it holds
+    both, each double quote becomes ``&quot;``)."""
+    text = _escape(str(value))
+    text = text.replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
+    if '"' not in text:
+        return f'"{text}"'
+    if "'" not in text:
+        return f"'{text}'"
+    return '"' + text.replace('"', "&quot;") + '"'
 
 
 class _SvgWriter:
@@ -447,7 +462,7 @@ class _SvgWriter:
         bits = [f'<text x="{_px(x)}" y="{_px(y)}" class="{cls}"']
         for key, val in attrs.items():
             bits.append(f" {key}={_attr(val)}")
-        bits.append(f' text-anchor="middle"{extra}>{escape(str(content))}</text>')
+        bits.append(f' text-anchor="middle"{extra}>{_escape(str(content))}</text>')
         self.add("".join(bits))
 
     def finish(self) -> str:
@@ -539,7 +554,7 @@ def _render_legend(svg, spec, series, series_colors, plot):
         else:
             group.append(f'<circle cx="5.5" cy="-3.5" r="5.5" fill="{color}"/>')
         group.append(
-            f'<text x="15" y="0" text-anchor="start">{escape(name)}</text></g>'
+            f'<text x="15" y="0" text-anchor="start">{_escape(name)}</text></g>'
         )
         svg.add("".join(group))
         x += 26 + 0.62 * spec.style.font_px * len(name)
@@ -590,7 +605,7 @@ def _render_xy(svg, spec, series, series_colors, xs, plot):
             f'<line x1="{_px(plot.x - 5)}" y1="0" x2="{_px(plot.x)}" y2="0" '
             f'stroke="#444444"/>'
             f'<text x="{_px(plot.x - 8)}" y="0" text-anchor="end" '
-            f'dominant-baseline="middle">{escape(label)}</text></g>'
+            f'dominant-baseline="middle">{_escape(label)}</text></g>'
         )
         ticks.append((py, label, value))
     for x in xs:
@@ -600,7 +615,7 @@ def _render_xy(svg, spec, series, series_colors, xs, plot):
             f'<line x1="0" y1="{_px(plot.bottom)}" x2="0" y2="{_px(plot.bottom + 5)}" '
             f'stroke="#444444"/>'
             f'<text x="0" y="{_px(plot.bottom + 10 + style.font_px)}" '
-            f'text-anchor="middle">{escape(x)}</text></g>'
+            f'text-anchor="middle">{_escape(x)}</text></g>'
         )
 
     width, height = spec.canvas
@@ -614,7 +629,7 @@ def _render_xy(svg, spec, series, series_colors, xs, plot):
     svg.add(
         f'<text class="axis-title" {attr_str} text-anchor="middle" '
         f'transform="translate(16,{_px(plot.cy)}) rotate(-90)">'
-        f"{escape(y_title)}</text>"
+        f"{_escape(y_title)}</text>"
     )
 
     if is_bar:

@@ -8,8 +8,10 @@ extraction, a task stream, the template catalog, the summaries or the
 distill checkpoint fails here.
 """
 
+import builtins
 import hashlib
 import json
+import math
 import random
 
 from chartkit.flatten import flatten_table
@@ -257,3 +259,45 @@ def test_golden_side_input_digest(tmp_path):
         digest.update((tmp_path / "tasks" / name).read_bytes())
     digest.update(json.dumps(warnings).encode("utf-8"))
     assert digest.hexdigest() == SIDE_INPUT_SHA256
+
+
+# From Python 3.12 on, ``sum`` compensates float rounding, so a float total
+# added with a bare ``sum`` moves bytes there. The digests above are
+# rebuilt here with ``sum`` compensated on every Python, so such a ``sum``
+# fails on 3.10 and 3.11 too.
+_plain_sum = builtins.sum
+
+
+def compensated_sum(iterable, /, start=0):
+    """``sum`` with float totals added as Neumaier adds them; like Python
+    3.12's ``sum``, the plain total when it is not a finite float."""
+    items = list(iterable)
+    plain = _plain_sum(items, start)
+    if not isinstance(plain, float) or not math.isfinite(plain):
+        return plain
+    total, lost = start, 0.0
+    for x in items:
+        t = total + x
+        lost += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + lost
+
+
+def test_compensated_sum_differs_from_a_plain_one():
+    values = [0.1] * 10
+    assert compensated_sum(values) == 1.0 != _plain_sum(values)
+    assert compensated_sum([1e308, 1e308, -1e308]) == math.inf
+    assert math.isnan(compensated_sum([math.inf, -math.inf]))
+    assert compensated_sum([1, 2, 3]) == 6 and compensated_sum([[1], [2]], []) == [1, 2]
+
+
+def test_golden_digests_hold_under_a_compensated_sum(tmp_path, monkeypatch):
+    import test_templates
+
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    (tmp_path / "corpus").mkdir()
+    (tmp_path / "space").mkdir()
+    test_golden_corpus_digest(tmp_path / "corpus")
+    test_golden_space_digest(tmp_path / "space")
+    test_golden_eval_digest()
+    test_templates.test_golden_bindings_digest()

@@ -175,7 +175,7 @@ def test_levenshtein_matches_dp(a, b):
 @example(["ab é"] * 5, "ba é")
 @example(["abc", "", "\U0001F4C8"], "")
 def test_levenshtein_many_matches_dp(keys, b):
-    assert _levenshtein_walk(_pack_keys(keys), (b,))[b] == [
+    assert dict(_levenshtein_walk(_pack_keys(keys), (b,)))[b] == [
         dp_levenshtein(k, b) for k in keys
     ]
 
@@ -199,7 +199,7 @@ def _prefix_sharing_texts(draw):
 @example([], ["x", "xy"])
 @example(["ab é"], [])
 def test_levenshtein_walk_matches_dp(keys, texts):
-    got = _levenshtein_walk(_pack_keys(keys), texts)
+    got = dict(_levenshtein_walk(_pack_keys(keys), texts))
     assert sorted(got) == sorted(set(texts))
     for text in texts:
         assert got[text] == [dp_levenshtein(k, text) for k in keys]
@@ -364,6 +364,95 @@ def test_rms_matches_definition():
     )
     assert rms_f1(pred, gold) == _oracle_rms(pred, gold)
     assert rms_f1(pred, gold) == (0.044375, 0.08875, 0.059166666666666666)
+
+
+_LABELS = ["north", "nort", "south", "", "north east", "\U0001F4C8 up"]
+_NAMES = ["sales", "sale", "cost", " "]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans(),
+       st.sampled_from([0.0, 0.02, 0.3, 1.0]))
+def test_rms_with_early_stops_matches_definition(rng, sideways, noise):
+    """Straight and transposed predictions, their numbers moved by up to
+    ``noise``: the transposed try, stopped early or not, scores as the
+    definition does."""
+    gold = _small_table(rng, _LABELS, _NAMES)
+    pred = (sideways and transpose_table(gold)) or gold
+    pred = DataTable(pred.columns, [
+        [v * (1 + rng.uniform(-noise, noise)) if isinstance(v, float) else v
+         for v in row]
+        for row in pred.rows[:rng.randint(1, 3)]
+    ])
+    assert rms_f1(pred, gold) == _oracle_rms(pred, gold)
+
+
+def _wide_gold(n_rows=16, n_cols=3):
+    names = ["Exports", "Imports", "Balance", "Reserves"][:n_cols]
+    return DataTable(
+        [Column("Country")] + [Column(name, NUMERIC) for name in names],
+        [[f"Region {i:02d} of the survey"] + [float(10 * i + j + 1) for j in range(n_cols)]
+         for i in range(n_rows)],
+    )
+
+
+def _scaled(table, factor):
+    return DataTable(table.columns, [
+        [v * factor if isinstance(v, float) else v for v in row] for row in table.rows
+    ])
+
+
+def _record_walks(monkeypatch):
+    """Patch the Levenshtein walk to record, per call, the texts it yields."""
+    walked = []
+    walk = metrics._levenshtein_walk
+
+    def recording(packed, texts):
+        seen = []
+        walked.append(seen)
+        for text, distances in walk(packed, texts):
+            seen.append(text)
+            yield text, distances
+
+    monkeypatch.setattr(metrics, "_levenshtein_walk", recording)
+    return walked
+
+
+def _full_try(pred_entries, gold):
+    """RMS of one try with every score row built and solved."""
+    gold_entries = table_entries(gold)
+    value_rows = metrics._value_rows([v for _, v in pred_entries],
+                                     [v for _, v in gold_entries])
+    scores = metrics._score_rows(
+        pred_entries, _pack_keys([k for k, _ in gold_entries]),
+        [len(k) for k, _ in gold_entries], value_rows)
+    return metrics._rms_once(scores, len(gold_entries))
+
+
+def test_a_losing_transposed_try_stops_early(monkeypatch):
+    gold = _wide_gold()
+    pred = _scaled(gold, 1.01)  # a straight prediction, F1 below 1.0
+    walked = _record_walks(monkeypatch)
+    got = rms_f1(pred, gold)
+    flipped = _transposed_entries(pred)
+    assert len(flipped) == 48 and len(walked) == 2
+    assert len(walked[0]) == 48
+    assert len(walked[1]) < len(flipped)
+    # The full transposed try loses, so the stop changed no score.
+    assert got == _full_try(table_entries(pred), gold)
+    assert _full_try(flipped, gold)[2] < got[2]
+
+
+def test_a_winning_transposed_try_walks_every_key(monkeypatch):
+    gold = _wide_gold()
+    pred = _scaled(transpose_table(gold), 1.01)
+    walked = _record_walks(monkeypatch)
+    got = rms_f1(pred, gold)
+    flipped = _transposed_entries(pred)
+    assert len(walked) == 2
+    assert walked[1] == sorted({key for key, _ in flipped})
+    assert got == _full_try(flipped, gold)
+    assert got[2] > _full_try(table_entries(pred), gold)[2]
 
 
 def test_table_entries_keys_normalized():

@@ -1,7 +1,10 @@
 import hashlib
 import json
+import os
 import re
 import socket
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -843,3 +846,18 @@ def test_cli_eval_rejects_unknown_or_no_metrics(tmp_path, capsys, names):
     assert captured.err.startswith("error:") and "ra,rnss,rms,bleu" in captured.err
     if names == "ra,blue":
         assert "'blue'" in captured.err
+
+
+def test_importing_the_cli_loads_no_network_process_or_sax_module():
+    # These load only where they are used: a request, a multi-worker
+    # synthesize. A fresh interpreter, since this one has loaded them.
+    unused = ["urllib.request", "http.client", "email", "ssl",
+              "multiprocessing", "concurrent.futures.process", "xml.sax"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, chartkit.cli; "
+            f"print(sorted(m for m in {unused!r} if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -1,10 +1,15 @@
 import random
+from xml.sax.saxutils import escape, quoteattr
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chartkit.errors import CanvasTooSmall
 from chartkit.gen import random_chart
 from chartkit.synth import (
+    _attr,
+    _escape,
     GROUPED_BAR,
     LINE_MULTI,
     LINE_SINGLE,
@@ -253,3 +258,16 @@ def test_full_circle_single_dominant_slice():
     parsed = parse_chart_svg(chart.svg)
     sweeps = sorted(m.sweep_deg for m in parsed.marks)
     assert abs(sweeps[-1] - 360.0) <= 0.01
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="&<>\"'\t\n\r ;#a1é\U0001F4C8", max_size=20))
+@example("")
+@example("Q&A <2024>")
+@example('say "hi"')
+@example("it's \"both\"")
+@example("tab\there\nnew\rline")
+@example("&amp; already")
+def test_svg_escapes_match_saxutils(label):
+    assert _escape(label) == escape(label)
+    assert _attr(label) == quoteattr(label)
