@@ -289,26 +289,22 @@ def _value_rows(pred_values, gold_values) -> dict:
 
     A number p against a number g scores 1 - min(1, |p - g| / max(|g|,
     eps)), written ``1.0 - d if d < 1.0 else 0.0`` (the same float); every
-    other pair scores 1 when equal and 0 otherwise. Cells are ``float`` or
-    ``str`` only (``DataTable`` coerces them), so a row is keyed by the
-    value itself: 0.0 and -0.0 share a key, and give the same row.
+    other pair scores 1 when equal and 0 otherwise. A text gold value is
+    read as ``(nan, 1.0)``: its d is NaN, which scores 0.0. Cells are
+    ``float`` or ``str`` only (``DataTable`` coerces them), so a row is
+    keyed by the value itself: 0.0 and -0.0 share a key, and give the same
+    row.
     """
-    scales = [max(abs(g), EPS) if isinstance(g, float) else None for g in gold_values]
+    golds = [(g, max(abs(g), EPS)) if isinstance(g, float) else (math.nan, 1.0)
+             for g in gold_values]
     rows: dict = {}
     for p in pred_values:
         if p in rows:
             continue
         if isinstance(p, float):
-            row = []
-            for g, scale in zip(gold_values, scales):
-                if scale is None:
-                    row.append(0.0)
-                else:
-                    d = abs(p - g) / scale
-                    row.append(1.0 - d if d < 1.0 else 0.0)
+            rows[p] = [1.0 - d if (d := abs(p - g) / s) < 1.0 else 0.0 for g, s in golds]
         else:
-            row = [1.0 if p == g else 0.0 for g in gold_values]
-        rows[p] = row
+            rows[p] = [1.0 if p == g else 0.0 for g in gold_values]
     return rows
 
 
@@ -352,19 +348,77 @@ def _score_rows(pred_entries, gold_keys, gold_lens, value_rows, f1=None):
     return rows
 
 
+def _prf(total, n_p, n_g) -> tuple[float, float, float]:
+    """Precision, recall and F1 of a matched total over ``n_p`` prediction
+    and ``n_g`` gold entries."""
+    precision = total / n_p
+    recall = total / n_g
+    f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
+    return precision, recall, f1
+
+
 def _rms_once(scores, n_g) -> tuple[float, float, float]:
     """RMS of one orientation from its score rows, one per prediction
     entry with ``n_g`` scores each (neither side empty)."""
-    n_p = len(scores)
     # The cost is -s, padded at 0: 1 - s would round two scores below 0.5
     # that differ in their last bits to one cost, and the solver could
     # then keep the smaller score.
     assign, _ = _assign([[-s for s in row] for row in scores], n_g, 0.0)
     total = left_sum(scores[i][j] for i, j in enumerate(assign) if j is not None)
-    precision = total / n_p
-    recall = total / n_g
-    f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
-    return precision, recall, f1
+    return _prf(total, len(scores), n_g)
+
+
+def _clear_max(line) -> Optional[int]:
+    """The index of the largest value of ``line`` (no NaN) when it beats
+    every other value by more than ``MARGIN``, else None."""
+    top = max(line)
+    j = line.index(top)
+    rest = line[:j] + line[j + 1 :]
+    return j if not rest or top - max(rest) > MARGIN else None
+
+
+def _certified(pred_entries, keys, packed, gold_lens, value_rows, rows) -> Optional[float]:
+    """The matched total of the straight try when ``unique_optimum`` is
+    known to name its optimum, else None. ``keys`` are the gold keys,
+    ``packed``, ``gold_lens`` and ``value_rows`` as for ``_score_rows``;
+    each score row built here is put in ``rows``, at its entry's index.
+
+    No score exceeds its value similarity v (a key similarity is at most
+    1), and a score whose two keys are equal is v itself. So a line of the
+    smaller side whose v has a clear maximum (``_clear_max``) on a cell of
+    equal keys passes ``unique_optimum``'s test on the scores with that
+    cell: the other scores lie at or below their v, and float subtraction
+    is monotone. With no more prediction entries than gold ones, each row
+    that does not pass so is scored (``_score_rows`` walks its key alone)
+    and put to that test itself; with more, every column must pass on v.
+    """
+    n_p, n_g = len(pred_entries), len(keys)
+    # The line of each row: its v, or its scores once it is scored.
+    lines = [value_rows[value] for _, value in pred_entries]
+    if n_p > n_g:
+        rows_of = {}
+        for j, column in enumerate(zip(*lines)):
+            i = _clear_max(column)
+            if i is None or pred_entries[i][0] != keys[j] or i in rows_of:
+                return None
+            rows_of[i] = j
+        return left_sum(lines[i][rows_of[i]] for i in sorted(rows_of))
+    tops = {value: _clear_max(row) for value, row in value_rows.items()}
+    picks = [tops[value] for _, value in pred_entries]
+    todo = [i for i, (key, _) in enumerate(pred_entries)
+            if picks[i] is None or keys[picks[i]] != key]
+    if todo:
+        scored = _score_rows([pred_entries[i] for i in todo], packed, gold_lens, value_rows)
+        for i, row in zip(todo, scored):
+            rows[i] = lines[i] = row
+        found = unique_optimum([[-s for s in row] for row in scored], n_g)
+        if found is None:
+            return None
+        for i, j in zip(todo, found):
+            picks[i] = j
+    if len(set(picks)) < n_p:
+        return None
+    return left_sum(line[j] for line, j in zip(lines, picks))
 
 
 def _loses(bound, n, f1) -> bool:
@@ -418,6 +472,21 @@ def rms_f1(pred: DataTable, gold: DataTable) -> tuple[float, float, float]:
     every ratio 1.0. The straight try still runs first, so a straight F1
     that rounds to 1.0 is the one kept, as the full path keeps it.
 
+    The straight try first tries to certify the matching that
+    ``unique_optimum`` would name, from the value similarities v and exact
+    key lookups (``_certified``). No s exceeds its v, since a key
+    similarity is at most 1, and s is v itself where the two keys are
+    equal ((1.0 - 0 / m) * v is v). A line of the smaller side (a row when
+    |pred| <= |gold|, else a column) whose v has a maximum more than 1e-9
+    above the rest of the line, on a cell of equal keys, therefore passes
+    ``unique_optimum``'s test on the scores with that cell: its other
+    scores lie at or below their v, and float subtraction is monotone. A
+    row that does not pass so has its key walked and its scores put to
+    that test directly; a column must pass on v. When every line passes
+    and no two picks meet, the full path would pick the same cells and sum
+    them in the same row order, so the total is the same float. Otherwise
+    the rows not yet scored are scored and the full path runs.
+
     Where this may differ from DePlot's definition: no threshold is
     applied to either distance (a key or value distance is never rounded
     up to 1), text values are compared by equality, keys are normalized as
@@ -433,13 +502,25 @@ def rms_f1(pred: DataTable, gold: DataTable) -> tuple[float, float, float]:
     if pred_entries == gold_entries:
         return 1.0, 1.0, 1.0
     n_g = len(gold_entries)
-    gold_keys = _pack_keys([key for key, _ in gold_entries])
-    gold_lens = [len(key) for key, _ in gold_entries]
+    keys = [key for key, _ in gold_entries]
+    gold_keys = _pack_keys(keys)
+    gold_lens = [len(key) for key in keys]
     # Both tries carry the same prediction values, so they share the rows.
     value_rows = _value_rows(
         [value for _, value in pred_entries], [value for _, value in gold_entries]
     )
-    best = _rms_once(_score_rows(pred_entries, gold_keys, gold_lens, value_rows), n_g)
+    rows = [None] * len(pred_entries)
+    total = _certified(pred_entries, keys, gold_keys, gold_lens, value_rows, rows)
+    if total is None:
+        # Score the rows that the certificate left unscored.
+        rest = [i for i, row in enumerate(rows) if row is None]
+        if rest:
+            scored = _score_rows([pred_entries[i] for i in rest], gold_keys, gold_lens, value_rows)
+            for i, row in zip(rest, scored):
+                rows[i] = row
+        best = _rms_once(rows, n_g)
+    else:
+        best = _prf(total, len(pred_entries), n_g)
     # Nothing beats an F1 of 1.0.
     flipped = _transposed_entries(pred) if best[2] != 1.0 else None
     if flipped == gold_entries:

@@ -582,10 +582,20 @@ def _gold_groups(path, rows: list[dict]) -> dict[str, list[str]]:
     return groups
 
 
+def _pred_outputs(path, rows: list[dict]) -> dict[str, str]:
+    """The output of each id; an id on two rows is ``MalformedJsonl``
+    naming the file and the second line."""
+    preds: dict[str, str] = {}
+    for i, row in enumerate(rows):
+        if row["id"] in preds:
+            raise row_error(path, i, f"id {row['id']!r} repeats an earlier prediction")
+        preds[row["id"]] = str(row["output"])
+    return preds
+
+
 def evaluate(pred_path, gold_path, metrics=METRIC_NAMES) -> MetricReport:
     """Score a predictions JSONL against a gold JSONL, aligned by id."""
-    preds = {row["id"]: str(row["output"])
-             for row in _checked_rows(pred_path, id=str, output=object)}
+    preds = _pred_outputs(pred_path, _checked_rows(pred_path, id=str, output=object))
     golds = _gold_groups(gold_path, _checked_rows(gold_path, id=str, output=object))
     missing_gold = sorted(set(preds) - set(golds))
     missing_pred = sorted(set(golds) - set(preds))

@@ -250,13 +250,17 @@ def test_rms_empty_prediction():
     assert rms_f1(pred, gold) == (0.0, 0.0, 0.0)
 
 
+def _value_similarity(p_value, g_value):
+    """The value term of RMS's s(p, g), from its definition."""
+    if isinstance(p_value, float) and isinstance(g_value, float):
+        return 1.0 - min(1.0, abs(p_value - g_value) / max(abs(g_value), 1e-9))
+    return 1.0 if p_value == g_value else 0.0
+
+
 def _entry_score(p, g):
     """s(p, g) of RMS from its definition, with the DP edit distance."""
     (p_key, p_value), (g_key, g_value) = p, g
-    if isinstance(p_value, float) and isinstance(g_value, float):
-        v = 1.0 - min(1.0, abs(p_value - g_value) / max(abs(g_value), 1e-9))
-    else:
-        v = 1.0 if p_value == g_value else 0.0
+    v = _value_similarity(p_value, g_value)
     if v == 0.0:
         return 0.0
     longest = max(len(p_key), len(g_key))
@@ -429,14 +433,32 @@ def _full_try(pred_entries, gold):
     return metrics._rms_once(scores, len(gold_entries))
 
 
+def _walked_keys(pred, gold):
+    """The keys the straight try must walk: those of the prediction entries
+    whose value similarities have no maximum above the rest of the row by
+    more than 1e-9 on a gold entry with the same key."""
+    gold_entries = rms_entries(gold)
+    keys = set()
+    for key, value in rms_entries(pred):
+        v = [_value_similarity(value, g_value) for _, g_value in gold_entries]
+        j = v.index(max(v))
+        if gold_entries[j][0] != key or any(
+                v[j] - x <= 1e-9 for k, x in enumerate(v) if k != j):
+            keys.add(key)
+    return sorted(keys)
+
+
 def test_a_losing_transposed_try_stops_early(monkeypatch):
     gold = _wide_gold()
     pred = _scaled(gold, 1.01)  # a straight prediction, F1 below 1.0
     walked = _record_walks(monkeypatch)
     got = rms_f1(pred, gold)
     flipped = _transposed_entries(pred)
+    straight = _walked_keys(pred, gold)
     assert len(flipped) == 48 and len(walked) == 2
-    assert len(walked[0]) == 48
+    # The straight try walks only the keys its certificate cannot vouch
+    # for, and then none again.
+    assert 0 < len(straight) < 48 and walked[0] == straight
     assert len(walked[1]) < len(flipped)
     # The full transposed try loses, so the stop changed no score.
     assert got == _full_try(table_entries(pred), gold)
@@ -450,9 +472,135 @@ def test_a_winning_transposed_try_walks_every_key(monkeypatch):
     got = rms_f1(pred, gold)
     flipped = _transposed_entries(pred)
     assert len(walked) == 2
+    # No straight key equals a gold key: the straight try walks each once.
+    assert walked[0] == _walked_keys(pred, gold) == sorted(k for k, _ in table_entries(pred))
     assert walked[1] == sorted({key for key, _ in flipped})
     assert got == _full_try(flipped, gold)
     assert got[2] > _full_try(table_entries(pred), gold)[2]
+
+
+def _spread_gold(n_rows=12, n_cols=3):
+    """A wide gold table whose numbers lie a factor 2 apart, so that a
+    number moved by 1% stays clearly nearest its own gold number."""
+    names = ["Exports", "Imports", "Balance"][:n_cols]
+    return DataTable(
+        [Column("Country")] + [Column(name, NUMERIC) for name in names],
+        [[f"Region {i:02d} of the survey"] + [float(2 ** (n_cols * i + j)) for j in range(n_cols)]
+         for i in range(n_rows)],
+    )
+
+
+def _straight_walks(walked, pred):
+    """The texts walked that are keys of the straight prediction (the
+    transposed try walks its swapped keys)."""
+    keys = {key for key, _ in table_entries(pred)}
+    return [text for texts in walked for text in texts if text in keys]
+
+
+def _no_certificate(*args):
+    return None
+
+
+def test_a_noise_only_prediction_walks_no_straight_key(monkeypatch):
+    gold = _spread_gold()
+    rng = random.Random(5)
+    pred = DataTable(gold.columns, [
+        [v * (1 + rng.uniform(-0.01, 0.01)) if isinstance(v, float) else v for v in row]
+        for row in gold.rows
+    ])
+    walked = _record_walks(monkeypatch)
+    got = rms_f1(pred, gold)
+    assert _straight_walks(walked, pred) == []
+    monkeypatch.setattr(metrics, "_certified", _no_certificate)
+    assert got == rms_f1(pred, gold) and got[2] < 1.0
+
+
+def test_a_one_row_typo_walks_only_that_row(monkeypatch):
+    gold = _spread_gold()
+    rows = [list(row) for row in gold.rows]
+    rows[4][0] = "Region 04 of the surwey"
+    pred = DataTable(gold.columns, rows)
+    walked = _record_walks(monkeypatch)
+    got = rms_f1(pred, gold)
+    assert _straight_walks(walked, pred) == [
+        f"region 04 of the surwey {name}" for name in ("balance", "exports", "imports")]
+    monkeypatch.setattr(metrics, "_certified", _no_certificate)
+    assert got == rms_f1(pred, gold) and got[2] < 1.0
+
+
+# Numbers whose value similarities differ by about the 1e-9 margin.
+_NEAR_MARGIN = [0.0, -0.0, 1.0, 1.0 + 5e-10, 1.0 + 1e-9, 1.0 + 2e-9, 1.0 - 1e-9,
+                2.0, 3.5, 100.0]
+
+
+def _certificate_pair(rng):
+    """A gold table and a prediction drawn from it: labels repeated on
+    either side, numbers moved by about the margin or drawn anew, text
+    values, 0.0 and -0.0, one-entry tables, and fewer, as many or more
+    prediction entries than gold ones."""
+    labels = ["a", "b", "ab", "north", "nort"]
+    columns = [Column("x")] + [Column(n, NUMERIC) for n in ["v", "w"][:rng.randint(1, 2)]]
+    if rng.random() < 0.3:
+        columns.append(Column("kind", CATEGORICAL))
+
+    def cell(col):
+        if col.kind == CATEGORICAL:
+            return rng.choice(["p", "q"])
+        return rng.choice(_NEAR_MARGIN) * rng.choice([1.0, 1.0, -1.0, 1e3])
+
+    gold = [[rng.choice(labels)] + [cell(c) for c in columns[1:]]
+            for _ in range(rng.randint(1, 4))]
+    pred = []
+    for row in gold:
+        if rng.random() < 0.15:
+            continue
+        row = list(row)
+        if rng.random() < 0.15:
+            row[0] = rng.choice(labels)
+        for j, col in enumerate(columns[1:], 1):
+            if rng.random() < 0.3:
+                row[j] = cell(col)
+            elif col.kind != CATEGORICAL and rng.random() < 0.5:
+                row[j] *= 1 + rng.choice([-2e-9, -1e-9, -5e-10, 5e-10, 1e-9, 2e-9])
+        pred.append(row)
+        if rng.random() < 0.15:
+            pred.append(list(row))
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        pred.append([rng.choice(labels)] + [cell(c) for c in columns[1:]])
+    if rng.random() < 0.3:
+        rng.shuffle(pred)
+    return DataTable(columns, pred), DataTable(columns, gold)
+
+
+def test_the_certificate_gives_the_full_paths_floats():
+    """rms_f1 with the straight try's certificate equals, bit for bit, the
+    full path with it switched off; a certified try is one whose full
+    scores unique_optimum names too; certified and full tries both occur,
+    with no more prediction entries than gold ones and with more."""
+    seen = set()
+    real_certified = metrics._certified
+
+    def recording(pred_entries, keys, packed, gold_lens, value_rows, rows):
+        total = real_certified(pred_entries, keys, packed, gold_lens, value_rows, rows)
+        seen.add((total is not None, len(pred_entries) > len(keys)))
+        if total is not None:
+            scores = metrics._score_rows(pred_entries, packed, gold_lens, value_rows)
+            assert unique_optimum([[-s for s in row] for row in scores], len(keys)) is not None
+        return total
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def check(rng):
+        pred, gold = _certificate_pair(rng)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "_certified", recording)
+            got = rms_f1(pred, gold)
+            mp.setattr(metrics, "_certified", _no_certificate)
+            full = rms_f1(pred, gold)
+        assert [x.hex() for x in got] == [x.hex() for x in full]
+
+    check()
+    assert seen == {(True, False), (False, False), (True, True), (False, True)}, seen
 
 
 def test_table_entries_keys_normalized():
@@ -590,6 +738,18 @@ def test_pad_square(monkeypatch):
         cost = [[min(1.0, abs(pv - gv) / max(abs(gv), 1e-9)) for gv in g] for pv in p]
         assert [call[:3] for call in calls] == [(cost, len(g), 1.0)]
         checked += calls
+    # rms_f1's straight try hands _assign its costs unless _certified
+    # names their optimum first; then unique_optimum names it too, and the
+    # certified total is its picked scores summed in row order.
+    certified = []
+    real_certified = metrics._certified
+
+    def recording_certified(*args):
+        certified.append(real_certified(*args))
+        return certified[-1]
+
+    monkeypatch.setattr(metrics, "_certified", recording_certified)
+    outcomes = set()
     labels, names = ["a", "b", "c", "dd"], ["v", "w", "vw"]
     for _ in range(200):
         pred, gold = _small_table(rng, labels, names), _small_table(rng, labels, names)
@@ -597,11 +757,21 @@ def test_pad_square(monkeypatch):
         if not pe or not ge:
             continue
         calls.clear()
+        certified.clear()
         rms_f1(pred, gold)
         scores = [[_entry_score(e, f) for f in ge] for e in pe]
         cost = [[-x for x in row] for row in scores]
-        assert calls[0][:3] == (cost, len(ge), 0.0)
+        outcomes.add(certified == [None])
+        if certified == [None]:
+            assert calls[0][:3] == (cost, len(ge), 0.0)
+        else:
+            assign = unique_optimum(cost, len(ge))
+            assert assign is not None
+            total = reduce(operator.add, (scores[i][j] for i, j in enumerate(assign)
+                                          if j is not None), 0)
+            assert certified[0].hex() == total.hex()
         checked += calls
+    assert outcomes == {True, False}
     for cost, n_cols, fill, got, solved in checked:
         square = pad_square(cost, len(cost), n_cols, fill)
         if solved:
@@ -830,7 +1000,9 @@ def test_a_transposed_copy_is_scored_once(monkeypatch):
     monkeypatch.setattr(metrics, "_score_rows", counting)
     flipped = transpose_table(_NORTH_SOUTH)
     assert rms_f1(flipped, _NORTH_SOUTH) == (1.0, 1.0, 1.0)
-    assert calls == [table_entries(flipped)]  # the straight try only
+    # The straight try only: no straight key equals a gold key, so its
+    # certificate scores every row in one call, and nothing scores again.
+    assert calls == [table_entries(flipped)]
 
 
 def test_a_straight_f1_of_one_wins_over_a_transposed_copy(monkeypatch):

@@ -11,7 +11,7 @@ import pytest
 
 from chartkit.cli import main
 from chartkit.distill import BackendClient
-from chartkit.errors import InvalidConfig
+from chartkit.errors import InvalidConfig, MalformedJsonl
 from chartkit.jsonl import read_json_object, read_jsonl, write_jsonl
 from chartkit.pipeline import (
     PipelineConfig,
@@ -546,6 +546,34 @@ def test_evaluate_and_mismatch(tmp_path):
 
     with pytest.raises(LengthMismatch):
         evaluate(pred, gold)
+
+
+def _repeated_pred_id(tmp_path):
+    """A pred file whose id "a" is on lines 1 and 3, the first row an exact
+    copy of the gold, and its gold file."""
+    pred, gold = tmp_path / "pred.jsonl", tmp_path / "gold.jsonl"
+    write_jsonl(pred, [{"id": "a", "output": "x | y & a | 1"},
+                       {"id": "b", "output": "2"},
+                       {"id": "a", "output": "junk"}])
+    write_jsonl(gold, [{"id": "a", "output": "x | y & a | 1"}, {"id": "b", "output": "2"}])
+    return pred, gold
+
+
+def test_evaluate_rejects_a_repeated_prediction_id(tmp_path):
+    # Keeping one of the two rows would score a prediction the file does
+    # not settle; the first row here is a copy of the gold.
+    pred, gold = _repeated_pred_id(tmp_path)
+    with pytest.raises(MalformedJsonl, match=re.escape(
+            f"{pred}, line 3: id 'a' repeats an earlier prediction")):
+        evaluate(pred, gold)
+
+
+def test_cli_eval_rejects_a_repeated_prediction_id(tmp_path, capsys):
+    pred, gold = _repeated_pred_id(tmp_path)
+    assert main(["eval", "--pred", str(pred), "--gold", str(gold)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {pred}, line 3: id 'a' repeats an earlier prediction\n"
 
 
 def test_distill_corpus_offline(tmp_path):
