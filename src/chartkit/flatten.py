@@ -5,6 +5,15 @@ Cells are joined by " | " and rows by " & ", header first. Literal "|",
 unambiguous and invertible. Numeric cells print with up to two decimal
 places, trailing zeros trimmed, no thousands separators; unflattening a
 table whose values carry more precision than that is lossy by design.
+
+Unflattening reads a column as numeric when every one of its cells is a
+plain number. A numeric column's header "name (unit)" is read back as
+that name with that unit, unless another column would then have the same
+name: such a header is kept whole, with no unit, and this is repeated
+until no two names collide. So "Region | Sales (old) | Sales (new)" over
+numbers gives the columns "Region", "Sales (old)" and "Sales (new)", not
+two columns "Sales", and a table that flattens with distinct names reads
+back with them.
 """
 
 from __future__ import annotations
@@ -59,50 +68,43 @@ def flatten_table(table: DataTable) -> str:
     return ROW_SEP.join(out_rows)
 
 
-# One token of flattened text, tried in this order: a cell separator, a row
-# separator, an escape (a backslash and the character after it), a run of
-# characters that are neither a backslash nor a space, any one character
-# (a space that starts no separator, or a backslash that ends the text).
-_FLAT_TOKEN_RE = re.compile(r" \| | & |\\.|[^\\ ]+|.", re.DOTALL)
+# A cell separator (its character in group 1) or an escape (the escaped
+# character in group 2). ``re.split`` on it gives the text between matches
+# with both groups after each match, so the pieces come in threes after the
+# first: separator, escaped character, text. A backslash that ends the text
+# escapes nothing and stays in the text.
+_FLAT_SPLIT_RE = re.compile(r" ([|&]) |\\(.)", re.DOTALL)
 
 
 def _split_flat(text: str) -> list[list[str]]:
     """Undo the escaping-aware joins; returns rows of raw cell strings."""
+    pieces = iter(_FLAT_SPLIT_RE.split(text))
     rows: list[list[str]] = []
     cells: list[str] = []
-    buf: list[str] = []
-    for token in _FLAT_TOKEN_RE.findall(text):
-        if token == CELL_SEP:
+    buf = [next(pieces)]
+    for sep, char, piece in zip(pieces, pieces, pieces):
+        if char is not None:
+            buf.append(char)
+        else:
             cells.append("".join(buf))
             buf = []
-        elif token == ROW_SEP:
-            cells.append("".join(buf))
-            rows.append(cells)
-            cells, buf = [], []
-        elif token[0] == "\\":
-            # An escape keeps the escaped character; a backslash that ends
-            # the text is itself the last character.
-            buf.append(token[-1])
-        else:
-            buf.append(token)
+            if sep == "&":
+                rows.append(cells)
+                cells = []
+        buf.append(piece)
     cells.append("".join(buf))
     rows.append(cells)
     return rows
-
-
-def _plain_float(cell: str) -> float | None:
-    if not PLAIN_NUMBER_RE.fullmatch(cell):
-        return None
-    return float(cell)
 
 
 def unflatten_table(text: str) -> DataTable:
     """Parse a flattened table back into a DataTable.
 
     A column is numeric when every one of its cells is a plain number; a
-    numeric header of the form "name (unit)" has its unit split out.
-    Raises ``RaggedInput`` for rows of unequal width and ``MalformedTable``
-    for an empty or repeated column name or a number too large for a float.
+    numeric header of the form "name (unit)" has its unit split out when
+    the name stays unique (see the module docstring). Raises
+    ``RaggedInput`` for rows of unequal width and ``MalformedTable`` for an
+    empty or repeated column name or a number too large for a float.
     """
     rows = _split_flat(text)
     header, data = rows[0], rows[1:]
@@ -111,25 +113,21 @@ def unflatten_table(text: str) -> DataTable:
         if len(row) != width:
             raise RaggedInput(f"flattened row {i} has {len(row)} cells, expected {width}")
 
-    columns = []
-    parsed_cols = []
-    for j in range(width):
-        values = [_plain_float(row[j]) for row in data]
-        numeric = bool(values) and all(v is not None for v in values)
-        name, unit = header[j], None
-        if numeric:
-            m = UNIT_SUFFIX_RE.match(name)
-            if m:
-                name, unit = m.group(1), m.group(2)
-            columns.append((name, NUMERIC, unit))
-        else:
-            columns.append((name, CATEGORICAL, None))
-        parsed_cols.append(values if numeric else [row[j] for row in data])
-
-    table_rows = [
-        [parsed_cols[j][k] for j in range(width)] for k in range(len(data))
-    ]
+    kinds = [CATEGORICAL] * width
+    if data:
+        kinds = [NUMERIC if all(map(PLAIN_NUMBER_RE.fullmatch, cells)) else CATEGORICAL
+                 for cells in zip(*data)]
+    units = [UNIT_SUFFIX_RE.match(name) if kind == NUMERIC else None
+             for name, kind in zip(header, kinds)]
+    names = [m.group(1) if m else name for name, m in zip(header, units)]
+    # Each pass keeps at least one more header whole, so this ends.
+    while clash := [j for j, m in enumerate(units) if m and names.count(names[j]) > 1]:
+        for j in clash:
+            names[j], units[j] = header[j], None
     try:
-        return DataTable([Column(*c) for c in columns], table_rows)
+        columns = [Column(name, kind, m and m.group(2))
+                   for name, kind, m in zip(names, kinds, units)]
+        # The table converts the numeric cells, each a plain number, to float.
+        return DataTable(columns, data)
     except ValueError as exc:
         raise MalformedTable(f"flattened table: {exc}") from exc

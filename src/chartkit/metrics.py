@@ -466,11 +466,16 @@ def rms_f1(pred: DataTable, gold: DataTable) -> tuple[float, float, float]:
     float a full try would give.
 
     A prediction whose entries equal the gold's, in order, scores (1.0,
-    1.0, 1.0) without scoring work, and so does a transposed try whose
-    entries do: each entry then scores exactly 1.0 against its equal, and
-    no score exceeds 1.0, so the full path's total is the entry count and
-    every ratio 1.0. The straight try still runs first, so a straight F1
-    that rounds to 1.0 is the one kept, as the full path keeps it.
+    1.0, 1.0) without scoring work, and so does one whose transposed
+    entries do, which is checked before the straight try runs: each entry
+    then scores exactly 1.0 against its equal, and no score exceeds 1.0,
+    so the full path's total is the entry count and every ratio 1.0. The
+    full path runs the straight try first and keeps its triple when its F1
+    is 1.0, but that triple is (1.0, 1.0, 1.0) as well. Equal entry lists
+    mean |pred| = |gold|, so the straight precision P and recall R are the
+    same float, and F1 = 2 * P * P / (P + P) is 1.0 only when P is 1.0 (a
+    test checks every |gold| up to 300, with 2,000 totals below each).
+    Otherwise the transposed entries are kept for the transposed try.
 
     The straight try first tries to certify the matching that
     ``unique_optimum`` would name, from the value similarities v and exact
@@ -501,6 +506,9 @@ def rms_f1(pred: DataTable, gold: DataTable) -> tuple[float, float, float]:
         return 0.0, 0.0, 0.0
     if pred_entries == gold_entries:
         return 1.0, 1.0, 1.0
+    flipped = _transposed_entries(pred)
+    if flipped == gold_entries:
+        return 1.0, 1.0, 1.0
     n_g = len(gold_entries)
     keys = [key for key, _ in gold_entries]
     gold_keys = _pack_keys(keys)
@@ -522,10 +530,7 @@ def rms_f1(pred: DataTable, gold: DataTable) -> tuple[float, float, float]:
     else:
         best = _prf(total, len(pred_entries), n_g)
     # Nothing beats an F1 of 1.0.
-    flipped = _transposed_entries(pred) if best[2] != 1.0 else None
-    if flipped == gold_entries:
-        return 1.0, 1.0, 1.0
-    if flipped is not None:
+    if flipped is not None and best[2] != 1.0:
         scores = _score_rows(flipped, gold_keys, gold_lens, value_rows, best[2])
         if scores is not None and not _cannot_beat(scores, n_g, best[2]):
             alt = _rms_once(scores, n_g)
@@ -587,7 +592,7 @@ def corpus_bleu(preds: list[str], golds: list[list[str]]) -> float:
         if not refs:
             raise InvalidConfig(f"reference group {i} is empty")
         p_tokens = bleu_tokenize(pred)
-        r_token_lists = [bleu_tokenize(r) for r in refs]
+        r_token_lists = [p_tokens if r == pred else bleu_tokenize(r) for r in refs]
         pred_len += len(p_tokens)
         ref_len += min(
             (len(r) for r in r_token_lists),
@@ -681,8 +686,10 @@ def score_pairs(
         if "ra" in metrics:
             row["ra"] = relaxed_accuracy(pred, gold)
         if want_rnss or want_rms:
-            (p_rnss, p_table), (g_rnss, g_table) = (
-                _parse_side(pred, want_rms), _parse_side(gold, want_rms)
+            p_rnss, p_table = _parse_side(pred, want_rms)
+            # A gold text equal to the prediction reads the same.
+            g_rnss, g_table = (
+                (p_rnss, p_table) if gold == pred else _parse_side(gold, want_rms)
             )
         if want_rnss:
             row["rnss"] = rnss(p_rnss, g_rnss)

@@ -1,21 +1,32 @@
 """Reference implementations the eval scorers are checked against.
 
-``split_flat_scan`` splits flattened table text one character at a time
-and ``counter_bleu`` clips BLEU n-gram counts with ``Counter`` algebra.
-Both are the straightforward forms of what ``chartkit.flatten._split_flat``
-and ``chartkit.metrics.corpus_bleu`` compute, kept here only as test
-oracles: the tests require equal rows and equal floats. ``rms_entries``
-and ``transpose_table`` read a table as the RMS definition does, by
-building the transposed ``DataTable``, not by swapping entry keys as
-``chartkit.metrics`` does.
+``split_flat_scan`` splits flattened table text one character at a time,
+``split_flat_tokens`` one token at a time, ``unflatten_tokens`` parses it
+column by column and ``counter_bleu`` clips BLEU n-gram counts with
+``Counter`` algebra. They are the straightforward forms of what
+``chartkit.flatten._split_flat``, ``chartkit.flatten.unflatten_table`` and
+``chartkit.metrics.corpus_bleu`` compute, kept here only as test oracles:
+the tests require equal rows, equal tables (or the same error type) and
+equal floats. ``rms_entries`` and ``transpose_table`` read a table as the
+RMS definition does, by building the transposed ``DataTable``, not by
+swapping entry keys as ``chartkit.metrics`` does.
 """
 
 import math
+import re
 from collections import Counter
 
+from chartkit.errors import MalformedTable, RaggedInput
 from chartkit.flatten import CELL_SEP, ROW_SEP
 from chartkit.metrics import EPS, bleu_tokenize
-from chartkit.tables import CATEGORICAL, NUMERIC, Column, DataTable
+from chartkit.tables import (
+    CATEGORICAL,
+    NUMERIC,
+    PLAIN_NUMBER_RE,
+    UNIT_SUFFIX_RE,
+    Column,
+    DataTable,
+)
 
 
 def _normalized(text):
@@ -87,6 +98,75 @@ def split_flat_scan(text):
     cells.append("".join(buf))
     rows.append(cells)
     return rows
+
+
+# One token of flattened text, tried in this order: a cell separator, a row
+# separator, an escape (a backslash and the character after it), a run of
+# characters that are neither a backslash nor a space, any one character
+# (a space that starts no separator, or a backslash that ends the text).
+_FLAT_TOKEN_RE = re.compile(r" \| | & |\\.|[^\\ ]+|.", re.DOTALL)
+
+
+def split_flat_tokens(text):
+    """Rows of raw cell strings, read one token of ``_FLAT_TOKEN_RE`` at a
+    time."""
+    rows, cells, buf = [], [], []
+    for token in _FLAT_TOKEN_RE.findall(text):
+        if token == CELL_SEP:
+            cells.append("".join(buf))
+            buf = []
+        elif token == ROW_SEP:
+            cells.append("".join(buf))
+            rows.append(cells)
+            cells, buf = [], []
+        elif token[0] == "\\":
+            # An escape keeps the escaped character; a backslash that ends
+            # the text is itself the last character.
+            buf.append(token[-1])
+        else:
+            buf.append(token)
+    cells.append("".join(buf))
+    rows.append(cells)
+    return rows
+
+
+def _plain_float(cell):
+    return float(cell) if PLAIN_NUMBER_RE.fullmatch(cell) else None
+
+
+def unflatten_tokens(text):
+    """The table of flattened text, one column at a time: numeric when
+    every cell is a plain number, and a numeric header "name (unit)" split
+    unless that name collides with another column's, headers that collide
+    being kept whole until no name does. Raises ``RaggedInput`` and
+    ``MalformedTable`` where ``unflatten_table`` does."""
+    rows = split_flat_tokens(text)
+    header, data = rows[0], rows[1:]
+    for row in data:
+        if len(row) != len(header):
+            raise RaggedInput("ragged")
+    columns, values = [], []
+    for j, name in enumerate(header):
+        floats = [_plain_float(row[j]) for row in data]
+        numeric = bool(floats) and None not in floats
+        values.append(floats if numeric else [row[j] for row in data])
+        m = UNIT_SUFFIX_RE.match(name) if numeric else None
+        columns.append((name, NUMERIC if numeric else CATEGORICAL, m))
+    split = {j: m for j, (_, _, m) in enumerate(columns) if m}
+    while True:
+        names = [split[j].group(1) if j in split else name
+                 for j, (name, _, _) in enumerate(columns)]
+        clash = [j for j in split if names.count(names[j]) > 1]
+        if not clash:
+            break
+        for j in clash:
+            del split[j]
+    try:
+        cols = [Column(name, kind, split[j].group(2)) if j in split else Column(name, kind)
+                for j, (name, (_, kind, _)) in enumerate(zip(names, columns))]
+        return DataTable(cols, [list(row) for row in zip(*values)])
+    except ValueError as exc:
+        raise MalformedTable(str(exc)) from exc
 
 
 def _ngram_counts(tokens, n):

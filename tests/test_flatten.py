@@ -14,7 +14,7 @@ from chartkit.flatten import (
 )
 from chartkit.gen import random_plain_table
 from chartkit.tables import Column, DataTable, NUMERIC
-from eval_oracles import split_flat_scan
+from eval_oracles import split_flat_scan, split_flat_tokens, unflatten_tokens
 
 
 def test_flatten_example():
@@ -52,6 +52,32 @@ def test_unit_header_round_trip():
     flat = flatten_table(t)
     assert "Share (%)" in flat
     assert unflatten_table(flat) == t
+
+
+def test_colliding_unit_headers_stay_whole():
+    # Split, both headers would read back as "Sales"; whole, they are unique.
+    flat = "Region | Sales (old) | Sales (new) & North | 1 | 2 & South | 3 | 4"
+    t = unflatten_table(flat)
+    assert [(c.name, c.kind, c.unit) for c in t.columns] == [
+        ("Region", "categorical", None),
+        ("Sales (old)", NUMERIC, None),
+        ("Sales (new)", NUMERIC, None),
+    ]
+    assert t.rows == (("North", 1.0, 2.0), ("South", 3.0, 4.0))
+    assert flatten_table(t) == flat
+    # A header whose split name equals another header stays whole too; a
+    # header whose split name is unique is split as before.
+    t = unflatten_table("Sales | Sales (new) | Cost (usd) & 1 | 2 | 3")
+    assert [(c.name, c.unit) for c in t.columns] == [
+        ("Sales", None), ("Sales (new)", None), ("Cost", "usd")]
+    # Keeping "A (b)" whole makes "A (b) (d)" collide with it in turn.
+    t = unflatten_table("A (b) | A (c) | A (b) (d) & 1 | 2 | 3")
+    assert [(c.name, c.unit) for c in t.columns] == [
+        ("A (b)", None), ("A (c)", None), ("A (b) (d)", None)]
+    # Distinct names that collide only once split still round-trip.
+    t = DataTable([Column("A", NUMERIC, "b"), Column("A (b)", NUMERIC, "d")], [[1, 2]])
+    assert flatten_table(t) == "A (b) | A (b) (d) & 1 | 2"
+    assert unflatten_table(flatten_table(t)) == t
 
 
 def test_round_trip_generated_tables():
@@ -120,3 +146,35 @@ def test_unflatten_names_a_bad_header():
         unflatten_table(" | a & x | 1")
     with pytest.raises(ChartKitError, match="duplicate"):
         unflatten_table("nan | nan & 1 | 2")
+
+
+# Separators, escapes (a trailing backslash among them), newlines, a
+# non-ASCII letter and digits: enough to make cells empty, numeric, ragged
+# rows and unit headers.
+_ORACLE_TEXT = st.lists(
+    st.sampled_from([" ", "|", "&", "\\", "\n", "é", "a", "0", "7", ".",
+                     " | ", " & ", "(", ")", "a (b)"]),
+    max_size=24,
+).map("".join)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ChartKitError as exc:
+        return type(exc)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(_ORACLE_TEXT)
+@example("a | b\\")
+@example("\\")
+@example("a | & b")
+@example(" |  | ")
+@example("a |  & 1 | ")
+@example("x\\\n | y (é) & 1\\| | 2")
+@example("Region | Sales (old) | Sales (new) & North | 1 | 2")
+@example("A (b) | A (c) | A (b) (d) & 1 | 2 | 3")
+def test_split_and_unflatten_match_the_token_scanner(text):
+    assert _split_flat(text) == split_flat_tokens(text)
+    assert _outcome(unflatten_table, text) == _outcome(unflatten_tokens, text)

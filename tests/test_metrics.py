@@ -588,9 +588,7 @@ def test_the_certificate_gives_the_full_paths_floats():
             assert unique_optimum([[-s for s in row] for row in scores], len(keys)) is not None
         return total
 
-    @settings(max_examples=600, deadline=None)
-    @given(st.randoms(use_true_random=False))
-    def check(rng):
+    def compare(rng):
         pred, gold = _certificate_pair(rng)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(metrics, "_certified", recording)
@@ -599,7 +597,12 @@ def test_the_certificate_gives_the_full_paths_floats():
             full = rms_f1(pred, gold)
         assert [x.hex() for x in got] == [x.hex() for x in full]
 
-    check()
+    settings(max_examples=600, deadline=None)(
+        given(st.randoms(use_true_random=False))(compare))()
+    # Fixed draws as well: hypothesis's draws alone miss a certified try
+    # with more prediction entries than gold ones on some runs.
+    for seed in range(200):
+        compare(random.Random(seed))
     assert seen == {(True, False), (False, False), (True, True), (False, True)}, seen
 
 
@@ -989,28 +992,34 @@ _NORTH_SOUTH = DataTable(
 )
 
 
-def test_a_transposed_copy_is_scored_once(monkeypatch):
-    calls = []
-    score_rows = metrics._score_rows
-
-    def counting(*args):
-        calls.append(args[0])
-        return score_rows(*args)
-
-    monkeypatch.setattr(metrics, "_score_rows", counting)
-    flipped = transpose_table(_NORTH_SOUTH)
-    assert rms_f1(flipped, _NORTH_SOUTH) == (1.0, 1.0, 1.0)
-    # The straight try only: no straight key equals a gold key, so its
-    # certificate scores every row in one call, and nothing scores again.
-    assert calls == [table_entries(flipped)]
+def test_a_transposed_copy_scores_no_rows(monkeypatch):
+    # The transposed entries are compared before the straight try runs.
+    for name in ("_score_rows", "_certified", "_levenshtein_walk", "_assign"):
+        monkeypatch.setattr(metrics, name, _refuse)
+    assert rms_f1(transpose_table(_NORTH_SOUTH), _NORTH_SOUTH) == (1.0, 1.0, 1.0)
 
 
-def test_a_straight_f1_of_one_wins_over_a_transposed_copy(monkeypatch):
-    # A straight try whose F1 rounds to 1.0 is kept, with its own precision
-    # and recall, before the transposed entries are compared.
-    rounded = (1.0 - 2 ** -53, 1.0, 1.0)
-    monkeypatch.setattr(metrics, "_rms_once", lambda scores, n_g: rounded)
-    assert rms_f1(transpose_table(_NORTH_SOUTH), _NORTH_SOUTH) == rounded
+def test_a_transposed_copy_has_an_f1_of_one_only_at_a_full_total():
+    """Why answering a transposed copy before the straight try keeps the
+    full path's triple: the straight try then has |pred| = |gold| = n, and
+    its F1 is 1.0 only when its total is n, that is when it is (1.0, 1.0,
+    1.0) as well."""
+    rng = random.Random(25)
+    copies = 0
+    for _ in range(300):
+        gold = random_plain_table(rng)
+        pred = transpose_table(gold)
+        if pred is not None:
+            copies += 1
+            assert _transposed_entries(pred) == table_entries(gold)
+            assert len(table_entries(pred)) == len(table_entries(gold))
+    assert copies > 100
+    for n in range(1, 301):
+        total = float(n)
+        assert metrics._prf(total, n, n) == (1.0, 1.0, 1.0)
+        for _ in range(2000):
+            total = math.nextafter(total, 0.0)
+            assert metrics._prf(total, n, n)[2] != 1.0, (total, n)
 
 
 _EVAL_TEXTS = ["", "a b", "x | v & a | 10", "x | v & a | 1e999", "a | b & 1 | 2 | 3",
@@ -1085,10 +1094,29 @@ def parses(monkeypatch):
 
 
 def test_score_pairs_parses_each_side_once(parses):
+    # A gold text equal to the prediction reuses the prediction's parse.
     flat = "x | v & a | 10"
     row = score_pairs([("c", flat, [flat])], ["rnss", "rms"]).per_example[0]
     assert row["rnss"] == 1.0 and row["rms_f1"] == 1.0
-    assert parses == [flat, flat]
+    assert parses == [flat]
+    parses.clear()
+    gold = "x | v & a | 9"
+    score_pairs([("c", flat, [gold])], ["rnss", "rms"])
+    assert parses == [flat, gold]
+
+
+def test_corpus_bleu_tokenizes_a_reference_equal_to_its_prediction_once(monkeypatch):
+    seen = []
+    real = metrics.bleu_tokenize
+
+    def counting(text):
+        seen.append(text)
+        return real(text)
+
+    preds, golds = ["a b c d", "e f g"], [["x y", "a b c d"], "e f g"]
+    monkeypatch.setattr(metrics, "bleu_tokenize", counting)
+    assert corpus_bleu(preds, golds) == 100.0
+    assert seen == ["a b c d", "x y", "e f g"]
 
 
 def test_score_pairs_rnss_reads_plain_text(parses):
