@@ -13,6 +13,7 @@ the bundle's table and keeps every downstream consumer testable offline.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -354,6 +355,8 @@ class BatchDriver:
 
     def __init__(self, backend=None, checkpoint_path=None,
                  budget: Optional[int] = None, log_path=None):
+        if budget is not None and budget < 0:
+            raise InvalidConfig(f"budget must be >= 0, not {budget}")
         self.backend = backend or FallbackBackend()
         self.checkpoint_path = checkpoint_path
         self.budget = budget
@@ -361,17 +364,21 @@ class BatchDriver:
         self.failures: list[dict] = []
 
     def run(self, items: Iterable[tuple[str, PromptBundle]]) -> dict[str, str]:
-        """Every finished id's summary; this run's failures go to ``failures``."""
+        """Every finished id's summary; this run's failures go to ``failures``.
+
+        ``items`` is read one at a time, as the calls reach it, up to the
+        budget's last new call; each ``log_path`` audit row is appended
+        when its summary comes back.
+        """
         done: dict[str, str] = {}
         self.failures = []
         with contextlib.ExitStack() as stack:
-            journal = None
+            journal = log = None
             if self.checkpoint_path:
                 journal = stack.enter_context(Journal(self.checkpoint_path))
                 done = {cid: row["summary"] for cid, row in journal.rows.items()}
-            todo = [(cid, b) for cid, b in items if cid not in done][: self.budget]
-            log_rows = []
-            for cid, bundle in todo:
+            todo = ((cid, b) for cid, b in items if cid not in done)
+            for cid, bundle in itertools.islice(todo, self.budget):
                 try:
                     summary = self.backend.complete(bundle)
                 except InvalidConfig:
@@ -383,11 +390,11 @@ class BatchDriver:
                 if journal:
                     journal.append({"id": cid, "summary": summary})
                 if self.log_path:
-                    log_rows.append({"id": cid, "prompt": bundle.user_text(),
-                                     "response": summary})
+                    if log is None:
+                        log = stack.enter_context(
+                            open(self.log_path, "a", encoding="utf-8"))
+                    log.write(encode_row({"id": cid, "prompt": bundle.user_text(),
+                                          "response": summary}))
             if journal:
                 journal.compact(journal.rows.values())
-        if log_rows:
-            with open(self.log_path, "a", encoding="utf-8") as fh:
-                fh.writelines(map(encode_row, log_rows))
         return done

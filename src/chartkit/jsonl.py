@@ -1,12 +1,14 @@
 """The on-disk JSONL format of every corpus stream.
 
 A row is one JSON object on one UTF-8 line, keys sorted, non-ASCII kept
-as is, ended by ``\\n``. Files are replaced atomically (temp file, then
-``os.replace``). The manifest and the distill checkpoint are a ``Journal``:
-one row appended per completion, loaded last-wins on resume, and rewritten
-sorted at the end of a run. ``read_json_object`` reads the files that hold
-one JSON object: the chart sidecars and the config files (pipeline config,
-selector profile, backend config).
+as is, ended by ``\\n``. Files are replaced atomically by ``AtomicFile``
+(a temp file, then ``os.replace``), which takes its text as it is made,
+so a writer holds one row, not the file. The manifest and the distill
+checkpoint are a ``Journal``: one row appended per completion, loaded
+last-wins on resume, and rewritten sorted at the end of a run.
+``read_json_object`` reads the files that hold one JSON object: the chart
+sidecars and the config files (pipeline config, selector profile, backend
+config).
 """
 
 from __future__ import annotations
@@ -103,22 +105,68 @@ def check_rows(path, rows: list[dict], /, *, nonempty=(), **kinds) -> list[dict]
     return rows
 
 
-def atomic_write_text(path, text: str):
-    """Replace ``path`` with ``text`` through ``<path>.tmp``. An ``OSError``
-    names ``path``, and the temp file does not outlive it."""
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except OSError as exc:
+class AtomicFile:
+    """A text file written at ``<path>.tmp`` that replaces ``path`` when
+    its ``with`` block ends, and is removed instead if the block raises: a
+    reader sees all of the block's text at ``path`` or what was there
+    before, and no temp file outlives the block. An ``OSError`` from
+    opening, writing or replacing names ``path``, not the temp file.
+    """
+
+    def __init__(self, path):
+        self.path, self.tmp = path, f"{path}.tmp"
+        try:
+            self._fh = open(self.tmp, "w", encoding="utf-8")
+        except OSError as exc:
+            raise self._named(exc) from exc
+
+    def _named(self, exc: OSError) -> OSError:
+        return OSError(exc.errno, exc.strerror, os.fspath(self.path))
+
+    def write(self, text: str):
+        try:
+            self._fh.write(text)
+        except OSError as exc:
+            raise self._named(exc) from exc
+
+    def __enter__(self) -> "AtomicFile":
+        return self
+
+    def __exit__(self, exc_type, *exc):
+        if exc_type is not None:
+            self._discard()
+            return
+        try:
+            self._fh.close()
+            os.replace(self.tmp, self.path)
+        except OSError as exc:
+            self._discard()
+            raise self._named(exc) from exc
+
+    def _discard(self):
         with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
+            self._fh.close()
+        with contextlib.suppress(OSError):
+            os.remove(self.tmp)
+
+
+def atomic_write_text(path, text: str):
+    """Replace ``path`` with ``text`` through an ``AtomicFile``."""
+    with AtomicFile(path) as out:
+        out.write(text)
 
 
 def write_jsonl(path, rows: Iterable[dict]):
-    atomic_write_text(path, "".join(map(encode_row, rows)))
+    """Replace ``path`` with one ``encode_row`` line per row, in order.
+
+    Each row is encoded into ``<path>.tmp`` as ``rows`` yields it, so
+    memory holds one row at a time, not the file; an exception, from
+    ``rows`` or from the encoding of a row, leaves ``path`` as it was and
+    no temp file behind (``AtomicFile``).
+    """
+    with AtomicFile(path) as out:
+        for row in rows:
+            out.write(encode_row(row))
 
 
 class Journal:

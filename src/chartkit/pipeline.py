@@ -20,10 +20,16 @@ manifest or sidecar raises a ``ChartKitError`` naming the file.
 All JSONL goes through ``chartkit.jsonl``. The manifest and the distill
 checkpoint are append journals: one row per completion, loaded last-wins
 on resume, and compacted (rewritten sorted by id) at the end of a run.
+
+Memory grows with the manifest, not with the outputs: each stage holds the
+manifest's rows (and distill its summaries, which it returns), but writes
+every task record, extraction and summary to disk as it is made, and reads
+one sidecar at a time.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import random
@@ -44,6 +50,7 @@ from .errors import (
 from .extract import BUILTIN_PROFILE, SelectorProfile, extract_chart
 from .gen import chart_table_for, random_style
 from .jsonl import (
+    AtomicFile,
     Journal,
     atomic_write_text,
     check_rows,
@@ -391,6 +398,12 @@ def gen_tasks(
     the summaries file is dropped unless its answer is inside their texts,
     a pair whose chart has none is kept unchecked, and then each chart
     keeps its first ``counts["qa_open"]`` pairs.
+
+    Each record is written to its kind's ``jsonl.AtomicFile`` as it is made.
+    The streams replace their files together once the last chart and pair
+    are done; a chart that fails (a damaged sidecar is ``MalformedTable``)
+    removes every temp file and leaves the streams of an earlier run as
+    they were.
     """
     manifest = load_manifest(corpus_dir)
     ref_of = {r["id"]: r["svg"] for r in manifest}
@@ -401,74 +414,72 @@ def gen_tasks(
     qa_pairs = _checked_rows(qa_pairs_path, id=str, question=str, answer=str,
                              nonempty=("answer",)) if qa_pairs_path else []
 
-    records: dict[str, list[TaskRecord]] = {k: [] for k in TASK_KINDS}
-    no_summary = 0
-    for row in manifest:
-        chart = load_chart(corpus_dir, row)
-        ref = row["svg"]
-        if counts["table"] > 0:
-            records["table"].append(table_record(chart, image_ref=ref))
-        if counts["value_estimation"] > 0 and chart.chart_type != PIE:
-            records["value_estimation"].append(
-                value_estimation_record(chart, image_ref=ref)
-            )
-        if counts["qa_reasoning"] > 0:
-            seed = _chart_rng(config.seed, f"qa:{row['id']}").randrange(2**31)
-            records["qa_reasoning"].extend(
-                generate_qa(chart, counts["qa_reasoning"], seed, image_ref=ref)
-            )
-        if counts["summary"] > 0:
-            texts = [text for text in summaries.get(row["id"], [])[: counts["summary"]]
-                     if text.strip()]
-            no_summary += not texts
-            records["summary"].extend(
-                TaskRecord(ref, PROMPT_TOKENS["summary"], text, "summary")
-                for text in texts
-            )
-    if counts["summary"] > 0 and not summaries_path:
-        warnings.append("summary: no summaries file supplied; emitted 0 records")
-    elif no_summary:
-        warnings.append(f"summary: {no_summary} charts have no summary on file")
-
-    if counts["qa_open"] > 0 and qa_pairs:
-        # Newline join: an answer sentence must sit inside one summary, not
-        # straddle the boundary between two of them.
-        joined = {cid: "\n".join(texts) for cid, texts in summaries.items()}
-        dropped, unchecked, per_chart = 0, {}, {}
-        for pair in qa_pairs:
-            cid, answer = pair["id"], pair["answer"]
-            ref = ref_of.get(cid)
-            if ref is None:
-                continue
-            if cid not in joined:
-                unchecked[ref] = None  # one warning per chart, in first-seen order
-            elif answer not in joined[cid]:
-                dropped += 1
-                continue
-            per_chart[ref] = per_chart.get(ref, 0) + 1
-            if per_chart[ref] <= counts["qa_open"]:
-                records["qa_open"].append(TaskRecord(
-                    ref, f"{PROMPT_TOKENS['qa_open']} {pair['question']}",
-                    answer, "qa_open"))
-        if dropped:
-            warnings.append(
-                f"qa_open: dropped {dropped} pairs whose answer is not in the summary"
-            )
-        warnings.extend(f"qa_open: {ref}: unchecked (no summary on file)"
-                        for ref in unchecked)
-    elif counts["qa_open"] > 0:
-        warnings.append("qa_open: no qa-pairs file supplied; emitted 0 records")
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    emitted = {}
-    for kind in TASK_KINDS:
-        if counts[kind] <= 0:
-            continue
-        emitted[kind] = len(records[kind])
-        if not records[kind]:
-            continue  # configured but empty (e.g. no summaries supplied)
-        write_jsonl(out / f"{kind}.jsonl", (r.to_json_dict() for r in records[kind]))
+    emitted = {kind: 0 for kind in TASK_KINDS if counts[kind] > 0}
+    with contextlib.ExitStack() as stack:
+        streams: dict[str, AtomicFile] = {}
+
+        def emit(records):
+            """Append each record to its kind's stream, opened on the kind's
+            first record, so a configured kind with none writes no file."""
+            for record in records:
+                kind = record.task_kind
+                if kind not in streams:
+                    streams[kind] = stack.enter_context(AtomicFile(out / f"{kind}.jsonl"))
+                streams[kind].write(encode_row(record.to_json_dict()))
+                emitted[kind] += 1
+
+        no_summary = 0
+        for row in manifest:
+            chart = load_chart(corpus_dir, row)
+            ref = row["svg"]
+            if counts["table"] > 0:
+                emit([table_record(chart, image_ref=ref)])
+            if counts["value_estimation"] > 0 and chart.chart_type != PIE:
+                emit([value_estimation_record(chart, image_ref=ref)])
+            if counts["qa_reasoning"] > 0:
+                seed = _chart_rng(config.seed, f"qa:{row['id']}").randrange(2**31)
+                emit(generate_qa(chart, counts["qa_reasoning"], seed, image_ref=ref))
+            if counts["summary"] > 0:
+                texts = [text for text in summaries.get(row["id"], [])[: counts["summary"]]
+                         if text.strip()]
+                no_summary += not texts
+                emit(TaskRecord(ref, PROMPT_TOKENS["summary"], text, "summary")
+                     for text in texts)
+        if counts["summary"] > 0 and not summaries_path:
+            warnings.append("summary: no summaries file supplied; emitted 0 records")
+        elif no_summary:
+            warnings.append(f"summary: {no_summary} charts have no summary on file")
+
+        if counts["qa_open"] > 0 and qa_pairs:
+            # Newline join: an answer sentence must sit inside one summary, not
+            # straddle the boundary between two of them.
+            joined = {cid: "\n".join(texts) for cid, texts in summaries.items()}
+            dropped, unchecked, per_chart = 0, {}, {}
+            for pair in qa_pairs:
+                cid, answer = pair["id"], pair["answer"]
+                ref = ref_of.get(cid)
+                if ref is None:
+                    continue
+                if cid not in joined:
+                    unchecked[ref] = None  # one warning per chart, in first-seen order
+                elif answer not in joined[cid]:
+                    dropped += 1
+                    continue
+                per_chart[ref] = per_chart.get(ref, 0) + 1
+                if per_chart[ref] <= counts["qa_open"]:
+                    emit([TaskRecord(
+                        ref, f"{PROMPT_TOKENS['qa_open']} {pair['question']}",
+                        answer, "qa_open")])
+            if dropped:
+                warnings.append(
+                    f"qa_open: dropped {dropped} pairs whose answer is not in the summary"
+                )
+            warnings.extend(f"qa_open: {ref}: unchecked (no summary on file)"
+                            for ref in unchecked)
+        elif counts["qa_open"] > 0:
+            warnings.append("qa_open: no qa-pairs file supplied; emitted 0 records")
     if counts["qa_reasoning"] > 0:
         atomic_write_text(
             out / "template_catalog.json",
@@ -624,10 +635,18 @@ def distill_corpus(
     ``checkpoint_path`` names the driver's append journal of finished
     summaries (see ``BatchDriver``); a rerun resumes from it and retries
     the failed ids.
+
+    Each chart's sidecar is read when the driver reaches the chart, so one
+    prompt bundle is alive at a time. A damaged sidecar therefore fails the
+    run at its turn, not before the first call: the ``ChartKitError`` names
+    the sidecar, no summaries file is written, and the summaries finished
+    before it stay in the checkpoint for a rerun. A sidecar past the budget
+    is not read.
     """
-    items = [(row["id"], build_table_summary_prompt(
+    manifest = load_manifest(corpus_dir)
+    items = ((row["id"], build_table_summary_prompt(
                  _from_sidecar(corpus_dir, row, _sidecar_table)))
-             for row in load_manifest(corpus_dir)]
+             for row in manifest)
     driver = BatchDriver(backend=backend, checkpoint_path=checkpoint_path,
                          budget=budget, log_path=log_path)
     done = driver.run(items)

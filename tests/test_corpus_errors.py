@@ -18,7 +18,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chartkit.cli import main
-from chartkit.errors import ChartKitError
+from chartkit.errors import ChartKitError, MalformedTable
+from chartkit.jsonl import read_jsonl
 from chartkit.pipeline import (
     PipelineConfig,
     corpus_stats,
@@ -130,6 +131,37 @@ def test_distill_does_not_read_the_tables_copy(tmp_path, corpus):
     shutil.rmtree(tmp_path / "corpus" / "tables")
     distill_corpus(tmp_path / "corpus", tmp_path / "gone.jsonl")
     assert (tmp_path / "gone.jsonl").read_bytes() == (tmp_path / "kept.jsonl").read_bytes()
+
+
+def _damage_third_sidecar(corpus):
+    _edit_json(corpus / "charts" / "chart-000002.json",
+               lambda d: d["table"]["rows"][0].__setitem__(1, "abc"))
+
+
+def test_gen_tasks_on_a_damaged_third_sidecar_keeps_the_earlier_streams(tmp_path,
+                                                                        corpus):
+    shutil.copytree(corpus, tmp_path / "corpus")
+    config = PipelineConfig(seed=7)
+    gen_tasks(tmp_path / "corpus", tmp_path / "tasks", config)
+    before = {p.name: p.read_bytes() for p in (tmp_path / "tasks").iterdir()}
+    _damage_third_sidecar(tmp_path / "corpus")
+    with pytest.raises(MalformedTable, match="chart-000002.json"):
+        gen_tasks(tmp_path / "corpus", tmp_path / "tasks", config)
+    assert {p.name: p.read_bytes() for p in (tmp_path / "tasks").iterdir()} == before
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_distill_fails_at_a_damaged_sidecar_and_keeps_the_summaries_before_it(
+        tmp_path, corpus):
+    shutil.copytree(corpus, tmp_path / "corpus")
+    _damage_third_sidecar(tmp_path / "corpus")
+    with pytest.raises(MalformedTable, match="chart-000002.json"):
+        distill_corpus(tmp_path / "corpus", tmp_path / "s.jsonl",
+                       checkpoint_path=tmp_path / "checkpoint.jsonl")
+    assert [row["id"] for row in read_jsonl(tmp_path / "checkpoint.jsonl")] == [
+        "chart-000000", "chart-000001"]
+    assert not (tmp_path / "s.jsonl").exists()
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 # Values of every JSON type; a mutation sets a key to one of another type.

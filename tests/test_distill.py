@@ -263,6 +263,35 @@ def test_driver_logs_prompts_without_secrets(tmp_path):
     assert "prompt" in content
 
 
+def test_driver_reads_items_one_at_a_time(tmp_path):
+    calls = []
+
+    class Counting(FallbackBackend):
+        def complete(self, bundle):
+            calls.append(bundle)
+            return super().complete(bundle)
+
+    def items(k):
+        for i in range(k):
+            yield f"c{i}", build_table_summary_prompt(_table())
+        raise RuntimeError("the item source broke")
+
+    log = tmp_path / "audit.jsonl"
+    driver = BatchDriver(backend=Counting(), log_path=str(log))
+    with pytest.raises(RuntimeError):
+        driver.run(items(3))
+    assert len(calls) == 3
+    assert [row["id"] for row in read_jsonl(log)] == ["c0", "c1", "c2"]
+    calls.clear()
+    assert list(BatchDriver(backend=Counting(), budget=2).run(items(3))) == ["c0", "c1"]
+    assert len(calls) == 2
+
+
+def test_driver_rejects_a_negative_budget():
+    with pytest.raises(InvalidConfig, match="budget"):
+        BatchDriver(budget=-1)
+
+
 def test_fallback_makes_no_network_calls():
     transport = _ScriptedTransport([])
     # The transport would raise IndexError if ever invoked.

@@ -12,7 +12,9 @@ import builtins
 import hashlib
 import json
 import math
+import operator
 import random
+from functools import reduce
 
 from chartkit.flatten import flatten_table
 from chartkit.gen import random_chart_table
@@ -284,8 +286,10 @@ def compensated_sum(iterable, /, start=0):
 
 
 def test_compensated_sum_differs_from_a_plain_one():
+    # A left fold, not ``builtins.sum``: from 3.12 on that is compensated
+    # too, and gives 1.0 here.
     values = [0.1] * 10
-    assert compensated_sum(values) == 1.0 != _plain_sum(values)
+    assert compensated_sum(values) == 1.0 != reduce(operator.add, values, 0)
     assert compensated_sum([1e308, 1e308, -1e308]) == math.inf
     assert math.isnan(compensated_sum([math.inf, -math.inf]))
     assert compensated_sum([1, 2, 3]) == 6 and compensated_sum([[1], [2]], []) == [1, 2]

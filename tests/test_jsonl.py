@@ -179,6 +179,16 @@ def test_a_failed_atomic_write_names_the_path_and_leaves_no_temp_file(tmp_path):
     assert caught.value.filename == str(tmp_path / "missing" / "f")
 
 
+def test_a_row_that_cannot_be_encoded_leaves_the_old_file(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    write_jsonl(path, [{"id": "a"}])
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        write_jsonl(path, [{"id": "b"}, {"id": object()}])
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["rows.jsonl"]
+
+
 def test_read_drops_only_a_torn_last_line(tmp_path):
     path = tmp_path / "rows.jsonl"
     path.write_bytes(b'{"id": "a"}\n' + '{"id": "é'.encode("utf-8")[:-1])

@@ -10,11 +10,15 @@ with the square of the corpus would read about 16, so a function called at
 least ``MIN_CALLS`` times in the smaller run fails the test when its calls
 grow more than ``MAX_RATIO`` times. Counts, not times, are compared, so the
 test is deterministic on any host.
+
+gen-tasks also holds no corpus-sized list of its outputs: the peak of the
+memory it allocates, traced by ``tracemalloc``, grows with the manifest.
 """
 
 import cProfile
 import json
 import pstats
+import tracemalloc
 from pathlib import Path
 
 import chartkit
@@ -78,3 +82,28 @@ def test_no_chartkit_function_grows_faster_than_the_corpus(tmp_path):
              if pair[1] > MAX_RATIO * pair[0]}
     assert not steep, f"calls at {N} -> {4 * N} charts grew more than {MAX_RATIO}x: " \
                       f"{json.dumps(steep, indent=1)}"
+
+
+def _traced_peak(fn, *args) -> int:
+    """The peak of the memory ``fn(*args)`` holds at once, in bytes."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_gen_tasks_memory_grows_with_the_manifest_not_the_outputs(tmp_path):
+    # About 1.6 KiB per chart is the manifest's rows; holding every task
+    # record until the end of the run took 5.3 KiB per chart.
+    config = PipelineConfig(seed=7, count=400, out=str(tmp_path / "corpus"))
+    synthesize(config)
+    manifest = tmp_path / "corpus" / "manifest.jsonl"
+    rows = manifest.read_text(encoding="utf-8").splitlines(keepends=True)
+    manifest.write_text("".join(rows[:100]), encoding="utf-8")
+    gen_tasks(tmp_path / "corpus", tmp_path / "warm-up", config)
+    small = _traced_peak(gen_tasks, tmp_path / "corpus", tmp_path / "t100", config)
+    manifest.write_text("".join(rows), encoding="utf-8")
+    large = _traced_peak(gen_tasks, tmp_path / "corpus", tmp_path / "t400", config)
+    assert (large - small) / 300 < 3 * 1024
